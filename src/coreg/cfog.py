@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
-
-from .raster import GeoTransform, RasterGrid, save_raster
 
 
 @dataclass(frozen=True)
@@ -142,18 +139,3 @@ def build_cfog(image, params: CfogParams | None = None,
         norms = np.sqrt(np.sum(vol.values * vol.values, axis=2, keepdims=True))
         np.divide(vol.values, norms, out=vol.values, where=norms > 0)
     return vol
-
-
-def dump_volume(vol: DescriptorVolume, out_dir, stem: str,
-                geotransform: GeoTransform | None = None) -> list:
-    """Debug aid: write each channel as its own raster file."""
-    out_dir = Path(out_dir)
-    gt = geotransform if geotransform is not None else GeoTransform(0, 0, 1, 1)
-    paths = []
-    for i in range(vol.m):
-        grid = RasterGrid(data=vol.values[:, :, i].astype(np.float32),
-                          geotransform=gt)
-        path = out_dir / f"{stem}_ch{i:02d}.bin"
-        save_raster(grid, path)
-        paths.append(path)
-    return paths

@@ -25,8 +25,8 @@ from .metrics import (checkpoint_rmse, misreg_to_csv, misregistration,
                       split_checkpoints, sweep, sweep_to_csv,
                       to_control_points)
 from .keypoints import detect_block_fast
-from .raster import (RasterError, crop_to_overlap, load_raster,
-                     sample_bilinear, save_raster, warp)
+from .raster import (RasterError, crop_to_overlap, load_raster, save_raster,
+                     warp)
 from .robustfit import RansacDegeneracyError, ransac_filter, select_top_k
 from .synthgen import (NonInvertibleWarpError, generate, spec_from_manifest,
                        spec_to_manifest)
@@ -224,29 +224,6 @@ def run_sweep(args) -> int:
     return 0
 
 
-def _eval_failure_fraction(model, ref, dem, chunk=256) -> float:
-    """Fraction of target pixels where the model itself fails (rational
-    denominator collapse), as opposed to falling outside the sensed image."""
-    if (model.den_x[1:] == 0).all() and (model.den_y[1:] == 0).all():
-        return 0.0
-    bad = 0
-    total = ref.width * ref.height
-    cols = np.arange(ref.width, dtype=np.float64)
-    for r0 in range(0, ref.height, chunk):
-        r1 = min(r0 + chunk, ref.height)
-        rr, cc = np.meshgrid(np.arange(r0, r1, dtype=np.float64), cols,
-                             indexing="ij")
-        gx, gy = ref.geotransform.pixel_to_geo(cc, rr)
-        if model.spec.family == "rfm":
-            dc, dr = dem.geotransform.geo_to_pixel(gx, gy)
-            gz = sample_bilinear(dem, dc, dr)
-            px, py = model.apply(gx, gy, gz)
-        else:
-            px, py = model.apply(gx, gy)
-        bad += int(np.sum(~(np.isfinite(px) & np.isfinite(py))))
-    return bad / total
-
-
 def run_register(args) -> int:
     cfg = _base_config(args)
     ref = load_raster(args.ref)
@@ -263,16 +240,15 @@ def run_register(args) -> int:
         model, score, n_cps = _fit_with_optional_holdout(
             cfg, corrs, spec, dem, cfg.n_checkpoints, pixel_size)
     with _Timer("warp"):
-        registered = warp(sensed, model, ref.geotransform,
-                          ref.width, ref.height,
-                          dem=dem if spec.family == "rfm" else None)
+        registered, eval_failures = warp(
+            sensed, model, ref.geotransform, ref.width, ref.height,
+            dem=dem if spec.family == "rfm" else None)
     save_raster(registered, out / "registered.bin")
     print(f"wrote {out / 'registered.bin'}")
     _write(out / f"{spec.name}.model", model.to_text())
 
     misreg = misregistration(corrs, pixel_size=pixel_size)
-    fail_frac = _eval_failure_fraction(model, ref,
-                                       dem if spec.family == "rfm" else None)
+    fail_frac = eval_failures / (ref.width * ref.height)
     lines = [
         f"model={spec.name}",
         f"cp_count={n_cps}",

@@ -42,6 +42,9 @@ _RFM_DENOM_MODES = ("unit", "shared", "distinct")
 DENOM_EPS = 1e-12
 # rank cutoff relative to the largest singular value of the design matrix
 RANK_RTOL = 1e-10
+# points per FittedModel.apply block: a block's power tables and running sums
+# (about 14 arrays of 128 KiB) stay in cache between the passes over them
+_APPLY_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,39 @@ def poly_basis_3d(X, Y, Z, order: int) -> np.ndarray:
                      for i, j, k in _exponents_3d(order)], axis=-1)
 
 
+def _monomial_sums(axes, exponents, coeff_vecs) -> list:
+    """For each coefficient vector c, the sum over k of c[k] times monomial k
+    of the equal-shape arrays ``axes``, where monomial k raises axis a to
+    ``exponents[k][a]``.
+
+    Powers come from per-axis tables built by repeated multiplication, and
+    each monomial is added into every sum in place, so the (N, basis)
+    monomial matrix is never formed. ``exponents[0]`` is the constant.
+    """
+    order = max(max(e) for e in exponents)
+    tables = []
+    for a in axes:
+        table = [None, a]
+        for _ in range(2, order + 1):
+            table.append(table[-1] * a)
+        tables.append(table)
+    shape = axes[0].shape
+    sums = [np.full(shape, c[0]) for c in coeff_vecs]
+    product = np.empty(shape)
+    scaled = np.empty(shape)
+    for k, exps in enumerate(exponents[1:], 1):
+        factors = [table[e] for table, e in zip(tables, exps) if e]
+        monomial = factors[0]
+        if len(factors) > 1:
+            monomial = np.multiply(factors[0], factors[1], out=product)
+            for f in factors[2:]:
+                monomial *= f
+        for total, c in zip(sums, coeff_vecs):
+            np.multiply(monomial, c[k], out=scaled)
+            total += scaled
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 
@@ -340,39 +376,55 @@ class FittedModel:
                    den_y=unit.copy() if den_y is None else np.asarray(den_y, float),
                    norm=norm if norm is not None else Normalization.identity())
 
-    def _basis(self, Xn, Yn, Zn):
-        if self.spec.family == "rfm":
-            return poly_basis_3d(Xn, Yn, Zn, self.spec.basis_order)
-        return poly_basis(Xn, Yn, self.spec.basis_order)
+    @property
+    def has_unit_denominators(self) -> bool:
+        """Both denominators are identically 1, as in every polynomial and
+        rfm ``unit`` model, so evaluation cannot divide by zero."""
+        return bool((self.den_x[1:] == 0).all() and (self.den_y[1:] == 0).all())
 
     def apply(self, ref_x, ref_y, ref_z=None):
         """Evaluate the model at reference coordinates.
 
-        Returns sensed (x, y) in map units; points where a denominator
+        Returns sensed (x, y) in map units, broadcast over the inputs, as
+        Python floats for scalar inputs. Points where a denominator
         magnitude falls below DENOM_EPS evaluate to NaN. ``ref_z`` is
         required for rfm and ignored otherwise.
         """
+        coords = (ref_x, ref_y)
         if self.spec.family == "rfm":
             if ref_z is None:
                 raise ValueError("rational function model evaluation needs ref_z")
-            Xn, Yn, Zn = self.norm.fwd_in(ref_x, ref_y, ref_z)
-        else:
-            Xn, Yn, Zn = self.norm.fwd_in(ref_x, ref_y)
-        scalar = np.ndim(Xn) == 0 and np.ndim(Yn) == 0
-        A = self._basis(np.atleast_1d(Xn), np.atleast_1d(Yn),
-                        None if Zn is None else np.atleast_1d(Zn))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den_u = A @ self.den_x
-            den_v = A @ self.den_y
-            un = np.where(np.abs(den_u) < DENOM_EPS, np.nan,
-                          (A @ self.num_x) / den_u)
-            vn = np.where(np.abs(den_v) < DENOM_EPS, np.nan,
-                          (A @ self.num_y) / den_v)
-        u, v = self.norm.inv_out(un, vn)
-        if scalar:
+            coords += (ref_z,)
+        coords = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64)
+                                       for c in coords))
+        shape = coords[0].shape
+        flat = [c.ravel() for c in coords]
+        u = np.empty(flat[0].size)
+        v = np.empty(flat[0].size)
+        for start in range(0, u.size, _APPLY_BLOCK):
+            block = slice(start, start + _APPLY_BLOCK)
+            u[block], v[block] = self._apply_block(*(c[block] for c in flat))
+        if not shape:
             return float(u[0]), float(v[0])
-        shape = np.broadcast_shapes(np.shape(Xn), np.shape(Yn))
         return u.reshape(shape), v.reshape(shape)
+
+    def _apply_block(self, X, Y, Z=None):
+        axes = self.norm.fwd_in(X, Y, Z)
+        if Z is None:
+            axes = axes[:2]
+            exponents = _exponents_2d(self.spec.basis_order)
+        else:
+            exponents = _exponents_3d(self.spec.basis_order)
+        if self.has_unit_denominators:
+            # x / 1.0 == x, so skipping the denominators is exact
+            un, vn = _monomial_sums(axes, exponents, (self.num_x, self.num_y))
+        else:
+            num_u, num_v, den_u, den_v = _monomial_sums(
+                axes, exponents, (self.num_x, self.num_y, self.den_x, self.den_y))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                un = np.where(np.abs(den_u) < DENOM_EPS, np.nan, num_u / den_u)
+                vn = np.where(np.abs(den_v) < DENOM_EPS, np.nan, num_v / den_v)
+        return self.norm.inv_out(un, vn)
 
     # -- text serialization
 
@@ -532,7 +584,7 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
     """Probe each denominator over the normalized CP bounding box; the fit
     maps that box to [-1, 1] per axis, so a sign change or near-zero sample
     there means the model divides by ~0 inside the data hull."""
-    if (model.den_x[1:] == 0).all() and (model.den_y[1:] == 0).all():
+    if model.has_unit_denominators:
         return None
     axis = np.linspace(-1.0, 1.0, 21)
     if model.spec.family == "rfm":

@@ -6,8 +6,11 @@ search window in the sensed image. Descriptor volumes are built for the
 template and search windows and correlated in one pass: the template volume
 is zero-padded into the search frame, both are 3D-FFT'd, and the normalized
 cross-power spectrum's inverse transform concentrates into a sharp peak at
-the true offset. Matching content shifts only spatially, so a peak away from
-channel index 0 marks an unreliable match and is rejected.
+the true offset. Matching content shifts only spatially, so the peak is
+searched in the channel-0 slice of the correlation volume alone; no match is
+rejected for where its energy falls along the channel axis. A point is
+skipped as ``unreliable-peak`` only when a descriptor volume, or the
+cross-power spectrum, is all zero.
 """
 
 from __future__ import annotations

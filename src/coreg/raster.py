@@ -23,6 +23,13 @@ from pathlib import Path
 import numpy as np
 
 
+# output pixels per warp chunk: the chunk's ~25 temporaries stay in cache, and
+# the allocator reuses their memory rather than returning it to the operating
+# system and page-faulting it back in for every chunk, as it does for
+# megabyte-sized chunks
+_WARP_CHUNK_PIXELS = 16384
+
+
 class RasterError(Exception):
     """Base class for raster handling failures."""
 
@@ -423,8 +430,8 @@ def crop_to_overlap(sensed: RasterGrid, reference: RasterGrid,
 
 
 def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
-         width: int, height: int, dem: RasterGrid | None = None,
-         chunk_rows: int = 256) -> RasterGrid:
+         width: int, height: int,
+         dem: RasterGrid | None = None) -> tuple[RasterGrid, int]:
     """Resample ``sensed`` onto a target grid through a fitted model.
 
     The model maps reference map coordinates to sensed map coordinates; each
@@ -432,6 +439,11 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     rational function models) and the sensed grid is sampled bilinearly.
     Pixels that fall outside the sensed extent, hit nodata, or fail model
     evaluation become nodata in the output.
+
+    Returns (grid, eval_failures): the count of pixels whose inputs (map
+    position and, for rfm, a DEM height) are finite but whose model output
+    is not, i.e. failures of the model itself (rational denominator
+    collapse) rather than DEM gaps or positions outside the sensed image.
     """
     needs_dem = model.spec.family == "rfm"
     if needs_dem and dem is None:
@@ -440,24 +452,31 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     fill = float(sensed.nodata) if sensed.nodata is not None else np.nan
     out = np.full((height, width), fill, dtype=np.float64)
     cols = np.arange(width, dtype=np.float64)
+    chunk_rows = max(1, _WARP_CHUNK_PIXELS // width)
+    eval_failures = 0
     for r0 in range(0, height, chunk_rows):
         r1 = min(r0 + chunk_rows, height)
         rr, cc = np.meshgrid(np.arange(r0, r1, dtype=np.float64), cols,
                              indexing="ij")
         gx, gy = target_gt.pixel_to_geo(cc, rr)
+        inputs = [gx, gy]
         if needs_dem:
             dc, dr = dem.geotransform.geo_to_pixel(gx, gy)
             gz = sample_bilinear(dem, dc, dr)
             if dem.nodata is not None and not math.isnan(dem.nodata):
                 gz[gz == dem.nodata] = np.nan
-            px, py = model.apply(gx, gy, gz)
-        else:
-            px, py = model.apply(gx, gy)
+            inputs.append(gz)
+        px, py = model.apply(*inputs)
+        ok = np.isfinite(px) & np.isfinite(py)
+        if not model.has_unit_denominators:
+            finite_in = np.logical_and.reduce([np.isfinite(a) for a in inputs])
+            eval_failures += int(np.count_nonzero(finite_in & ~ok))
         sc, sr = sensed.geotransform.geo_to_pixel(px, py)
-        sc = np.where(np.isfinite(px) & np.isfinite(py), sc, np.nan)
-        sr = np.where(np.isfinite(px) & np.isfinite(py), sr, np.nan)
+        sc = np.where(ok, sc, np.nan)
+        sr = np.where(ok, sr, np.nan)
         out[r0:r1, :] = sample_bilinear(sensed, sc, sr)
 
     nodata = sensed.nodata if sensed.nodata is not None else float("nan")
-    return RasterGrid(data=out.astype(np.float32), geotransform=target_gt,
+    grid = RasterGrid(data=out.astype(np.float32), geotransform=target_gt,
                       crs_tag=sensed.crs_tag, nodata=nodata)
+    return grid, eval_failures

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from coreg.cli import main
-from coreg.matcher import CSV_HEADER, correspondences_from_csv
+from coreg.matcher import (CSV_HEADER, Correspondence, correspondences_from_csv,
+                           correspondences_to_csv)
 from coreg.raster import load_raster, save_raster
 from coreg.synthgen import SynthSpec, generate, translation_warp
 
@@ -260,3 +261,61 @@ def test_registration_repairs_translation(tmp_path):
     b = np.clip(generate(SynthSpec(size=256, seed=12))[0].data[inner], 0, 1) ** 0.6
     corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
     assert corr > 0.99
+
+
+def _register_planted(tmp_path, model, field, xs, ys, dem=None):
+    """Register a 64x64 identity-georeferenced pair through ``model`` fitted
+    to exact correspondences ``field(x, y, z)`` on the grid ``xs`` x ``ys``
+    (z from ``dem``, 0 without one); returns the register report."""
+    img = as_grid(texture(64, seed=3))
+    save_raster(img, tmp_path / "ref.bin")
+    save_raster(img, tmp_path / "sen.bin")
+    extra = []
+    if dem is not None:
+        save_raster(dem, tmp_path / "dem.bin")
+        extra = ["--dem", str(tmp_path / "dem.bin")]
+    corrs = []
+    for y in ys:
+        for x in xs:
+            z = float(dem.data[int(y), int(x)]) if dem is not None else 0.0
+            u, v = field(float(x), float(y), z)
+            corrs.append(Correspondence(float(x), float(y), u, v,
+                                        float(x), float(y), u, v, 1.0))
+    (tmp_path / "c.csv").write_text(correspondences_to_csv(corrs))
+    rc = main(["register", "--ref", str(tmp_path / "ref.bin"),
+               "--sensed", str(tmp_path / "sen.bin"),
+               "--corr", str(tmp_path / "c.csv"), "--model", model,
+               "--checkpoints", "8", *extra,
+               "--out-dir", str(tmp_path / "r")])
+    assert rc == 0
+    return _report(tmp_path / "r" / "register_report.txt")
+
+
+@pytest.mark.parametrize("nodata", [-9999.0, float("nan")])
+def test_register_dem_hole_is_not_a_model_failure(tmp_path, nodata):
+    rows, cols = np.mgrid[0:64, 0:64]
+    relief = 100.0 + 30.0 * np.sin(cols / 9.0) * np.cos(rows / 13.0)
+    relief[30:34, 30:34] = nodata
+    dem = as_grid(relief, nodata=nodata)
+    grid = np.arange(4, 64, 8)     # control points clear of the hole
+
+    def field(x, y, z):
+        den = 1.0 + 0.002 * x
+        return (x + 1.5 + 0.01 * z) / den, (y - 0.5) / den
+
+    rep = _register_planted(tmp_path, "rfm1_distinct", field, grid, grid, dem)
+    assert "warning" not in rep
+    assert float(rep["eval_failure_fraction"]) == 0.0
+
+
+def test_register_counts_projective_pole_inside_frame(tmp_path):
+    # control points span x in [0, 40]; the planted denominator vanishes on
+    # column 50, inside the 64-pixel frame but outside the fitted hull
+    def field(x, y, z):
+        den = 1.0 - x / 50.0
+        return (x + 2.0) / den, (y - 1.0) / den
+
+    rep = _register_planted(tmp_path, "proj10", field,
+                            np.arange(0, 41, 8), np.arange(2, 64, 12))
+    # exactly the 64 pixels of the pole column
+    assert float(rep["eval_failure_fraction"]) == 64 / (64 * 64)

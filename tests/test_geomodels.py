@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from coreg.geomodels import (
+    DENOM_EPS,
     ControlPoint,
     DegenerateFitError,
+    FittedModel,
     InsufficientControlPointsError,
     ModelSpec,
+    Normalization,
     all_model_specs,
     attach_dem_heights,
     fit,
@@ -116,6 +119,79 @@ def test_residuals_match_reapplication():
     assert np.allclose(res, model.cp_residuals, atol=1e-9)
 
 
+def _random_model(spec, seed):
+    """Seeded coefficients; denominators stay within [0.5, 1.5] for inputs
+    inside the normalized box, so both evaluation paths are well defined."""
+    rng = np.random.default_rng(seed)
+    b = spec.basis_size
+    num_x, num_y = rng.normal(0.0, 1.0, (2, b))
+    den_x = den_y = None
+    if spec.family == "projective" or spec.denom_mode in ("shared", "distinct"):
+        den_x, den_y = np.hstack([np.ones((2, 1)),
+                                  rng.uniform(-0.5, 0.5, (2, b - 1)) / b])
+        if spec.denom_mode == "shared":
+            den_y = den_x
+    norm = Normalization(250.0, 260.0, -40.0, 140.0, 30.0, 25.0,
+                         240.0, 255.0, 120.0, 135.0)
+    return FittedModel.from_coefficients(spec, num_x, num_y, den_x, den_y, norm)
+
+
+@pytest.mark.parametrize("spec", all_model_specs(), ids=lambda s: s.name)
+def test_apply_equals_monomial_matrix_product(spec):
+    model = _random_model(spec, seed=spec.basis_size)
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-10.0, 510.0, (40, 30))
+    ys = rng.uniform(-180.0, 100.0, (40, 30))
+    zs = rng.uniform(5.0, 55.0, (40, 30))
+    Xn, Yn, Zn = model.norm.fwd_in(xs, ys, zs)
+    if spec.family == "rfm":
+        A = poly_basis_3d(Xn, Yn, Zn, spec.basis_order)
+        u, v = model.apply(xs, ys, zs)
+    else:
+        A = poly_basis(Xn, Yn, spec.basis_order)
+        u, v = model.apply(xs, ys)
+    ref_u, ref_v = model.norm.inv_out((A @ model.num_x) / (A @ model.den_x),
+                                      (A @ model.num_y) / (A @ model.den_y))
+    assert u.shape == v.shape == xs.shape
+    for got, want in ((u, ref_u), (v, ref_v)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_apply_scalar_input_returns_python_floats():
+    for spec in (ModelSpec("polynomial", 3), ModelSpec("projective", 22),
+                 ModelSpec("rfm", 2, "distinct")):
+        x, y = _random_model(spec, seed=1).apply(12.5, -3.0, 20.0)
+        assert type(x) is float and type(y) is float
+
+
+def test_apply_broadcasts_column_against_row():
+    for spec in (ModelSpec("polynomial", 4), ModelSpec("projective", 38),
+                 ModelSpec("rfm", 3, "shared")):
+        model = _random_model(spec, seed=2)
+        col = np.linspace(0.0, 500.0, 7)[:, None]
+        row = np.linspace(-150.0, 90.0, 5)[None, :]
+        u, v = model.apply(col, row, 30.0)
+        assert u.shape == v.shape == (7, 5)
+        X, Y = np.broadcast_arrays(col, row)
+        fu, fv = model.apply(X.copy(), Y.copy(), np.full(X.shape, 30.0))
+        assert np.array_equal(u, fu) and np.array_equal(v, fv)
+
+
+def test_denominator_zero_crossing_is_nan_exactly_below_eps():
+    # den_x = 1 - X/32 crosses zero at X = 32; den_y never does
+    model = FittedModel.from_coefficients(
+        ModelSpec("projective", 10), [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+        [1.0, -1.0 / 32.0, 0.0], [1.0, 0.0, 0.0])
+    xs = 32.0 + np.array([-1.0, -1e-9, -1e-11, -1e-14, 0.0, 1e-14, 1e-11,
+                          1e-9, 1.0, 4.0])
+    ys = np.linspace(-3.0, 3.0, xs.size)
+    u, v = model.apply(xs, ys)
+    den = poly_basis(xs, ys, 1) @ model.den_x
+    assert np.array_equal(np.isnan(u), np.abs(den) < DENOM_EPS)
+    assert np.isnan(u).sum() == 5
+    assert np.array_equal(v, ys)
+
+
 # -- fitting -----------------------------------------------------------------
 
 
@@ -223,8 +299,6 @@ def test_normalization_only_conditions_the_solve():
 
 
 def test_model_text_round_trip():
-    from coreg.geomodels import FittedModel
-
     cps = _cps_2d(30, seed=15)
     model = fit(model_spec_from_name("proj10"), cps)
     text = model.to_text()

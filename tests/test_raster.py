@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreg.geomodels import ControlPoint, ModelSpec, fit
+from coreg.geomodels import ControlPoint, FittedModel, ModelSpec, fit
 from coreg.raster import (
     EmptyOverlapError,
     GeoTransform,
@@ -167,15 +167,15 @@ def test_sample_out_of_bounds_is_nodata():
 def test_warp_identity_model_equals_resample():
     img = texture(96, seed=4)
     sensed = as_grid(img)
-    out = warp(sensed, identity_warp(), sensed.geotransform, 96, 96)
+    out, _ = warp(sensed, identity_warp(), sensed.geotransform, 96, 96)
     assert np.allclose(out.data, img, atol=1e-6)
 
 
 def test_warp_translation_matches_shifted_truth():
     img = texture(128, seed=5)
     sensed = as_grid(img)
-    out = warp(sensed, translation_warp(5.0, -3.0), sensed.geotransform,
-               128, 128)
+    out, _ = warp(sensed, translation_warp(5.0, -3.0), sensed.geotransform,
+                  128, 128)
     # model maps target coords to sensed coords, so row r samples r-3
     valid = out.data[4:124, 6:120]
     truth = img[1:121, 11:125]
@@ -185,8 +185,8 @@ def test_warp_translation_matches_shifted_truth():
 
 def test_warp_outside_extent_is_nodata():
     sensed = as_grid(texture(32, seed=6), nodata=-5.0)
-    out = warp(sensed, translation_warp(100.0, 0.0), sensed.geotransform,
-               32, 32)
+    out, _ = warp(sensed, translation_warp(100.0, 0.0), sensed.geotransform,
+                  32, 32)
     assert np.all(out.data == -5.0)
 
 
@@ -198,10 +198,24 @@ def test_warp_inverse_recovers_image():
     sensed = as_grid(img)
     fwd = translation_warp(4.5, -2.25)
     inv = translation_warp(-4.5, 2.25)
-    warped = warp(sensed, fwd, sensed.geotransform, 160, 160)
-    back = warp(RasterGrid(warped.data, sensed.geotransform), inv,
-                sensed.geotransform, 160, 160)
+    warped, _ = warp(sensed, fwd, sensed.geotransform, 160, 160)
+    back, _ = warp(RasterGrid(warped.data, sensed.geotransform), inv,
+                   sensed.geotransform, 160, 160)
     interior = (slice(8, 152), slice(8, 152))
     err = back.data[interior] - img[interior]
     rms = float(np.sqrt(np.mean(err ** 2)))
     assert rms < 0.02 * (img.max() - img.min())
+
+
+def test_warp_counts_model_failures_not_extent_misses():
+    # u = X / (1 - X/32), v = Y / (1 - X/32): the denominator is exactly 0
+    # on column 32 and at least 1/32 in magnitude everywhere else. Columns
+    # past 32 map outside the sensed extent, which is not a model failure.
+    pole = ModelSpec("projective", 10)
+    den = [1.0, -1.0 / 32.0, 0.0]
+    model = FittedModel.from_coefficients(pole, [0.0, 1.0, 0.0],
+                                          [0.0, 0.0, 1.0], den, den)
+    sensed = as_grid(texture(48, seed=9), nodata=-5.0)
+    out, failures = warp(sensed, model, sensed.geotransform, 48, 40)
+    assert failures == 40
+    assert np.all(out.data[:, 32] == -5.0)
