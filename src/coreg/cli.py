@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import time
 from dataclasses import replace
@@ -344,7 +345,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_memory() -> None:
+    """Keep freed multi-megabyte blocks on the heap for reuse.
+
+    The matcher allocates several ~3 MB arrays per point. Under glibc's
+    default dynamic thresholds such blocks are returned to the operating
+    system when freed and page-faulted in again for the next point (about
+    270k minor faults in a 768x768 match, 33k with these settings). Blocks
+    under 16 MB now come from the heap, which keeps up to 32 MB free. A
+    no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _retain_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -319,3 +319,17 @@ def test_register_counts_projective_pole_inside_frame(tmp_path):
                             np.arange(0, 41, 8), np.arange(2, 64, 12))
     # exactly the 64 pixels of the pole column
     assert float(rep["eval_failure_fraction"]) == 64 / (64 * 64)
+
+
+def test_main_runs_where_the_c_library_has_no_mallopt(monkeypatch, tmp_path):
+    import coreg.cli
+
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(coreg.cli.ctypes, "CDLL", NoMallopt)
+    corr = tmp_path / "c.csv"
+    corr.write_text(CSV_HEADER + "\n" + ",".join(["1.0"] * 9) + "\n")
+    assert main(["measure", "--corr", str(corr),
+                 "--out-dir", str(tmp_path)]) == 0
