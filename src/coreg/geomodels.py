@@ -14,7 +14,7 @@ Three families are provided:
 All fits normalize coordinates per axis into [-1, 1] before solving; raw
 high-order monomials of map coordinates (~1e6 m) would destroy conditioning.
 Rational fits are linearized, solved, then refined by Gauss-Newton iterations
-on the true residual.
+on the true residual; one solver serves every denominator mode.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ _RFM_DENOM_MODES = ("unit", "shared", "distinct")
 DENOM_EPS = 1e-12
 # rank cutoff relative to the largest singular value of the design matrix
 RANK_RTOL = 1e-10
+# Gauss-Newton refinement of rational fits: iteration cap, and the score
+# improvement below which a step ends the refinement
+_GN_MAX_ITERS = 10
+_GN_TOL = 1e-10
 # points per FittedModel.apply block: a block's power tables and running sums
 # (about 14 arrays of 128 KiB) stay in cache between the passes over them
 _APPLY_BLOCK = 16384
@@ -119,15 +123,23 @@ class ModelSpec:
         return (n + 1) * (n + 2) // 2
 
     @property
+    def denominators(self) -> str:
+        """``unit`` (both denominators are 1), ``shared`` (one common
+        denominator) or ``distinct`` (one per coordinate). A projective
+        model is a 2D rational with distinct denominators."""
+        if self.family == "polynomial":
+            return "unit"
+        if self.family == "projective":
+            return "distinct"
+        return self.denom_mode
+
+    @property
     def param_count(self) -> int:
         b = self.basis_size
-        if self.family == "polynomial":
+        mode = self.denominators
+        if mode == "unit":
             return 2 * b
-        if self.family == "projective":
-            return self.order
-        if self.denom_mode == "unit":
-            return 2 * b
-        if self.denom_mode == "shared":
+        if mode == "shared":
             return 3 * b - 1
         return 4 * b - 2
 
@@ -157,18 +169,15 @@ def all_model_specs() -> list[ModelSpec]:
 def min_cp_count(spec: ModelSpec) -> int:
     """Smallest control point count that determines the model.
 
-    Polynomials and per-coordinate rationals need one point per unknown of a
-    single coordinate equation; the shared-denominator rfm couples both
-    equations, so each point contributes two.
+    Unit and distinct denominators need one point per unknown of a single
+    coordinate equation; a shared denominator couples both equations, so
+    each point contributes two.
     """
     b = spec.basis_size
-    if spec.family == "polynomial":
+    mode = spec.denominators
+    if mode == "unit":
         return b
-    if spec.family == "projective":
-        return 2 * b - 1
-    if spec.denom_mode == "unit":
-        return b
-    if spec.denom_mode == "shared":
+    if mode == "shared":
         return -(-(3 * b - 1) // 2)
     return 2 * b - 1
 
@@ -482,98 +491,68 @@ def _solve_lsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Vt.T @ ((U.T @ b) / s)
 
 
-def _rational_rmse(A, num, den_free, obs):
+def _rational_score(A, nums, den_free, obs) -> float:
+    """Root of the summed squared per-coordinate RMSEs of the rationals
+    nums[i] / (1 + den_free) against obs[i]; inf when the denominator
+    vanishes at a control point. With one coordinate this is its RMSE."""
     den = 1.0 + A[:, 1:] @ den_free
     if np.any(np.abs(den) < DENOM_EPS):
         return np.inf
-    r = (A @ num) / den - obs
-    return float(np.sqrt(np.mean(r * r)))
+    rmses = []
+    for num, o in zip(nums, obs):
+        r = (A @ num) / den - o
+        rmses.append(float(np.sqrt(np.mean(r * r))))
+    return math.hypot(*rmses)
 
 
-def _refine_rational(A, obs, num, den_free, max_iters=10, tol=1e-10):
-    """Gauss-Newton on the true rational residual, starting from the
-    linearized solution. Worsening steps are rejected."""
-    b = A.shape[1]
-    best = _rational_rmse(A, num, den_free, obs)
-    for _ in range(max_iters):
-        den = 1.0 + A[:, 1:] @ den_free
-        if np.any(np.abs(den) < DENOM_EPS):
-            break
-        pred = (A @ num) / den
-        r = pred - obs
-        J = np.hstack([A / den[:, None],
-                       -(pred / den)[:, None] * A[:, 1:]])
-        try:
-            delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        cand_num = num + delta[:b]
-        cand_den = den_free + delta[b:]
-        cand = _rational_rmse(A, cand_num, cand_den, obs)
-        if not math.isfinite(cand) or cand >= best:
-            break
-        improvement = best - cand
-        num, den_free, best = cand_num, cand_den, cand
-        if improvement < tol:
-            break
-    return num, den_free
+def _block_system(diag, den_blocks):
+    """Stack one row block per coordinate: ``diag`` on that coordinate's
+    numerator columns, explicit zeros on the others, then its own
+    denominator block."""
+    zeros = np.zeros_like(diag)
+    k = len(den_blocks)
+    return np.vstack([np.hstack([zeros] * i + [diag] + [zeros] * (k - 1 - i)
+                                + [block])
+                      for i, block in enumerate(den_blocks)])
 
 
-def _fit_rational(A: np.ndarray, obs: np.ndarray):
-    """Per-coordinate rational fit: N(X)/D(X) with D constant fixed at 1.
+def _fit_rational(A: np.ndarray, obs: list):
+    """Fit one numerator per observation vector over one common denominator
+    with its constant fixed at 1: N_i(X) / D(X) ~ obs[i].
 
-    Linearized equations N - obs*D_free = obs, then Gauss-Newton refinement.
+    Solves the linearized equations N_i - obs[i] * D_free = obs[i] jointly,
+    then runs Gauss-Newton on the true rational residual, rejecting any
+    step that does not lower the score. Returns (nums, den_free).
     """
-    design = np.hstack([A, -obs[:, None] * A[:, 1:]])
-    theta = _solve_lsq(design, obs)
-    b = A.shape[1]
-    num, den_free = _refine_rational(A, obs, theta[:b], theta[b:])
-    return num, den_free
+    # parameter vector: numerator blocks in obs order, then den_free
+    splits = A.shape[1] * np.arange(1, len(obs) + 1)
+    design = _block_system(A, [-o[:, None] * A[:, 1:] for o in obs])
+    *nums, den_free = np.split(_solve_lsq(design, np.concatenate(obs)), splits)
 
-
-def _fit_rational_shared(A: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Joint fit of both coordinates through one common denominator."""
-    n, b = A.shape
-    zeros = np.zeros_like(A)
-    design = np.vstack([
-        np.hstack([A, zeros, -u[:, None] * A[:, 1:]]),
-        np.hstack([zeros, A, -v[:, None] * A[:, 1:]]),
-    ])
-    rhs = np.concatenate([u, v])
-    theta = _solve_lsq(design, rhs)
-    num_u, num_v = theta[:b], theta[b:2 * b]
-    den_free = theta[2 * b:]
-
-    best = math.hypot(_rational_rmse(A, num_u, den_free, u),
-                      _rational_rmse(A, num_v, den_free, v))
-    for _ in range(10):
+    best = _rational_score(A, nums, den_free, obs)
+    for _ in range(_GN_MAX_ITERS):
         den = 1.0 + A[:, 1:] @ den_free
         if np.any(np.abs(den) < DENOM_EPS):
             break
-        pred_u = (A @ num_u) / den
-        pred_v = (A @ num_v) / den
-        r = np.concatenate([pred_u - u, pred_v - v])
-        J = np.vstack([
-            np.hstack([A / den[:, None], zeros,
-                       -(pred_u / den)[:, None] * A[:, 1:]]),
-            np.hstack([zeros, A / den[:, None],
-                       -(pred_v / den)[:, None] * A[:, 1:]]),
-        ])
+        preds = [(A @ num) / den for num in nums]
+        r = np.concatenate([p - o for p, o in zip(preds, obs)])
+        J = _block_system(A / den[:, None],
+                          [-(p / den)[:, None] * A[:, 1:] for p in preds])
         try:
             delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         except np.linalg.LinAlgError:
             break
-        cand = (num_u + delta[:b], num_v + delta[b:2 * b], den_free + delta[2 * b:])
-        score = math.hypot(_rational_rmse(A, cand[0], cand[2], u),
-                           _rational_rmse(A, cand[1], cand[2], v))
+        *num_steps, den_step = np.split(delta, splits)
+        cand_nums = [num + step for num, step in zip(nums, num_steps)]
+        cand_den = den_free + den_step
+        score = _rational_score(A, cand_nums, cand_den, obs)
         if not math.isfinite(score) or score >= best:
             break
         improvement = best - score
-        num_u, num_v, den_free = cand
-        best = score
-        if improvement < 1e-10:
+        nums, den_free, best = cand_nums, cand_den, score
+        if improvement < _GN_TOL:
             break
-    return num_u, num_v, den_free
+    return nums, den_free
 
 
 def _with_unit_constant(den_free: np.ndarray) -> np.ndarray:
@@ -589,14 +568,13 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
     axis = np.linspace(-1.0, 1.0, 21)
     if model.spec.family == "rfm":
         zs = np.linspace(-1.0, 1.0, 5) if has_z else np.array([0.0])
-        Xn, Yn, Zn = np.meshgrid(axis, axis, zs, indexing="ij")
-        A = poly_basis_3d(Xn.ravel(), Yn.ravel(), Zn.ravel(),
-                          model.spec.basis_order)
+        axes = np.meshgrid(axis, axis, zs, indexing="ij")
+        exponents = _exponents_3d(model.spec.basis_order)
     else:
-        Xn, Yn = np.meshgrid(axis, axis, indexing="ij")
-        A = poly_basis(Xn.ravel(), Yn.ravel(), model.spec.basis_order)
-    for den in (model.den_x, model.den_y):
-        if np.min(A @ den) < 1e-6:
+        axes = np.meshgrid(axis, axis, indexing="ij")
+        exponents = _exponents_2d(model.spec.basis_order)
+    for den in _monomial_sums(axes, exponents, (model.den_x, model.den_y)):
+        if np.min(den) < 1e-6:
             return "denominator-near-zero"
     return None
 
@@ -634,33 +612,28 @@ def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
     Xn, Yn, Zn = norm.fwd_in(X, Y, Z)
     un, vn = norm.fwd_out(u, v)
 
-    b = spec.basis_size
-    unit_den = np.zeros(b)
-    unit_den[0] = 1.0
-
     if spec.family == "rfm":
         A = poly_basis_3d(Xn, Yn, Zn, spec.basis_order)
     else:
         A = poly_basis(Xn, Yn, spec.basis_order)
 
-    if spec.family == "polynomial" or (spec.family == "rfm"
-                                       and spec.denom_mode == "unit"):
-        num_x = _solve_lsq(A, un)
-        num_y = _solve_lsq(A, vn)
-        den_x = unit_den
-        den_y = unit_den.copy()
-    elif spec.family == "rfm" and spec.denom_mode == "shared":
-        num_x, num_y, den_free = _fit_rational_shared(A, un, vn)
-        den_x = _with_unit_constant(den_free)
-        den_y = den_x.copy()
+    # nums: numerator per coordinate; dens: its denominator's free terms
+    mode = spec.denominators
+    if mode == "unit":
+        nums = [_solve_lsq(A, un), _solve_lsq(A, vn)]
+        dens = [np.zeros(A.shape[1] - 1)] * 2
+    elif mode == "shared":
+        nums, den_free = _fit_rational(A, [un, vn])
+        dens = [den_free] * 2
     else:
-        nx, dx = _fit_rational(A, un)
-        ny, dy = _fit_rational(A, vn)
-        num_x, den_x = nx, _with_unit_constant(dx)
-        num_y, den_y = ny, _with_unit_constant(dy)
+        fits = [_fit_rational(A, [obs]) for obs in (un, vn)]
+        nums = [num for (num,), _ in fits]
+        dens = [den_free for _, den_free in fits]
 
-    model = FittedModel(spec=spec, num_x=num_x, den_x=den_x,
-                        num_y=num_y, den_y=den_y, norm=norm)
+    model = FittedModel(spec=spec,
+                        num_x=nums[0], den_x=_with_unit_constant(dens[0]),
+                        num_y=nums[1], den_y=_with_unit_constant(dens[1]),
+                        norm=norm)
     has_z = Z is not None and float(Z.max() - Z.min()) > 0.0
     model.warning = _denominator_warning(model, has_z)
 

@@ -29,6 +29,8 @@ CIRCLE = (
 )
 
 ARC_LENGTH = 9
+# image rows per fast_score_map strip, bounding its temporaries on large scenes
+_STRIP_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,7 @@ class BlockGridParams:
             raise ValueError(f"border must be >= 0, got {self.border}")
 
 
-def fast_score_map(data: np.ndarray, threshold: float,
-                   strip_rows: int = 512) -> np.ndarray:
+def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
     """Corner score for every pixel; zero within 3 px of the edges.
 
     Processed in row strips to bound memory on large scenes. The maximal-arc
@@ -78,8 +79,8 @@ def fast_score_map(data: np.ndarray, threshold: float,
         return scores
 
     n16 = len(CIRCLE)
-    for y0 in range(3, h - 3, strip_rows):
-        y1 = min(y0 + strip_rows, h - 3)
+    for y0 in range(3, h - 3, _STRIP_ROWS):
+        y1 = min(y0 + _STRIP_ROWS, h - 3)
         n = y1 - y0
         block = np.asarray(data[y0 - 3:y1 + 3, :], dtype=np.float64)
         center = block[3:3 + n, 3:w - 3]

@@ -9,7 +9,8 @@ cross-power spectrum's inverse transform concentrates into a sharp peak at
 the true offset. Matching content shifts only spatially, so the peak is
 searched in the channel-0 slice of the correlation volume alone; no match is
 rejected for where its energy falls along the channel axis. A point is
-skipped as ``unreliable-peak`` only when a descriptor volume, or the
+skipped as ``nodata`` when either window holds a non-finite or nodata
+sample, and as ``unreliable-peak`` only when a descriptor volume, or the
 cross-power spectrum, is all zero.
 """
 
@@ -159,6 +160,12 @@ def _window_volume(data: np.ndarray, params: MatchParams) -> DescriptorVolume:
     return build_cfog(data, params.cfog, normalize=params.normalize)
 
 
+def _touches_nodata(data: np.ndarray, grid: RasterGrid) -> bool:
+    """True when a window sample is non-finite or equals the grid's nodata
+    sentinel: such a window would correlate fill values, not content."""
+    return not np.isfinite(data).all() or bool(grid.is_nodata(data).any())
+
+
 def _match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
                  sensed_grid: RasterGrid, params: MatchParams):
     """Core matcher: returns (Correspondence | None, skip reason | None)."""
@@ -176,6 +183,9 @@ def _match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
 
     t_data = read_window(ref_grid, t_win)
     s_data = read_window(sensed_grid, s_win)
+    if (_touches_nodata(t_data, ref_grid)
+            or _touches_nodata(s_data, sensed_grid)):
+        return None, "nodata"
     if np.ptp(t_data) == 0 or np.ptp(s_data) == 0:
         return None, "flat"
 
@@ -212,8 +222,8 @@ def match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
                 sensed_grid: RasterGrid,
                 params: MatchParams) -> Correspondence | None:
     """Match one reference interest point into the sensed image; None when
-    the point is skipped (window does not fit, flat content, or unreliable
-    correlation peak)."""
+    the point is skipped (window does not fit, touches nodata, flat content,
+    or unreliable correlation peak)."""
     corr, _ = _match_point(ref_point, ref_grid, sensed_grid, params)
     return corr
 

@@ -55,7 +55,8 @@ def misregistration(corrs: list, pixel_size: float = 1.0) -> MisregReport:
         dx=dx, dy=dy, ds=ds,
         mean_abs_dx=float(np.mean(np.abs(dx))),
         mean_abs_dy=float(np.mean(np.abs(dy))),
-        mean_ds=float(np.mean(ds)),
+        # the rounded mean of equal values can exceed them by an ulp
+        mean_ds=float(np.clip(np.mean(ds), ds.min(), ds.max())),
         max_ds=float(ds.max()),
         min_ds=float(ds.min()),
         std_ds=float(ds.std()),

@@ -28,6 +28,10 @@ import numpy as np
 # system and page-faulting it back in for every chunk, as it does for
 # megabyte-sized chunks
 _WARP_CHUNK_PIXELS = 16384
+# sample positions this far (in pixels) outside the grid are clipped onto its
+# edge: a model that maps a pixel exactly onto the edge may land one rounding
+# error outside it
+_EDGE_TOL = 1e-9
 
 
 class RasterError(Exception):
@@ -353,7 +357,8 @@ def sample_bilinear(grid: RasterGrid, col, row):
 
     Accepts scalars or arrays. Positions whose 2x2 neighborhood leaves the
     grid, or touches a nodata sample, evaluate to the grid's nodata sentinel
-    (NaN when the grid declares none).
+    (NaN when the grid declares none). Positions within _EDGE_TOL of the
+    grid are clipped onto its edge.
     """
     cols = np.asarray(col, dtype=np.float64)
     rows = np.asarray(row, dtype=np.float64)
@@ -363,11 +368,12 @@ def sample_bilinear(grid: RasterGrid, col, row):
     out = np.full(cols.shape, fill, dtype=np.float64)
 
     h, w = grid.data.shape
-    inb = ((cols >= 0) & (cols <= w - 1) & (rows >= 0) & (rows <= h - 1)
+    inb = ((cols >= -_EDGE_TOL) & (cols <= w - 1 + _EDGE_TOL)
+           & (rows >= -_EDGE_TOL) & (rows <= h - 1 + _EDGE_TOL)
            & np.isfinite(cols) & np.isfinite(rows))
     if np.any(inb):
-        c = cols[inb]
-        r = rows[inb]
+        c = np.clip(cols[inb], 0, w - 1)
+        r = np.clip(rows[inb], 0, h - 1)
         c0 = np.minimum(np.floor(c).astype(np.intp), max(w - 2, 0))
         r0 = np.minimum(np.floor(r).astype(np.intp), max(h - 2, 0))
         c1 = np.minimum(c0 + 1, w - 1)

@@ -20,6 +20,13 @@ from scipy import ndimage
 from .geomodels import FittedModel, ModelSpec, Normalization
 from .raster import GeoTransform, RasterGrid, sample_bilinear
 
+# check_invertible probes a grid of this many samples per axis
+_INVERTIBLE_SAMPLES = 25
+# invert_warp_grid: fixed-point iteration cap, and the largest per-point step
+# that ends the iteration
+_INVERT_MAX_ITERS = 80
+_INVERT_TOL = 1e-12
+
 
 class NonInvertibleWarpError(RuntimeError):
     """The requested warp folds or collapses somewhere over the scene."""
@@ -124,10 +131,10 @@ def _texture(spec: SynthSpec, rng) -> np.ndarray:
 
 
 def check_invertible(warp: FittedModel, x0: float, y0: float,
-                     x1: float, y1: float, samples: int = 25) -> None:
+                     x1: float, y1: float) -> None:
     """Finite-difference Jacobian sign/magnitude check over the footprint."""
-    xs = np.linspace(x0, x1, samples)
-    ys = np.linspace(y0, y1, samples)
+    xs = np.linspace(x0, x1, _INVERTIBLE_SAMPLES)
+    ys = np.linspace(y0, y1, _INVERTIBLE_SAMPLES)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     h = 0.5
     uxp, vxp = warp.apply(X + h, Y)
@@ -152,8 +159,7 @@ def check_invertible(warp: FittedModel, x0: float, y0: float,
             f"collapses")
 
 
-def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
-                     max_iters: int = 80, tol: float = 1e-12):
+def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray):
     """Solve warp(rx, ry) = (tx, ty) per point by fixed-point iteration.
 
     Writing the warp as identity plus displacement, each step replaces the
@@ -164,13 +170,13 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
     """
     rx = tx.astype(np.float64).copy()
     ry = ty.astype(np.float64).copy()
-    for _ in range(max_iters):
+    for _ in range(_INVERT_MAX_ITERS):
         fx, fy = warp.apply(rx, ry)
         new_rx = rx + (tx - fx)
         new_ry = ry + (ty - fy)
         delta = np.maximum(np.abs(new_rx - rx), np.abs(new_ry - ry))
         rx, ry = new_rx, new_ry
-        if float(np.nanmax(delta)) < tol:
+        if float(np.nanmax(delta)) < _INVERT_TOL:
             break
     fx, fy = warp.apply(rx, ry)
     err = np.hypot(fx - tx, fy - ty)

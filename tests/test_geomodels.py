@@ -219,20 +219,28 @@ def test_collinear_cps_are_degenerate():
         fit(ModelSpec("polynomial", 1), cps)
 
 
-def test_projective_recovery_from_exact_data():
-    def proj(x, y):
-        w1 = 1.0 + 1e-4 * x - 5e-5 * y
-        w2 = 1.0 + 2e-4 * x + 1e-4 * y
-        return ((5.0 + 1.02 * x + 0.03 * y) / w1,
-                (-3.0 - 0.01 * x + 0.98 * y) / w2)
-
-    cps = _cps_2d(20, seed=4, fn=proj)
-    model = fit(model_spec_from_name("proj10"), cps)
+@pytest.mark.parametrize("name", ["proj10", "rfm2_shared", "rfm2_distinct"])
+def test_projective_recovery_from_exact_data(name):
+    # exact data from a model of the same family, well above the minimum
+    # count, so the linearized solve and its refinement must recover it
+    spec = model_spec_from_name(name)
+    truth = _random_model(spec, seed=4)
     rng = np.random.default_rng(5)
-    xs = rng.uniform(-100, 400, 1000)
-    ys = rng.uniform(50, 600, 1000)
-    px, py = model.apply(xs, ys)
-    tx, ty = proj(xs, ys)
+
+    def sample(n):
+        return (rng.uniform(-10.0, 510.0, n), rng.uniform(-180.0, 100.0, n),
+                rng.uniform(5.0, 55.0, n))
+
+    xs, ys, zs = sample(3 * min_cp_count(spec))
+    sx, sy = truth.apply(xs, ys, zs)
+    has_z = spec.family == "rfm"
+    cps = [ControlPoint(float(x), float(y), float(u), float(v),
+                        ref_z=float(z) if has_z else None)
+           for x, y, u, v, z in zip(xs, ys, sx, sy, zs)]
+    model = fit(spec, cps)
+    xs, ys, zs = sample(1000)
+    px, py = model.apply(xs, ys, zs)
+    tx, ty = truth.apply(xs, ys, zs)
     assert float(np.max(np.hypot(px - tx, py - ty))) < 1e-8
 
 

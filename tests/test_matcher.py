@@ -175,6 +175,32 @@ def test_radiometric_distortion_survival_rate(distorted_corpus_pair):
     assert good >= 0.95 * len(pts)
 
 
+@pytest.fixture(scope="module")
+def identity_pair_600():
+    ref, sen, _, _ = generate(SynthSpec(size=600, seed=3))
+    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=4, border=100))
+    return ref, sen, pts
+
+
+@pytest.mark.parametrize("sentinel", [np.nan, -9999.0])
+def test_windows_touching_nodata_are_skipped(identity_pair_600, sentinel):
+    ref, sen, pts = identity_pair_600
+    data = sen.data.copy()
+    data[:, :150] = sentinel
+    gapped = as_grid(data, sen.geotransform, sen.crs_tag, nodata=sentinel)
+    params = MatchParams()
+    corrs, stats = match_all(pts, ref, gapped, params)
+    # identical geotransforms: the search window starts at col - S/2
+    half = params.search_size // 2
+    touching = [pt for pt in pts if pt.col - half < 150]
+    assert touching
+    assert stats.skipped == {"nodata": len(touching)}
+    assert len(corrs) == len(pts) - len(touching)
+    for c in corrs:
+        assert c.ref_col - half >= 150
+        assert (c.sensed_col, c.sensed_row) == (c.ref_col, c.ref_row)
+
+
 def test_correspondence_csv_round_trip():
     ref, sen = _pair_with_shift(4, -2)
     params = MatchParams(template_size=64, search_size=128)

@@ -161,6 +161,13 @@ def test_sample_out_of_bounds_is_nodata():
     assert np.isnan(sample_bilinear(as_grid([[1.0]]), -0.5, 0.0))
 
 
+def test_sample_one_rounding_error_outside_is_the_edge_value():
+    grid = as_grid(np.arange(20.0).reshape(4, 5))
+    assert sample_bilinear(grid, 2.0, -1e-16) == 2.0
+    assert sample_bilinear(grid, 4.0 + 1e-13, 1.0) == 9.0
+    assert np.isnan(sample_bilinear(grid, 2.0, -1e-3))
+
+
 # -- warp ------------------------------------------------------------------
 
 
