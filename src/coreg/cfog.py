@@ -7,6 +7,9 @@ circular 3-tap kernel. The result is a structural descriptor that survives
 strong nonlinear radiometric differences between sensors: it depends on
 gradients only, so additive offsets vanish and (after per-pixel
 normalization) global gain does too.
+
+Volumes keep the float precision of the image: float32 in, float32 out;
+anything else is described in float64.
 """
 
 from __future__ import annotations
@@ -39,15 +42,24 @@ class CfogParams:
         if abs(sum(self.z_kernel) - 1.0) > 1e-9:
             raise ValueError(f"z_kernel must sum to 1, got {self.z_kernel}")
 
+    @property
+    def reach(self) -> int:
+        """How far a pixel's descriptor sees: one pixel for the central
+        difference plus the Gaussian radius. A pixel at least this far from
+        a crop's edge has the same descriptor in the crop as in the whole
+        image."""
+        return 1 + _gaussian_radius(self.sigma_spatial)
+
 
 @dataclass
 class DescriptorVolume:
-    """(height, width, m) stack of nonnegative channel responses."""
+    """(height, width, m) stack of nonnegative channel responses, float32 or
+    float64; a float array is kept as given, not copied."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = _as_float(self.values)
         if vals.ndim != 3:
             raise ValueError(f"descriptor volume must be 3-D, got {vals.shape}")
         self.values = vals
@@ -65,9 +77,11 @@ class DescriptorVolume:
         return self.values.shape[2]
 
 
-def _as_array(image) -> np.ndarray:
-    data = getattr(image, "data", image)
-    return np.asarray(data, dtype=np.float64)
+def _as_float(values) -> np.ndarray:
+    vals = np.asarray(values)
+    if vals.dtype in (np.float32, np.float64):
+        return vals
+    return vals.astype(np.float64)
 
 
 def gradient_xy(image) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +91,7 @@ def gradient_xy(image) -> tuple[np.ndarray, np.ndarray]:
     borders the missing neighbor is replicated, halving the one-sided
     difference there.
     """
-    data = _as_array(image)
+    data = _as_float(getattr(image, "data", image))
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3 for gradients, "
                          f"got {data.shape}")
@@ -92,21 +106,26 @@ def orientation_channels(gx: np.ndarray, gy: np.ndarray, m: int) -> np.ndarray:
 
     The absolute value folds opposite gradient directions together, which is
     what makes the descriptor insensitive to contrast inversions between
-    modalities.
+    modalities. The (h, w, m) result is a view of channel-major memory, so
+    each channel plane is contiguous.
     """
     if gx.shape != gy.shape:
         raise ValueError(f"gradient shapes differ: {gx.shape} vs {gy.shape}")
     if m < 2:
         raise ValueError(f"need at least 2 orientation channels, got {m}")
     thetas = np.arange(m) * (math.pi / m)
-    vol = np.empty(gx.shape + (m,), dtype=np.float64)
+    vol = np.empty((m,) + gx.shape, dtype=np.result_type(gx, gy))
     for i, th in enumerate(thetas):
-        vol[:, :, i] = np.abs(math.cos(th) * gx + math.sin(th) * gy)
-    return vol
+        np.abs(math.cos(th) * gx + math.sin(th) * gy, out=vol[i])
+    return vol.transpose(1, 2, 0)
+
+
+def _gaussian_radius(sigma: float) -> int:
+    return math.ceil(3.0 * sigma)
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = math.ceil(3.0 * sigma)
+    radius = _gaussian_radius(sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     return k / k.sum()
@@ -117,14 +136,20 @@ def smooth_3d(raw: np.ndarray, params: CfogParams) -> DescriptorVolume:
     convolution along the orientation axis.
 
     Orientation is periodic over 180 degrees, so channel 0 and channel m-1
-    are neighbors; the wrap mode encodes that adjacency.
+    are neighbors; the wrap mode encodes that adjacency. The result keeps
+    the float dtype of ``raw`` and is a view of channel-major memory.
     """
     kernel = _gaussian_kernel(params.sigma_spatial)
-    out = ndimage.convolve1d(raw, kernel, axis=0, mode="nearest")
-    out = ndimage.convolve1d(out, kernel, axis=1, mode="nearest")
-    out = ndimage.convolve1d(out, np.asarray(params.z_kernel, dtype=np.float64),
-                             axis=2, mode="wrap")
-    return DescriptorVolume(values=out)
+    # (m, h, w) planes: contiguous for orientation_channels' output, whose
+    # lines ndimage then walks in memory order
+    planes = raw.transpose(2, 0, 1)
+    tmp = np.empty(planes.shape, planes.dtype)
+    out = np.empty(planes.shape, planes.dtype)
+    ndimage.convolve1d(planes, kernel, axis=1, mode="nearest", output=tmp)
+    ndimage.convolve1d(tmp, kernel, axis=2, mode="nearest", output=out)
+    ndimage.convolve1d(out, np.asarray(params.z_kernel, dtype=np.float64),
+                       axis=0, mode="wrap", output=tmp)
+    return DescriptorVolume(values=tmp.transpose(1, 2, 0))
 
 
 def build_cfog(image, params: CfogParams | None = None,

@@ -353,12 +353,11 @@ _M_MMAP_THRESHOLD = -3
 def _retain_freed_memory() -> None:
     """Keep freed multi-megabyte blocks on the heap for reuse.
 
-    The matcher allocates several ~3 MB arrays per point. Under glibc's
-    default dynamic thresholds such blocks are returned to the operating
-    system when freed and page-faulted in again for the next point (about
-    270k minor faults in a 768x768 match, 33k with these settings). Blocks
-    under 16 MB now come from the heap, which keeps up to 32 MB free. A
-    no-op where the C library has no ``mallopt``.
+    Under glibc's default dynamic thresholds, blocks of a few megabytes are
+    returned to the operating system when freed and page-faulted in again
+    when the next one is allocated. Blocks under 16 MB now come from the
+    heap, which keeps up to 32 MB free. A no-op where the C library has no
+    ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -491,18 +491,21 @@ def _solve_lsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Vt.T @ ((U.T @ b) / s)
 
 
-def _rational_score(A, nums, den_free, obs) -> float:
+def _rational_score(A, nums, den_free, obs):
     """Root of the summed squared per-coordinate RMSEs of the rationals
     nums[i] / (1 + den_free) against obs[i]; inf when the denominator
-    vanishes at a control point. With one coordinate this is its RMSE."""
+    vanishes at a control point. With one coordinate this is its RMSE.
+    Returns (score, den, preds): the denominator at the control points and
+    each coordinate's prediction (None when the denominator vanishes)."""
     den = 1.0 + A[:, 1:] @ den_free
     if np.any(np.abs(den) < DENOM_EPS):
-        return np.inf
+        return np.inf, den, None
+    preds = [(A @ num) / den for num in nums]
     rmses = []
-    for num, o in zip(nums, obs):
-        r = (A @ num) / den - o
+    for p, o in zip(preds, obs):
+        r = p - o
         rmses.append(float(np.sqrt(np.mean(r * r))))
-    return math.hypot(*rmses)
+    return math.hypot(*rmses), den, preds
 
 
 def _block_system(diag, den_blocks):
@@ -529,12 +532,10 @@ def _fit_rational(A: np.ndarray, obs: list):
     design = _block_system(A, [-o[:, None] * A[:, 1:] for o in obs])
     *nums, den_free = np.split(_solve_lsq(design, np.concatenate(obs)), splits)
 
-    best = _rational_score(A, nums, den_free, obs)
+    best, den, preds = _rational_score(A, nums, den_free, obs)
     for _ in range(_GN_MAX_ITERS):
-        den = 1.0 + A[:, 1:] @ den_free
-        if np.any(np.abs(den) < DENOM_EPS):
+        if preds is None:
             break
-        preds = [(A @ num) / den for num in nums]
         r = np.concatenate([p - o for p, o in zip(preds, obs)])
         J = _block_system(A / den[:, None],
                           [-(p / den)[:, None] * A[:, 1:] for p in preds])
@@ -545,11 +546,12 @@ def _fit_rational(A: np.ndarray, obs: list):
         *num_steps, den_step = np.split(delta, splits)
         cand_nums = [num + step for num, step in zip(nums, num_steps)]
         cand_den = den_free + den_step
-        score = _rational_score(A, cand_nums, cand_den, obs)
+        score, *cand = _rational_score(A, cand_nums, cand_den, obs)
         if not math.isfinite(score) or score >= best:
             break
         improvement = best - score
         nums, den_free, best = cand_nums, cand_den, score
+        den, preds = cand
         if improvement < _GN_TOL:
             break
     return nums, den_free

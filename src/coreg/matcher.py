@@ -2,16 +2,25 @@
 volumes.
 
 For each reference interest point, the initial georeferencing predicts a
-search window in the sensed image. Descriptor volumes are built for the
-template and search windows and correlated in one pass: the template volume
-is zero-padded into the search frame, both are 3D-FFT'd, and the normalized
-cross-power spectrum's inverse transform concentrates into a sharp peak at
-the true offset. Matching content shifts only spatially, so the peak is
-searched in the channel-0 slice of the correlation volume alone; no match is
-rejected for where its energy falls along the channel axis. A point is
-skipped as ``nodata`` when either window holds a non-finite or nodata
-sample, and as ``unreliable-peak`` only when a descriptor volume, or the
-cross-power spectrum, is all zero.
+search window in the sensed image. Points whose windows do not fit, touch a
+non-finite or nodata sample, or hold flat content are skipped first. The
+rest are sorted by search-window row and grouped into bands of at most
+``_BAND_ROWS`` sensed rows. Each band describes each image once, in float32:
+one descriptor region over the bounding box of the band's windows, grown by
+the descriptor's reach, with nodata and non-finite samples set to 0. Every
+template and search volume is a view into its region, so a window's
+descriptor equals the whole-image descriptor restricted to that window
+whatever the band layout.
+
+Each pair is correlated in one pass: the template volume is zero-padded
+into the search frame, both are 3D-FFT'd, and the normalized cross-power
+spectrum's inverse transform concentrates into a sharp peak at the true
+offset. Matching content shifts only spatially, so the peak is searched in
+the channel-0 slice of the correlation volume alone, which is a 2D inverse
+of the spectrum summed over the channel axis; no match is rejected for
+where its energy falls along the channel axis. A point is skipped as
+``unreliable-peak`` when a descriptor volume is all zero or the cross-power
+spectrum is all zero or not finite.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from .raster import CrsMismatchError, RasterGrid, Window, read_window
 # spectral bins weaker than this fraction of the strongest are zeroed
 # instead of phase-normalized
 SPECTRUM_GUARD = 1e-12
+# the search windows of one band span at most this many sensed rows; it
+# bounds the size of a band's descriptor regions
+_BAND_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -111,9 +123,13 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     from the search origin peaks at index d. Both volumes share the channel
     convention, so the displacement has no channel component; the peak is
     read from the channel-0 slice of the correlation volume, which pins that
-    model instead of letting channel-axis noise wobble the argmax. Returns
-    (x0, y0, peak) with x0/y0 unwrapped to signed offsets (indices beyond
-    half the frame wrap negative), or None when an input volume is all zero.
+    model instead of letting channel-axis noise wobble the argmax. That
+    slice is the 2D inverse of the spectrum summed over the channel axis
+    (divided by m), so the columns carry the halved real-FFT axis and the
+    channel axis is collapsed before the inverse. Returns (x0, y0, peak)
+    with x0/y0 unwrapped to signed offsets (indices beyond half the frame
+    wrap negative), or None when an input volume is all zero or the
+    cross-power spectrum is all zero or not finite.
     """
     t = t_vol.values
     s = s_vol.values
@@ -124,40 +140,29 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     if not t.any() or not s.any():
         return None
 
-    if t.shape != s.shape:
-        padded = np.zeros_like(s)
-        padded[:t.shape[0], :t.shape[1], :] = t
-        t = padded
-
-    S = _fft.rfftn(s)
-    T = _fft.rfftn(t)
+    h, w, m = s.shape
+    S = _fft.rfftn(s, axes=(2, 0, 1))
+    T = _fft.rfftn(t, s=(m, h, w), axes=(2, 0, 1))
     cross = S * np.conj(T)
     mag = np.abs(cross)
     guard = SPECTRUM_GUARD * mag.max()
-    if guard == 0.0:
+    if not (np.isfinite(guard) and guard > 0.0):
         return None
     ratio = np.zeros_like(cross)
     np.divide(cross, mag, out=ratio, where=mag >= guard)
-    corr = _fft.irfftn(ratio, s=s.shape)[:, :, 0]
+    corr = _fft.irfftn(ratio.sum(axis=2), s=(h, w)) / m
 
     ri, ci = np.unravel_index(int(np.argmax(corr)), corr.shape)
     peak = float(corr[ri, ci])
 
-    h, w = corr.shape
     x0 = float(ci) if ci <= w / 2 else float(ci) - w
     y0 = float(ri) if ri <= h / 2 else float(ri) - h
     if subpixel:
-        x0 += _parabola_offset(corr[ri, (ci - 1) % w], corr[ri, ci],
-                               corr[ri, (ci + 1) % w])
-        y0 += _parabola_offset(corr[(ri - 1) % h, ci], corr[ri, ci],
-                               corr[(ri + 1) % h, ci])
+        x0 += _parabola_offset(float(corr[ri, (ci - 1) % w]), peak,
+                               float(corr[ri, (ci + 1) % w]))
+        y0 += _parabola_offset(float(corr[(ri - 1) % h, ci]), peak,
+                               float(corr[(ri + 1) % h, ci]))
     return x0, y0, peak
-
-
-def _window_volume(data: np.ndarray, params: MatchParams) -> DescriptorVolume:
-    if params.descriptor == "raw":
-        return DescriptorVolume(values=np.asarray(data, np.float64)[:, :, None])
-    return build_cfog(data, params.cfog, normalize=params.normalize)
 
 
 def _touches_nodata(data: np.ndarray, grid: RasterGrid) -> bool:
@@ -166,56 +171,126 @@ def _touches_nodata(data: np.ndarray, grid: RasterGrid) -> bool:
     return not np.isfinite(data).all() or bool(grid.is_nodata(data).any())
 
 
-def _match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
-                 sensed_grid: RasterGrid, params: MatchParams):
-    """Core matcher: returns (Correspondence | None, skip reason | None)."""
+def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
+            sensed_grid: RasterGrid, params: MatchParams):
+    """The point's (template window, search window), or the reason it is
+    skipped before any descriptor is built."""
     T = params.template_size
     S = params.search_size
 
     t_win = Window(ref_point.col - T // 2, ref_point.row - T // 2, T, T)
     if not t_win.fits_in(ref_grid):
-        return None, "template-window"
+        return "template-window"
 
     pc, pr = predict_search_center(ref_point, ref_grid, sensed_grid)
     s_win = Window(pc - S // 2, pr - S // 2, S, S)
     if not s_win.fits_in(sensed_grid):
-        return None, "search-window"
+        return "search-window"
 
     t_data = read_window(ref_grid, t_win)
     s_data = read_window(sensed_grid, s_win)
     if (_touches_nodata(t_data, ref_grid)
             or _touches_nodata(s_data, sensed_grid)):
-        return None, "nodata"
+        return "nodata"
     if np.ptp(t_data) == 0 or np.ptp(s_data) == 0:
-        return None, "flat"
+        return "flat"
+    return t_win, s_win
 
-    result = phase_correlate_3d(_window_volume(t_data, params),
-                                _window_volume(s_data, params),
-                                subpixel=params.subpixel)
+
+def _bands(windows: dict) -> list:
+    """Group point indices by search-window row: each band's search windows
+    span at most ``_BAND_ROWS`` rows (a lone window may exceed it)."""
+    bands = []
+    for k in sorted(windows, key=lambda k: windows[k][1].row0):
+        s_win = windows[k][1]
+        if bands and (s_win.row0 + s_win.h
+                      - windows[bands[-1][0]][1].row0) <= _BAND_ROWS:
+            bands[-1].append(k)
+        else:
+            bands.append([k])
+    return bands
+
+
+def _describe(grid: RasterGrid, wins: list, params: MatchParams):
+    """One float32 descriptor region covering ``wins`` grown by the
+    descriptor's reach and clipped to the grid; returns a function that
+    gives the view of one window."""
+    reach = params.cfog.reach
+    r0 = max(min(w.row0 for w in wins) - reach, 0)
+    c0 = max(min(w.col0 for w in wins) - reach, 0)
+    r1 = min(max(w.row0 + w.h for w in wins) + reach, grid.height)
+    c1 = min(max(w.col0 + w.w for w in wins) + reach, grid.width)
+    data = grid.data[r0:r1, c0:c1].copy()
+    data[~np.isfinite(data) | grid.is_nodata(data)] = 0.0
+    if params.descriptor == "raw":
+        region = data[:, :, None]
+    else:
+        region = build_cfog(data, params.cfog,
+                            normalize=params.normalize).values
+
+    def view(win: Window) -> DescriptorVolume:
+        rows = slice(win.row0 - r0, win.row0 - r0 + win.h)
+        cols = slice(win.col0 - c0, win.col0 - c0 + win.w)
+        return DescriptorVolume(values=region[rows, cols])
+    return view
+
+
+def _locate(ref_point: InterestPoint, s_win: Window, result,
+            ref_grid: RasterGrid, sensed_grid: RasterGrid,
+            params: MatchParams):
+    """The correspondence a correlation result gives, or a skip reason."""
     if result is None:
-        return None, "unreliable-peak"
+        return "unreliable-peak"
     x0, y0, peak = result
 
-    span = S - T
+    span = params.search_size - params.template_size
     if not (0 <= round(x0) <= span and 0 <= round(y0) <= span):
-        return None, "offset-bound"
+        return "offset-bound"
 
     # subpixel refinement may nudge past the window edge; keep the
     # correspondence inside the searchable range
     off_x = float(np.clip(x0 - span / 2.0, -span / 2.0, span / 2.0))
     off_y = float(np.clip(y0 - span / 2.0, -span / 2.0, span / 2.0))
-    sensed_col = pc + off_x
-    sensed_row = pr + off_y
+    # the search window is centred on the predicted pixel
+    sensed_col = s_win.col0 + params.search_size // 2 + off_x
+    sensed_row = s_win.row0 + params.search_size // 2 + off_y
     rx, ry = ref_grid.geotransform.pixel_to_geo(float(ref_point.col),
                                                 float(ref_point.row))
     sx, sy = sensed_grid.geotransform.pixel_to_geo(sensed_col, sensed_row)
-    corr = Correspondence(ref_col=float(ref_point.col),
+    return Correspondence(ref_col=float(ref_point.col),
                           ref_row=float(ref_point.row),
                           sensed_col=float(sensed_col),
                           sensed_row=float(sensed_row),
                           ref_x=rx, ref_y=ry, sensed_x=sx, sensed_y=sy,
                           peak=peak)
-    return corr, None
+
+
+def match_all(points: list, ref_grid: RasterGrid, sensed_grid: RasterGrid,
+              params: MatchParams) -> tuple[list, MatchStats]:
+    """Match every interest point, preserving input order; skipped points are
+    omitted from the list and tallied by reason in the stats."""
+    outcomes = [_screen(pt, ref_grid, sensed_grid, params) for pt in points]
+    windows = {k: wins for k, wins in enumerate(outcomes)
+               if not isinstance(wins, str)}
+    for band in _bands(windows):
+        t_view = _describe(ref_grid, [windows[k][0] for k in band], params)
+        s_view = _describe(sensed_grid, [windows[k][1] for k in band], params)
+        for k in band:
+            t_win, s_win = windows[k]
+            result = phase_correlate_3d(t_view(t_win), s_view(s_win),
+                                        subpixel=params.subpixel)
+            outcomes[k] = _locate(points[k], s_win, result, ref_grid,
+                                  sensed_grid, params)
+
+    stats = MatchStats(attempted=len(points))
+    corrs = []
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            stats.skip(outcome)
+        else:
+            stats.matched += 1
+            corrs.append(outcome)
+    return corrs, stats
 
 
 def match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
@@ -224,25 +299,8 @@ def match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
     """Match one reference interest point into the sensed image; None when
     the point is skipped (window does not fit, touches nodata, flat content,
     or unreliable correlation peak)."""
-    corr, _ = _match_point(ref_point, ref_grid, sensed_grid, params)
-    return corr
-
-
-def match_all(points: list, ref_grid: RasterGrid, sensed_grid: RasterGrid,
-              params: MatchParams) -> tuple[list, MatchStats]:
-    """Match every interest point, preserving input order; skipped points are
-    omitted from the list and tallied by reason in the stats."""
-    stats = MatchStats()
-    corrs = []
-    for pt in points:
-        stats.attempted += 1
-        corr, reason = _match_point(pt, ref_grid, sensed_grid, params)
-        if corr is None:
-            stats.skip(reason)
-        else:
-            stats.matched += 1
-            corrs.append(corr)
-    return corrs, stats
+    corrs, _ = match_all([ref_point], ref_grid, sensed_grid, params)
+    return corrs[0] if corrs else None
 
 
 # ---------------------------------------------------------------------------

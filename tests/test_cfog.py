@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from coreg.cfog import (
     CfogParams,
+    DescriptorVolume,
     build_cfog,
     gradient_xy,
     orientation_channels,
@@ -21,6 +22,22 @@ def test_constant_image_has_zero_gradients_and_volume():
     gx, gy = gradient_xy(img)
     assert not gx.any() and not gy.any()
     assert not build_cfog(img).values.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_descriptor_keeps_the_image_float_dtype(dtype):
+    vol = build_cfog(texture(24, seed=27).astype(dtype))
+    assert vol.values.dtype == dtype
+
+
+def test_integer_images_are_described_in_float64():
+    img = (255 * texture(24, seed=28)).astype(np.uint8)
+    assert build_cfog(img).values.dtype == np.float64
+
+
+def test_volume_keeps_a_float32_array_without_copying():
+    values = np.zeros((4, 5, 3), dtype=np.float32)
+    assert DescriptorVolume(values=values).values is values
 
 
 def test_gradient_rejects_tiny_images():

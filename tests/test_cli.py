@@ -228,6 +228,31 @@ def test_artifacts_are_deterministic(tmp_path):
     assert one("first") == one("second")
 
 
+def test_match_artifacts_do_not_depend_on_threads(tmp_path):
+    ref, sen, _, _ = generate(SynthSpec(
+        size=320, seed=13, warp=translation_warp(2.5, -1.25),
+        radiometry="gamma", gamma=0.6, speckle_var=0.01))
+    save_raster(ref, tmp_path / "ref.bin")
+    save_raster(sen, tmp_path / "sen.bin")
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("subpixel = true\n")
+
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        assert main(["match", "--ref", str(tmp_path / "ref.bin"),
+                     "--sensed", str(tmp_path / "sen.bin"),
+                     "--config", str(cfg), "--threads", str(threads),
+                     "--template-size", "48", "--search-size", "96",
+                     "--blocks", "6", "--out-dir", str(out)]) == 0
+        return [(out / name).read_bytes() for name in (
+            "correspondences.csv", "correspondences_raw.csv",
+            "match_stats.txt")]
+
+    one, two = run(1), run(2)
+    assert len(correspondences_from_csv(one[0].decode())) >= 10
+    assert one == two
+
+
 def test_registration_repairs_translation(tmp_path):
     ref, sen, truth, _ = generate(SynthSpec(
         size=256, seed=12, warp=translation_warp(6.0, -4.0),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coreg import matcher
 from coreg.cfog import DescriptorVolume, build_cfog
 from coreg.keypoints import BlockGridParams, InterestPoint, detect_block_fast
 from coreg.matcher import (
@@ -69,6 +70,19 @@ def test_phase_correlation_is_deterministic():
 def test_flat_volume_gives_no_match():
     flat = DescriptorVolume(values=np.zeros((16, 16, 4)))
     assert phase_correlate_3d(flat, _vol(5, 16, 16)) is None
+
+
+def test_non_finite_cross_power_gives_no_match():
+    s = _vol(6)
+    s.values[3, 4, 1] = np.nan
+    assert phase_correlate_3d(_vol(7), s) is None
+
+
+def test_float32_volumes_recover_a_planted_shift():
+    t = DescriptorVolume(values=_vol(8).values.astype(np.float32))
+    s = DescriptorVolume(values=np.roll(t.values, (5, -9), axis=(0, 1)))
+    x0, y0, _ = phase_correlate_3d(t, s)
+    assert (x0, y0) == (-9.0, 5.0)
 
 
 def test_true_peak_dominates_spurious_peak():
@@ -199,6 +213,80 @@ def test_windows_touching_nodata_are_skipped(identity_pair_600, sentinel):
     for c in corrs:
         assert c.ref_col - half >= 150
         assert (c.sensed_col, c.sensed_row) == (c.ref_col, c.ref_row)
+
+
+@pytest.fixture(scope="module")
+def shifted_pair_600():
+    """A (3, -2) px translation whose sensed image has a hole at rows
+    150-170, cols 302-320: 2 px right of the search window of the point at
+    (200, 200)."""
+    ref, sen, _, _ = generate(SynthSpec(size=600, seed=3,
+                                        warp=translation_warp(3, -2)))
+    return ref, sen
+
+
+def _with_hole(grid, sentinel):
+    data = grid.data.copy()
+    data[150:171, 302:321] = sentinel
+    return as_grid(data, grid.geotransform, grid.crs_tag, nodata=sentinel)
+
+
+@pytest.mark.parametrize("sentinel", [np.nan, -9999.0])
+def test_hole_next_to_a_search_window_does_not_move_its_match(
+        shifted_pair_600, sentinel):
+    ref, sen = shifted_pair_600
+    gapped = _with_hole(sen, sentinel)
+    corrs, stats = match_all([InterestPoint(col=200, row=200, score=1.0)],
+                             ref, gapped, MatchParams())
+    assert stats.matched == 1
+    c = corrs[0]
+    assert (c.sensed_col - c.ref_col, c.sensed_row - c.ref_row) == (3, -2)
+    assert c.peak > 0
+
+
+@pytest.mark.parametrize("band_rows", [1, 10 ** 6])
+def test_window_volumes_equal_the_whole_image_descriptor(
+        shifted_pair_600, monkeypatch, band_rows):
+    ref, sen = shifted_pair_600
+    gapped = _with_hole(sen, np.nan)
+    # plus a search window 2 px from the hole, inside the descriptor's reach
+    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=4, border=100))
+    pts.append(InterestPoint(col=200, row=200, score=1.0))
+    calls = []
+    phase_correlate = matcher.phase_correlate_3d
+
+    def recording(t_vol, s_vol, subpixel=False):
+        calls.append((t_vol.values, s_vol.values))
+        return phase_correlate(t_vol, s_vol, subpixel)
+
+    monkeypatch.setattr(matcher, "_BAND_ROWS", band_rows)
+    monkeypatch.setattr(matcher, "phase_correlate_3d", recording)
+    params = MatchParams()
+    _, stats = match_all(pts, ref, gapped, params)
+
+    ref_whole = build_cfog(ref.data).values
+    sen_whole = build_cfog(np.nan_to_num(gapped.data, nan=0.0)).values
+    T, S = params.template_size, params.search_size
+    expected = []
+    for pt in pts:
+        pc, pr = predict_search_center(pt, ref, gapped)
+        expected.append((
+            ref_whole[pt.row - T // 2:pt.row + T // 2,
+                      pt.col - T // 2:pt.col + T // 2],
+            sen_whole[pr - S // 2:pr + S // 2, pc - S // 2:pc + S // 2]))
+    screened = sum(stats.skipped.get(reason, 0) for reason in
+                   ("template-window", "search-window", "nodata", "flat"))
+    assert stats.skipped.get("nodata", 0) >= 1
+    assert len(calls) == len(pts) - screened >= 8
+    found = []
+    for t, s in calls:
+        assert t.dtype == s.dtype == np.float32
+        hits = [k for k, (te, se) in enumerate(expected)
+                if te.shape == t.shape and se.shape == s.shape
+                and np.array_equal(t, te) and np.array_equal(s, se)]
+        assert len(hits) == 1
+        found += hits
+    assert len(set(found)) == len(calls)
 
 
 def test_correspondence_csv_round_trip():
