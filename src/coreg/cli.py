@@ -8,7 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import ctypes
+import math
 import sys
 import time
 from dataclasses import replace
@@ -222,6 +222,15 @@ def run_sweep(args) -> int:
         results = sweep(specs, corrs, cfg.n_checkpoints, cfg.cp_counts,
                         cfg.seed, pixel_size=args.pixel_size, dem=dem)
     _write(_out_dir(args) / "sweep.csv", sweep_to_csv(results))
+
+    # stdout only: sweep.csv stays the one artifact
+    ranking = sorted((math.inf if res.rmse[-1] is None else res.rmse[-1],
+                      res.spec.name) for res in results)
+    print(f"checkpoint rmse at {max(cfg.cp_counts)} control points "
+          "(best first):")
+    for rmse, name in ranking:
+        shown = "fit failed" if rmse == math.inf else f"{rmse:.4g} px"
+        print(f"  {name} {shown}")
     return 0
 
 
@@ -345,30 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _retain_freed_memory() -> None:
-    """Keep freed multi-megabyte blocks on the heap for reuse.
-
-    Under glibc's default dynamic thresholds, blocks of a few megabytes are
-    returned to the operating system when freed and page-faulted in again
-    when the next one is allocated. Blocks under 16 MB now come from the
-    heap, which keeps up to 32 MB free. A no-op where the C library has no
-    ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
-
-
 def main(argv=None) -> int:
-    _retain_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -4,7 +4,9 @@ The detector is the segment test on a 16-pixel Bresenham circle of radius 3:
 a pixel is a corner when at least 9 contiguous circle pixels are all brighter
 than center+threshold or all darker than center-threshold. The score is the
 sum of |circle - center| - threshold over the maximal qualifying arc, so
-stronger and longer arcs rank higher.
+stronger and longer arcs rank higher. The brighter and darker circle pixels
+are packed into 16-bit masks, and a 65,536-entry table gives the maximal arc
+of each mask (Rosten and Drummond, ECCV 2006).
 
 Selection partitions the image into an N x N block grid and keeps the top K
 scorers per block, which forces the spatial spread that a global top-K would
@@ -31,6 +33,25 @@ CIRCLE = (
 ARC_LENGTH = 9
 # image rows per fast_score_map strip, bounding its temporaries on large scenes
 _STRIP_ROWS = 512
+
+
+def _arc_members_table() -> np.ndarray:
+    """For every 16-bit circle mask, the bits covered by some run of 9 set
+    bits (wrapping): the maximal arc, as no two 9-runs on 16 are disjoint."""
+    masks = np.arange(1 << 16, dtype=np.uint32)
+
+    def rotate(m, k):  # bit i of the result is bit (i + k) % 16 of m
+        return ((m >> k) | (m << (16 - k))) & 0xFFFF
+
+    # bit j of starts: bits j..j+8 are all set
+    starts = np.bitwise_and.reduce([rotate(masks, k)
+                                    for k in range(ARC_LENGTH)])
+    members = np.bitwise_or.reduce([rotate(starts, 16 - k)
+                                    for k in range(ARC_LENGTH)])
+    return members.astype(np.uint16)
+
+
+_ARC_MEMBERS = _arc_members_table()
 
 
 @dataclass(frozen=True)
@@ -62,15 +83,22 @@ class BlockGridParams:
             raise ValueError(f"k_per_block must be >= 1, got {self.k_per_block}")
         if self.border < 0:
             raise ValueError(f"border must be >= 0, got {self.border}")
+        # a negative threshold would let a pixel be brighter and darker at once
+        if self.fast_threshold is not None and self.fast_threshold < 0:
+            raise ValueError(f"fast_threshold must be >= 0, got "
+                             f"{self.fast_threshold}")
 
 
 def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
     """Corner score for every pixel; zero within 3 px of the edges.
 
-    Processed in row strips to bound memory on large scenes. The maximal-arc
-    membership mask is the union of all fully-qualifying 9-windows, which
-    equals the single maximal run (two disjoint 9-runs cannot fit on 16
-    pixels).
+    Processed in row strips to bound memory on large scenes. The first pass
+    over the 16 circle offsets packs the brighter and darker circle pixels
+    into ``uint16`` masks, which ``_ARC_MEMBERS`` maps to their maximal arcs
+    (no pixel holds both, so the two are ORed); the second adds
+    |d_i| - threshold, in circle order, where bit i is set. Computing the
+    differences twice keeps a few strip-sized arrays alive, not 16. NaN
+    samples compare false and join no arc. ``threshold`` must be >= 0.
     """
     data = np.asarray(data)
     h, w = data.shape
@@ -78,33 +106,32 @@ def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
     if h < 7 or w < 7:
         return scores
 
-    n16 = len(CIRCLE)
     for y0 in range(3, h - 3, _STRIP_ROWS):
         y1 = min(y0 + _STRIP_ROWS, h - 3)
         n = y1 - y0
         block = np.asarray(data[y0 - 3:y1 + 3, :], dtype=np.float64)
         center = block[3:3 + n, 3:w - 3]
 
-        diffs = [block[3 + dr:3 + dr + n, 3 + dc:w - 3 + dc] - center
-                 for dc, dr in CIRCLE]
-        bright = [d > threshold for d in diffs]
-        dark = [-d > threshold for d in diffs]
+        def diff(i):
+            dc, dr = CIRCLE[i]
+            return block[3 + dr:3 + dr + n, 3 + dc:w - 3 + dc] - center
 
-        strip_score = np.zeros_like(center)
-        for flags in (bright, dark):
-            all9 = []
-            for j in range(n16):
-                acc = flags[j].copy()
-                for k in range(1, ARC_LENGTH):
-                    acc &= flags[(j + k) % n16]
-                all9.append(acc)
-            for i in range(n16):
-                in_run = all9[(i - ARC_LENGTH + 1) % n16].copy()
-                for j in range(i - ARC_LENGTH + 2, i + 1):
-                    in_run |= all9[j % n16]
-                contrib = np.abs(diffs[i]) - threshold
-                strip_score += np.where(in_run, contrib, 0.0)
-        scores[y0:y1, 3:w - 3] = strip_score
+        # bit i is circle pixel i: shift the flags in from the last offset
+        bright = np.zeros(center.shape, dtype=np.uint16)
+        dark = np.zeros(center.shape, dtype=np.uint16)
+        for i in reversed(range(len(CIRCLE))):
+            d = diff(i)
+            bright <<= 1
+            bright |= d > threshold
+            dark <<= 1
+            dark |= d < -threshold
+        members = _ARC_MEMBERS[bright] | _ARC_MEMBERS[dark]
+
+        strip_score = scores[y0:y1, 3:w - 3]
+        for i in range(len(CIRCLE)):
+            contrib = np.abs(diff(i))
+            contrib -= threshold
+            strip_score += np.where(members & np.uint16(1 << i), contrib, 0.0)
     return scores
 
 
@@ -139,19 +166,21 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
 
     Only strictly positive scores qualify, so flat blocks contribute nothing
     and the result can be smaller than N*N*K. Ties break toward smaller
-    (row, col) for determinism.
+    (row, col) for determinism. Samples equal to a grid's nodata sentinel
+    count as NaN: they are outside the automatic threshold's range and
+    belong to no arc.
     """
     data = image.data if isinstance(image, RasterGrid) else np.asarray(image)
+    if getattr(image, "nodata", None) is not None:
+        data = np.where(image.is_nodata(data), np.float32(np.nan), data)
     h, w = data.shape
-    threshold = _resolve_threshold(data, params.fast_threshold)
-    scores = fast_score_map(data, threshold)
-
     border = max(params.border, 3)
     if 2 * border >= min(h, w):
         return []
-    valid = np.zeros((h, w), dtype=bool)
-    valid[border:h - border, border:w - border] = True
-    scores = np.where(valid, scores, 0.0)
+    threshold = _resolve_threshold(data, params.fast_threshold)
+    scores = fast_score_map(data, threshold)
+    scores[:border] = scores[h - border:] = 0.0
+    scores[:, :border] = scores[:, w - border:] = 0.0
 
     n = params.n_blocks
     bh = h // n
@@ -160,13 +189,9 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
     for by in range(n):
         r0 = by * bh
         r1 = h if by == n - 1 else (by + 1) * bh
-        if r1 <= r0:
-            continue
         for bx in range(n):
             c0 = bx * bw
             c1 = w if bx == n - 1 else (bx + 1) * bw
-            if c1 <= c0:
-                continue
             sub = scores[r0:r1, c0:c1]
             rs, cs = np.nonzero(sub > 0)
             if rs.size == 0:

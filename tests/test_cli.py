@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from coreg.cli import main
+from coreg.geomodels import model_spec_from_name
 from coreg.matcher import (CSV_HEADER, Correspondence, correspondences_from_csv,
                            correspondences_to_csv)
+from coreg.metrics import sweep, sweep_to_csv
 from coreg.raster import load_raster, save_raster
 from coreg.synthgen import SynthSpec, generate, translation_warp
 
@@ -146,6 +148,34 @@ def test_sweep_writes_expected_grid(scene, tmp_path):
         ["poly1", "10"], ["poly1", "15"], ["poly2", "10"], ["poly2", "15"]]
     for ln in lines[1:]:
         assert float(ln.split(",")[2]) < 1e-6
+
+
+def test_sweep_prints_the_ranking_and_writes_the_same_grid(scene, tmp_path,
+                                                          capsys):
+    _, run = scene
+    corr = run / "correspondences.csv"
+    names = ("poly3", "proj22", "poly1")
+    rc = main(["sweep", "--corr", str(corr), "--models", ",".join(names),
+               "--cp-counts", "12,17", "--checkpoints", "8",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    results = sweep([model_spec_from_name(n) for n in names],
+                    correspondences_from_csv(corr.read_text()), 8, [12, 17],
+                    seed=0)
+    assert (tmp_path / "sweep.csv").read_bytes() == \
+        sweep_to_csv(results).encode()
+
+    out = capsys.readouterr().out.splitlines()
+    head = out.index("checkpoint rmse at 17 control points (best first):")
+    rmse = {res.spec.name: res.rmse[-1] for res in results}
+    # exact data: both polynomials fit, proj22 is degenerate and goes last
+    assert rmse["proj22"] is None
+    assert out[head + 1:] == [
+        f"  poly1 {rmse['poly1']:.4g} px",
+        f"  poly3 {rmse['poly3']:.4g} px",
+        "  proj22 fit failed",
+    ]
+    assert rmse["poly1"] < rmse["poly3"]
 
 
 def test_rfm_fit_needs_dem(scene, tmp_path, capsys):
@@ -344,17 +374,3 @@ def test_register_counts_projective_pole_inside_frame(tmp_path):
                             np.arange(0, 41, 8), np.arange(2, 64, 12))
     # exactly the 64 pixels of the pole column
     assert float(rep["eval_failure_fraction"]) == 64 / (64 * 64)
-
-
-def test_main_runs_where_the_c_library_has_no_mallopt(monkeypatch, tmp_path):
-    import coreg.cli
-
-    class NoMallopt:
-        def __init__(self, name):
-            pass
-
-    monkeypatch.setattr(coreg.cli.ctypes, "CDLL", NoMallopt)
-    corr = tmp_path / "c.csv"
-    corr.write_text(CSV_HEADER + "\n" + ",".join(["1.0"] * 9) + "\n")
-    assert main(["measure", "--corr", str(corr),
-                 "--out-dir", str(tmp_path)]) == 0

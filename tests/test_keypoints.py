@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coreg.keypoints import (
+    CIRCLE,
     BlockGridParams,
     detect_block_fast,
     fast_score,
     fast_score_map,
 )
+from coreg.synthgen import SynthSpec, generate
 
-from conftest import texture
+from conftest import as_grid, texture
 
 
 def test_constant_image_yields_nothing():
@@ -103,3 +108,101 @@ def test_detection_is_deterministic():
     img = texture(128, seed=14)
     params = BlockGridParams(n_blocks=4, k_per_block=2)
     assert detect_block_fast(img, params) == detect_block_fast(img, params)
+
+
+def _maximal_arc(flags):
+    """Circle indices of the longest run of True, wrapping from 15 to 0."""
+    if all(flags):
+        return list(range(16))
+    start = flags.index(False)
+    best, run = [], []
+    for k in range(1, 17):
+        i = (start + k) % 16
+        if flags[i]:
+            run.append(i)
+        else:
+            best = max(best, run, key=len)
+            run = []
+    return best
+
+
+def _oracle_score(img, col, row, threshold):
+    """The segment-test score as the module docstring defines it, per pixel:
+    the sum of |d| - threshold over the maximal run of >= 9 circle pixels
+    all brighter than center+threshold or all darker than center-threshold,
+    added in circle index order."""
+    center = float(img[row, col])
+    d = [float(img[row + dr, col + dc]) - center for dc, dr in CIRCLE]
+    for flags in ([x > threshold for x in d], [-x > threshold for x in d]):
+        arc = _maximal_arc(flags)
+        if len(arc) >= 9:
+            total = 0.0
+            for i in sorted(arc):
+                total += abs(d[i]) - threshold
+            return total, arc, d
+    return 0.0, [], d
+
+
+def _oracle_images():
+    rng = np.random.default_rng(21)
+    noisy = rng.random((40, 40)).astype(np.float32)
+    noisy[rng.random(noisy.shape) < 0.05] = np.nan
+    # integer levels with threshold 1: many differences equal it exactly
+    levels = rng.integers(0, 4, (40, 40)).astype(np.float32)
+    planted = np.zeros((24, 24), dtype=np.float32)
+    planted[8, 8] = 1.0                      # a full 16-arc
+    for i in (12, 13, 14, 15, 0, 1, 2, 3, 4):  # an arc across 15 -> 0
+        dc, dr = CIRCLE[i]
+        planted[16 + dr, 16 + dc] = -1.0
+    planted[16, 16] = 0.0
+    return [(noisy, 0.1), (texture(40, seed=22), 0.05), (levels, 1.0),
+            (planted, 0.5)]
+
+
+def test_score_map_equals_the_per_pixel_oracle():
+    wraps = full = ties = 0
+    for img, threshold in _oracle_images():
+        scores = fast_score_map(img, threshold)
+        h, w = img.shape
+        for row in range(3, h - 3):
+            for col in range(3, w - 3):
+                expected, arc, d = _oracle_score(img, col, row, threshold)
+                assert scores[row, col] == expected, (row, col)
+                wraps += 0 in arc and 15 in arc and len(arc) < 16
+                full += len(arc) == 16
+                ties += len(arc) > 0 and threshold in map(abs, d)
+    assert wraps and full and ties
+
+
+def test_negative_threshold_is_rejected():
+    with pytest.raises(ValueError, match="fast_threshold"):
+        BlockGridParams(fast_threshold=-0.1)
+
+
+def test_score_map_temporaries_stay_within_a_fixed_bound_per_pixel():
+    img = texture(768, seed=23)
+    bound = 64 * img.size  # bytes; includes the float64 result (8 B/px)
+    tracemalloc.start()
+    try:
+        fast_score_map(img, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"{peak / img.size:.0f} B/px"
+
+
+@pytest.fixture(scope="module")
+def reference_600():
+    return generate(SynthSpec(size=600, seed=3))[0]
+
+
+def test_sentinel_nodata_is_ignored_like_nan(reference_600):
+    found = []
+    for fill in (np.nan, -9999.0):
+        data = reference_600.data.copy()
+        data[:, :100] = fill
+        grid = as_grid(data, reference_600.geotransform, nodata=fill)
+        found.append(detect_block_fast(grid, BlockGridParams(n_blocks=4,
+                                                             border=50)))
+    assert len(found[0]) == 16
+    assert found[1] == found[0]
