@@ -14,27 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from coreg.cli import main as coreg_main
-from coreg.geomodels import ControlPoint, ModelSpec, fit
 from coreg.matcher import correspondences_from_csv
 from coreg.raster import save_raster
-from coreg.synthgen import SynthSpec, generate
-
-
-def cubic_truth(size: int, seed: int = 42):
-    """Order-3 model whose displacement field averages 20-30 px over the
-    frame while staying inside a +-50 px matching budget."""
-
-    def field(x, y):
-        u = 2.0 * x / (size - 1) - 1.0
-        v = 2.0 * y / (size - 1) - 1.0
-        return (x + 12 + 30 * u * v - 14 * v ** 2 + 10 * u ** 3,
-                y + 24 - 18 * u ** 2 + 22 * u * v + 10 * v ** 3)
-
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0, size - 1, (40, 2))
-    cps = [ControlPoint(float(x), float(y), *map(float, field(x, y)))
-           for x, y in pts]
-    return fit(ModelSpec("polynomial", 3), cps)
+from coreg.synthgen import SynthSpec, cubic_truth, generate
 
 
 def truth_mean_ds(truth, xs, ys) -> float:

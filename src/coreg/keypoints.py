@@ -155,10 +155,15 @@ def fast_score(image, col: int, row: int, threshold: float) -> float:
 def _resolve_threshold(data: np.ndarray, threshold: float | None) -> float:
     if threshold is not None:
         return float(threshold)
-    finite = data[np.isfinite(data)]
-    if finite.size == 0:
+    if not np.issubdtype(data.dtype, np.floating):
+        return 0.02 * float(data.max() - data.min())
+    # the range of the finite samples, without copying them out
+    finite = np.isfinite(data)
+    lo = data.min(where=finite, initial=np.inf)
+    hi = data.max(where=finite, initial=-np.inf)
+    if hi < lo:
         return 0.0
-    return 0.02 * float(finite.max() - finite.min())
+    return 0.02 * float(hi - lo)
 
 
 def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:

@@ -8,6 +8,12 @@ reference pulled back through a known geometric warp, remapped radiometrically
 (gamma or log compression emulating a different sensor), and multiplied by
 unit-mean speckle noise. The exact warp is returned as a fitted-model object
 so accuracy claims can be checked against ground truth.
+
+Value noise upsamples each octave's lattice separably, rows then columns,
+from per-axis indices and weights. The pull-back inverts the warp 65,536
+pixels at a time by a chord Newton iteration: one fixed-point step, one
+forward-difference Jacobian, then steps through its frozen inverse, about
+eight warp evaluations per chunk where the fixed point alone took thirteen.
 """
 
 from __future__ import annotations
@@ -15,17 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
-from .geomodels import FittedModel, ModelSpec, Normalization
+from .geomodels import ControlPoint, FittedModel, ModelSpec, Normalization, fit
 from .raster import GeoTransform, RasterGrid, sample_bilinear
 
 # check_invertible probes a grid of this many samples per axis
 _INVERTIBLE_SAMPLES = 25
-# invert_warp_grid: fixed-point iteration cap, and the largest per-point step
-# that ends the iteration
+# invert_warp_grid: step cap, the largest per-point step that ends the
+# iteration, and the forward-difference step of its Jacobian (a power of two,
+# so r + h is exact for map coordinates below 2**42)
 _INVERT_MAX_ITERS = 80
 _INVERT_TOL = 1e-12
+_JACOBIAN_STEP = 2.0 ** -10
+# generate builds noise and inverts the warp this many pixels at a time
+_CHUNK_PIXELS = 65536
 
 
 class NonInvertibleWarpError(RuntimeError):
@@ -40,6 +49,27 @@ def identity_warp() -> FittedModel:
 def translation_warp(tx: float, ty: float) -> FittedModel:
     return FittedModel.from_coefficients(
         ModelSpec("polynomial", 1), num_x=[tx, 1.0, 0.0], num_y=[ty, 0.0, 1.0])
+
+
+def cubic_truth(size: int, scale: float = 1.0) -> FittedModel:
+    """The order-3 warp of the flat-scene protocol over a ``size`` frame.
+
+    An analytic displacement field, 20-30 px on average at ``scale`` 1 and
+    inside a +-50 px matching budget, with its amplitudes multiplied by
+    ``scale``, fitted exactly (to rounding) from 40 seeded control points.
+    """
+
+    def field(x, y):
+        u = 2.0 * x / (size - 1) - 1.0
+        v = 2.0 * y / (size - 1) - 1.0
+        return (x + scale * (12 + 30 * u * v - 14 * v ** 2 + 10 * u ** 3),
+                y + scale * (24 - 18 * u ** 2 + 22 * u * v + 10 * v ** 3))
+
+    rng = np.random.default_rng(42)
+    pts = rng.uniform(0, size - 1, (40, 2))
+    cps = [ControlPoint(float(x), float(y), *map(float, field(x, y)))
+           for x, y in pts]
+    return fit(ModelSpec("polynomial", 3), cps)
 
 
 @dataclass(frozen=True)
@@ -78,21 +108,52 @@ class SynthSpec:
 # Texture
 
 
+def _lerp_weights(n: int, spacing: int):
+    """Lattice index and weight of the next node for n pixels along an axis."""
+    pos = np.arange(n, dtype=np.float64) / spacing
+    idx = np.floor(pos).astype(np.intp)
+    return idx, pos - idx
+
+
 def _value_noise(h: int, w: int, rng, spacings, weights) -> np.ndarray:
-    """Sum of bilinearly upsampled random lattices, one per octave."""
+    """Sum of bilinearly upsampled random lattices, one per octave.
+
+    Bilinear upsampling is separable: each lattice is interpolated along
+    rows, then along columns, from per-axis node indices and weights, so no
+    full-frame coordinate arrays are built. The frame is summed in blocks of
+    about _CHUNK_PIXELS, all octaves per block, so the block stays in cache.
+    """
+    octaves = [(rng.random((h // s + 2, w // s + 2)), weight,
+                _lerp_weights(h, s), _lerp_weights(w, s))
+               for s, weight in zip(spacings, weights)]
     out = np.zeros((h, w), dtype=np.float64)
-    rows = np.arange(h, dtype=np.float64)
-    cols = np.arange(w, dtype=np.float64)
-    for spacing, weight in zip(spacings, weights):
-        lat_h = h // spacing + 2
-        lat_w = w // spacing + 2
-        lattice = rng.random((lat_h, lat_w))
-        rr, cc = np.meshgrid(rows / spacing, cols / spacing, indexing="ij")
-        out += weight * ndimage.map_coordinates(lattice, [rr, cc], order=1)
-    lo, hi = out.min(), out.max()
-    if hi > lo:
-        out = (out - lo) / (hi - lo)
+    step = max(1, _CHUNK_PIXELS // w)
+    tmp = np.empty((min(step, h), w), dtype=np.float64)
+    for r0 in range(0, h, step):
+        block = out[r0:r0 + step]
+        part = tmp[:len(block)]
+        for lattice, weight, (r, fr), (c, fc) in octaves:
+            r = r[r0:r0 + step]
+            fr = fr[r0:r0 + step, None]
+            rows = lattice[r] * (1.0 - fr)
+            rows += lattice[r + 1] * fr
+            rows *= weight
+            np.take(rows, c, axis=1, out=part)
+            part *= 1.0 - fc
+            block += part
+            np.take(rows, c + 1, axis=1, out=part)
+            part *= fc
+            block += part
+    _normalize(out)
     return out
+
+
+def _normalize(a: np.ndarray) -> None:
+    """Stretch a onto [0, 1] in place, unless it is constant."""
+    lo, hi = a.min(), a.max()
+    if hi > lo:
+        a -= lo
+        a /= hi - lo
 
 
 def _texture(spec: SynthSpec, rng) -> np.ndarray:
@@ -104,9 +165,7 @@ def _texture(spec: SynthSpec, rng) -> np.ndarray:
     weights = [1.0 / float(np.sqrt(s)) for s in spacings]
     scene = _value_noise(spec.size, spec.size, rng, spacings, weights)
     scene = 0.5 + 0.5 * np.tanh(6.0 * (scene - 0.5))
-    lo, hi = scene.min(), scene.max()
-    if hi > lo:
-        scene = (scene - lo) / (hi - lo)
+    _normalize(scene)
     if spec.texture == "blobs":
         # opaque discs add the step edges that corner detection feeds on
         n_discs = max(16, (spec.size // 64) ** 2)
@@ -160,28 +219,59 @@ def check_invertible(warp: FittedModel, x0: float, y0: float,
 
 
 def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray):
-    """Solve warp(rx, ry) = (tx, ty) per point by fixed-point iteration.
+    """Solve warp(rx, ry) = (tx, ty) per point by a chord Newton iteration.
 
-    Writing the warp as identity plus displacement, each step replaces the
-    estimate with target minus displacement; this converges whenever the
-    displacement gradient magnitude stays below 1. Returns (rx, ry, ok)
-    where ok flags points whose forward image lands within 1e-6 of the
-    target.
+    Writing the warp as identity plus displacement, one fixed-point step
+    r1 = 2t - warp(t) lands close to the solution while the displacement
+    gradient stays small. The Jacobian is taken there once, by forward
+    differences, and its 2x2 inverse is kept frozen: each further step adds
+    J^-1 (t - warp(r)) until no finite point moves by _INVERT_TOL or more,
+    or _INVERT_MAX_ITERS steps have been taken. Points where the warp is
+    not finite drop out of that test, so an all-non-finite input stops
+    after the first step. Returns (rx, ry, ok) where ok flags points whose
+    forward image is finite and lands within 1e-6 of the target.
     """
-    rx = tx.astype(np.float64).copy()
-    ry = ty.astype(np.float64).copy()
-    for _ in range(_INVERT_MAX_ITERS):
+    tx = np.asarray(tx, dtype=np.float64)
+    ty = np.asarray(ty, dtype=np.float64)
+    rx = tx.copy()
+    ry = ty.copy()
+    # non-finite points are reported through ok, not warnings
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         fx, fy = warp.apply(rx, ry)
-        new_rx = rx + (tx - fx)
-        new_ry = ry + (ty - fy)
-        delta = np.maximum(np.abs(new_rx - rx), np.abs(new_ry - ry))
-        rx, ry = new_rx, new_ry
-        if float(np.nanmax(delta)) < _INVERT_TOL:
-            break
-    fx, fy = warp.apply(rx, ry)
-    err = np.hypot(fx - tx, fy - ty)
+        inverse = None
+        for _ in range(_INVERT_MAX_ITERS):
+            # the residual t - warp(r), written over warp(r)
+            dx = np.subtract(tx, fx, out=fx)
+            dy = np.subtract(ty, fy, out=fy)
+            if inverse is not None:
+                a, b, c, d = inverse
+                dx, dy = a * dx + b * dy, c * dx + d * dy
+            rx += dx
+            ry += dy
+            moved = np.maximum(np.abs(dx), np.abs(dy))
+            fx, fy = warp.apply(rx, ry)
+            if moved.max(where=np.isfinite(moved), initial=0.0) < _INVERT_TOL:
+                break
+            if inverse is None:
+                inverse = _inverse_jacobian(warp, rx, ry, fx, fy)
+        err = np.hypot(fx - tx, fy - ty)
     ok = np.isfinite(err) & (err < 1e-6)
     return rx, ry, ok
+
+
+def _inverse_jacobian(warp: FittedModel, rx, ry, fx, fy):
+    """Entries (a, b, c, d) of the inverse [[a, b], [c, d]] of warp's
+    forward-difference Jacobian at (rx, ry), where warp(rx, ry) = (fx, fy)."""
+    h = _JACOBIAN_STEP
+    ux, vx = warp.apply(rx + h, ry)
+    uy, vy = warp.apply(rx, ry + h)
+    # columns of h * J, then h / det(h * J) = 1 / (h * det J)
+    ux -= fx
+    vx -= fy
+    uy -= fx
+    vy -= fy
+    scale = h / (ux * vy - uy * vx)
+    return vy * scale, -uy * scale, -vx * scale, ux * scale
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +300,8 @@ def generate(spec: SynthSpec):
     gt = GeoTransform(origin_x=0.0, origin_y=0.0, pixel_w=1.0, pixel_h=1.0)
     crs = "SYNTH"
 
-    scene = _texture(spec, rng)
-    reference = RasterGrid(data=scene.astype(np.float32), geotransform=gt,
-                           crs_tag=crs)
+    reference = RasterGrid(data=_texture(spec, rng).astype(np.float32),
+                           geotransform=gt, crs_tag=crs)
 
     dem_spacings = ([s for s in (64, 128, 256) if s <= spec.size // 2]
                     or [max(4, spec.size // 4)])
@@ -228,19 +317,16 @@ def generate(spec: SynthSpec):
     n = spec.size
     check_invertible(truth, 0.0, 0.0, float(n - 1), float(n - 1))
 
-    sensed = np.zeros((n, n), dtype=np.float64)
-    cols = np.arange(n, dtype=np.float64)
-    chunk = 256
-    for r0 in range(0, n, chunk):
-        r1 = min(r0 + chunk, n)
-        rows = np.arange(r0, r1, dtype=np.float64)
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        tx, ty = gt.pixel_to_geo(cc, rr)
+    sensed = np.empty(n * n, dtype=np.float64)
+    for p0 in range(0, n * n, _CHUNK_PIXELS):
+        p1 = min(p0 + _CHUNK_PIXELS, n * n)
+        rows, cols = np.divmod(np.arange(p0, p1), n)
+        tx, ty = gt.pixel_to_geo(cols, rows)
         sx, sy, ok = invert_warp_grid(truth, tx, ty)
         src_c, src_r = gt.geo_to_pixel(sx, sy)
         vals = sample_bilinear(reference, src_c, src_r)
-        vals = np.where(ok & np.isfinite(vals), vals, 0.0)
-        sensed[r0:r1, :] = vals
+        sensed[p0:p1] = np.where(ok & np.isfinite(vals), vals, 0.0)
+    sensed = sensed.reshape(n, n)
 
     sensed = _apply_radiometry(sensed, spec)
     if spec.speckle_var > 0:

@@ -21,7 +21,7 @@ from coreg.matcher import (MatchParams, correspondences_from_csv, match_all,
                            phase_correlate_3d)
 from coreg.metrics import checkpoint_rmse, misregistration
 from coreg.robustfit import RansacParams, ransac_filter
-from coreg.synthgen import SynthSpec, generate, translation_warp
+from coreg.synthgen import SynthSpec, cubic_truth, generate, translation_warp
 from coreg.raster import save_raster
 
 from conftest import record_criterion
@@ -217,28 +217,12 @@ def test_criterion_5_ransac_exact_outlier_recovery():
 # -- criteria 6 and 7 share one full-size scene ------------------------------
 
 
-def _cubic_truth(size):
-    """Order-3 model reproducing an analytic 20-30 px displacement field."""
-    def field(x, y):
-        u = 2.0 * x / (size - 1) - 1.0
-        v = 2.0 * y / (size - 1) - 1.0
-        return (x + 12 + 30 * u * v - 14 * v ** 2 + 10 * u ** 3,
-                y + 24 - 18 * u ** 2 + 22 * u * v + 10 * v ** 3)
-
-    rng = np.random.default_rng(42)
-    pts = rng.uniform(0, size - 1, (40, 2))
-    cps = [ControlPoint(float(x), float(y), *map(float, field(x, y)))
-           for x, y in pts]
-    truth = fit(ModelSpec("polynomial", 3), cps)
-    assert float(np.max(truth.cp_residuals)) < 1e-9
-    return truth
-
-
 @pytest.fixture(scope="module")
 def flat_scene(tmp_path_factory):
     root = tmp_path_factory.mktemp("flat_scene")
     size = 2048
-    truth = _cubic_truth(size)
+    truth = cubic_truth(size)
+    assert float(np.max(truth.cp_residuals)) < 1e-9
     ref, sen, _, _ = generate(SynthSpec(size=size, warp=truth,
                                         radiometry="gamma", gamma=0.8,
                                         speckle_var=0.005, seed=6))

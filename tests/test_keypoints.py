@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from coreg.keypoints import (
     CIRCLE,
     BlockGridParams,
+    _resolve_threshold,
     detect_block_fast,
     fast_score,
     fast_score_map,
@@ -206,3 +207,29 @@ def test_sentinel_nodata_is_ignored_like_nan(reference_600):
                                                              border=50)))
     assert len(found[0]) == 16
     assert found[1] == found[0]
+
+
+def _copy_threshold(data):
+    """The automatic threshold from a copy of the finite samples."""
+    finite = data[np.isfinite(data)]
+    if finite.size == 0:
+        return 0.0
+    return 0.02 * float(finite.max() - finite.min())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_threshold_is_the_range_of_the_finite_samples(dtype):
+    rng = np.random.default_rng(4)
+    img = rng.uniform(-3.0, 7.0, (40, 50)).astype(dtype)
+    img[rng.random(img.shape) < 0.2] = np.nan
+    img[0, 0], img[5, 9], img[17, 3] = np.inf, -np.inf, np.inf
+    assert _resolve_threshold(img, None) == _copy_threshold(img)
+    assert _resolve_threshold(img, None) > 0.0
+    for fill in (np.nan, np.inf, -np.inf):
+        blank = np.full((9, 9), fill, dtype=dtype)
+        assert _resolve_threshold(blank, None) == _copy_threshold(blank) == 0.0
+    blank[2, 2] = np.nan
+    assert _resolve_threshold(blank, None) == 0.0
+    assert _resolve_threshold(img, 0.25) == 0.25
+    levels = rng.integers(0, 65536, (9, 9)).astype(np.uint16)
+    assert _resolve_threshold(levels, None) == _copy_threshold(levels)

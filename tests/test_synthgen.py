@@ -1,11 +1,18 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from coreg.geomodels import FittedModel, ModelSpec
+from coreg.geomodels import (FittedModel, ModelSpec, Normalization,
+                             model_spec_from_name)
 from coreg.synthgen import (
     NonInvertibleWarpError,
     SynthSpec,
+    _value_noise,
     check_invertible,
+    cubic_truth,
     generate,
     identity_warp,
     invert_warp_grid,
@@ -107,6 +114,46 @@ def test_speckle_preserves_mean_brightness():
     assert not np.array_equal(noisy[1].data, clean[1].data)
 
 
+def _map_coordinates_noise(h, w, rng, spacings, weights):
+    """Value noise upsampled by map_coordinates over full-frame meshes."""
+    out = np.zeros((h, w), dtype=np.float64)
+    rows = np.arange(h, dtype=np.float64)
+    cols = np.arange(w, dtype=np.float64)
+    for spacing, weight in zip(spacings, weights):
+        lattice = rng.random((h // spacing + 2, w // spacing + 2))
+        rr, cc = np.meshgrid(rows / spacing, cols / spacing, indexing="ij")
+        out += weight * ndimage.map_coordinates(lattice, [rr, cc], order=1)
+    lo, hi = out.min(), out.max()
+    if hi > lo:
+        out = (out - lo) / (hi - lo)
+    return out
+
+
+@pytest.mark.parametrize("h, w, spacings", [
+    (77, 130, (2, 4, 8, 16)),
+    (700, 200, (2, 4, 8, 16, 32)),
+    (64, 64, (64, 128)),
+])
+def test_separable_noise_matches_map_coordinates(h, w, spacings):
+    weights = [1.0 / np.sqrt(s) for s in spacings]
+    got = _value_noise(h, w, np.random.default_rng(5), spacings, weights)
+    want = _map_coordinates_noise(h, w, np.random.default_rng(5), spacings,
+                                  weights)
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
+def test_generate_temporaries_stay_within_a_fixed_bound_per_pixel():
+    spec = SynthSpec(size=768, warp=cubic_truth(2048), radiometry="gamma",
+                     gamma=0.8, speckle_var=0.005, seed=2)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 768 ** 2 <= 64.0
+
+
 def test_blob_texture_generates():
     ref, sen, _, _ = generate(SynthSpec(size=64, texture="blobs", seed=2))
     assert ref.data.min() >= 0.0 and ref.data.max() <= 1.0
@@ -136,6 +183,100 @@ def test_invert_mild_quadratic_round_trip():
     assert ok.all()
     fx, fy = warp.apply(sx, sy)
     assert float(np.max(np.hypot(fx - tx, fy - ty))) < 1e-9
+
+
+class _CountingWarp:
+    """Forwards apply to a model and counts the calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def apply(self, *args):
+        self.calls += 1
+        return self.model.apply(*args)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_all_non_finite_input_stops_after_one_step(fill):
+    warp = _CountingWarp(cubic_truth(256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sx, sy, ok = invert_warp_grid(warp, np.full(3, fill), np.full(3, fill))
+    assert not ok.any()
+    # warp(t), then warp(r1) for the check
+    assert warp.calls == 2
+
+
+def _fixed_point_inverse(warp, tx, ty):
+    """Plain fixed-point inversion, r <- r + (t - warp(r))."""
+    rx, ry = tx.copy(), ty.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(80):
+            fx, fy = warp.apply(rx, ry)
+            new_rx, new_ry = rx + (tx - fx), ry + (ty - fy)
+            delta = np.maximum(np.abs(new_rx - rx), np.abs(new_ry - ry))
+            rx, ry = new_rx, new_ry
+            if float(np.nanmax(delta)) < 1e-12:
+                break
+        fx, fy = warp.apply(rx, ry)
+        err = np.hypot(fx - tx, fy - ty)
+    return rx, ry, np.isfinite(err) & (err < 1e-6)
+
+
+def _random_warp(rng, name, size):
+    """Identity plus a random field of the named family over a size frame,
+    with coefficients in [-1, 1]-normalized coordinates."""
+    spec = model_spec_from_name(name)
+    b = spec.basis_size
+    amp = rng.uniform(0.02, 0.3)
+    num_x = amp * rng.uniform(-1, 1, b) / np.sqrt(b)
+    num_y = amp * rng.uniform(-1, 1, b) / np.sqrt(b)
+    num_x[1] += 1.0
+    num_y[2] += 1.0
+    den_x = den_y = None
+    if spec.family == "projective":
+        den_x = np.concatenate([[1.0], 0.1 * amp * rng.uniform(-1, 1, b - 1)])
+        den_y = np.concatenate([[1.0], 0.1 * amp * rng.uniform(-1, 1, b - 1)])
+    half = (size - 1) / 2.0
+    norm = Normalization(half, half, half, half, 0.0, 1.0,
+                         half, half, half, half)
+    return FittedModel.from_coefficients(spec, num_x, num_y, den_x, den_y,
+                                         norm=norm)
+
+
+def test_chord_newton_agrees_with_the_fixed_point_oracle():
+    rng = np.random.default_rng(11)
+    size = 96
+    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
+    tested = converged = 0
+    while tested < 120:
+        warp = _random_warp(rng, ("poly2", "poly3", "proj10")[tested % 3],
+                            size)
+        try:
+            check_invertible(warp, 0.0, 0.0, size - 1.0, size - 1.0)
+        except NonInvertibleWarpError:
+            continue
+        tested += 1
+        ox, oy, oracle_ok = _fixed_point_inverse(warp, cc, rr)
+        if not oracle_ok.all():
+            continue
+        converged += 1
+        sx, sy, ok = invert_warp_grid(warp, cc, rr)
+        assert ok.all()
+        assert float(np.max(np.abs(sx - ox))) <= 1e-6
+        assert float(np.max(np.abs(sy - oy))) <= 1e-6
+    assert converged >= 100
+
+
+def test_criterion_6_chunk_inverts_in_nine_warp_evaluations():
+    # the bottom 256 rows of the 2048-pixel flat-scene field, where the
+    # displacement gradient is largest
+    warp = _CountingWarp(cubic_truth(2048))
+    rr, cc = np.mgrid[1792:2048, 0:2048].astype(np.float64)
+    sx, sy, ok = invert_warp_grid(warp, cc, rr)
+    assert ok.all()
+    assert warp.calls <= 9
 
 
 def test_folding_warp_rejected():
