@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+# image rows per build_cfog tile, bounding its temporaries on large images
+_TILE_ROWS = 128
+
 
 @dataclass(frozen=True)
 class CfogParams:
@@ -136,31 +139,55 @@ def smooth_3d(raw: np.ndarray, params: CfogParams) -> DescriptorVolume:
     convolution along the orientation axis.
 
     Orientation is periodic over 180 degrees, so channel 0 and channel m-1
-    are neighbors; the wrap mode encodes that adjacency. The result keeps
-    the float dtype of ``raw`` and is a view of channel-major memory.
+    are neighbors; the wrap mode encodes that adjacency. The second pass
+    writes into ``raw``'s buffer, so ``raw`` is overwritten. The result
+    keeps the float dtype of ``raw`` and is a view of channel-major memory.
     """
     kernel = _gaussian_kernel(params.sigma_spatial)
     # (m, h, w) planes: contiguous for orientation_channels' output, whose
     # lines ndimage then walks in memory order
     planes = raw.transpose(2, 0, 1)
-    tmp = np.empty(planes.shape, planes.dtype)
     out = np.empty(planes.shape, planes.dtype)
-    ndimage.convolve1d(planes, kernel, axis=1, mode="nearest", output=tmp)
-    ndimage.convolve1d(tmp, kernel, axis=2, mode="nearest", output=out)
-    ndimage.convolve1d(out, np.asarray(params.z_kernel, dtype=np.float64),
-                       axis=0, mode="wrap", output=tmp)
-    return DescriptorVolume(values=tmp.transpose(1, 2, 0))
+    ndimage.convolve1d(planes, kernel, axis=1, mode="nearest", output=out)
+    ndimage.convolve1d(out, kernel, axis=2, mode="nearest", output=planes)
+    ndimage.convolve1d(planes, np.asarray(params.z_kernel, dtype=np.float64),
+                       axis=0, mode="wrap", output=out)
+    return DescriptorVolume(values=out.transpose(1, 2, 0))
+
+
+def _normalize(planes: np.ndarray):
+    """Divide (m, h, w) planes in place by their per-pixel L2 norm, which is
+    accumulated one plane at a time; zero vectors stay zero."""
+    norms = planes[0] * planes[0]
+    for plane in planes[1:]:
+        norms += plane * plane
+    np.sqrt(norms, out=norms)
+    np.divide(planes, norms, out=planes, where=norms > 0)
 
 
 def build_cfog(image, params: CfogParams | None = None,
                normalize: bool = True) -> DescriptorVolume:
     """Full descriptor pipeline: gradients, orientation channels, smoothing,
-    optional per-pixel L2 normalization (zero vectors stay zero)."""
+    optional per-pixel L2 normalization (zero vectors stay zero).
+
+    Rows are described in tiles of ``_TILE_ROWS``, each from a crop grown by
+    the descriptor's reach, so the temporaries stay tile-sized and every
+    tile equals the whole-image descriptor bitwise. The result is a view of
+    channel-major memory.
+    """
     if params is None:
         params = CfogParams()
-    gx, gy = gradient_xy(image)
-    vol = smooth_3d(orientation_channels(gx, gy, params.m), params)
-    if normalize:
-        norms = np.sqrt(np.sum(vol.values * vol.values, axis=2, keepdims=True))
-        np.divide(vol.values, norms, out=vol.values, where=norms > 0)
-    return vol
+    data = _as_float(getattr(image, "data", image))
+    h, w = data.shape
+    reach = params.reach
+    planes = np.empty((params.m, h, w), dtype=data.dtype)
+    for r0 in range(0, h, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, h)
+        top = max(r0 - reach, 0)
+        gx, gy = gradient_xy(data[top:min(r1 + reach, h)])
+        tile = smooth_3d(orientation_channels(gx, gy, params.m), params)
+        out = planes[:, r0:r1]
+        out[...] = tile.values.transpose(2, 0, 1)[:, r0 - top:r1 - top]
+        if normalize:
+            _normalize(out)
+    return DescriptorVolume(values=planes.transpose(1, 2, 0))

@@ -32,7 +32,7 @@ CIRCLE = (
 
 ARC_LENGTH = 9
 # image rows per fast_score_map strip, bounding its temporaries on large scenes
-_STRIP_ROWS = 512
+_STRIP_ROWS = 64
 
 
 def _arc_members_table() -> np.ndarray:
@@ -202,8 +202,15 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
             if rs.size == 0:
                 continue
             vals = sub[rs, cs]
+            k = params.k_per_block
+            if vals.size > k:
+                # only scores at or above the K-th largest can rank in the
+                # top K, ties included
+                kth = np.partition(vals, vals.size - k)[vals.size - k]
+                keep = np.flatnonzero(vals >= kth)
+                rs, cs, vals = rs[keep], cs[keep], vals[keep]
             order = np.lexsort((cs, rs, -vals))
-            for idx in order[:params.k_per_block]:
+            for idx in order[:k]:
                 points.append(InterestPoint(col=int(c0 + cs[idx]),
                                             row=int(r0 + rs[idx]),
                                             score=float(vals[idx])))

@@ -4,13 +4,15 @@ volumes.
 For each reference interest point, the initial georeferencing predicts a
 search window in the sensed image. Points whose windows do not fit, touch a
 non-finite or nodata sample, or hold flat content are skipped first. The
-rest are sorted by search-window row and grouped into bands of at most
-``_BAND_ROWS`` sensed rows. Each band describes each image once, in float32:
-one descriptor region over the bounding box of the band's windows, grown by
-the descriptor's reach, with nodata and non-finite samples set to 0. Every
-template and search volume is a view into its region, so a window's
-descriptor equals the whole-image descriptor restricted to that window
-whatever the band layout.
+rest are sorted by search-window row. The sensed image is described through
+one rolling float32 strip, ``search_size + _STRIP_TILE`` rows tall over the
+search windows' column extent: when a window runs past the strip, the rows
+still needed move to its top and the next rows are described in tiles of
+``_STRIP_TILE``, so every sensed row is described once and every search
+volume is a view into the strip. Each template is described on its own.
+Every block is described from a crop grown by the descriptor's reach, with
+nodata and non-finite samples set to 0, so a window's descriptor equals the
+whole-image descriptor restricted to that window whatever the tiling.
 
 Each pair is correlated in one pass: the template volume is zero-padded
 into the search frame, both are 3D-FFT'd, and the normalized cross-power
@@ -37,9 +39,9 @@ from .raster import CrsMismatchError, RasterGrid, Window, read_window
 # spectral bins weaker than this fraction of the strongest are zeroed
 # instead of phase-normalized
 SPECTRUM_GUARD = 1e-12
-# the search windows of one band span at most this many sensed rows; it
-# bounds the size of a band's descriptor regions
-_BAND_ROWS = 512
+# sensed rows described per tile of the rolling strip, which holds one
+# search window plus one tile
+_STRIP_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,17 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     h, w, m = s.shape
     S = _fft.rfftn(s, axes=(2, 0, 1))
     T = _fft.rfftn(t, s=(m, h, w), axes=(2, 0, 1))
-    cross = S * np.conj(T)
+    # the normalized cross-power spectrum, formed in S's buffer; complex
+    # products use fused multiply-adds, so operand order fixes the last bits
+    cross = np.multiply(np.conjugate(T, out=T), S, out=S)
     mag = np.abs(cross)
     guard = SPECTRUM_GUARD * mag.max()
     if not (np.isfinite(guard) and guard > 0.0):
         return None
-    ratio = np.zeros_like(cross)
-    np.divide(cross, mag, out=ratio, where=mag >= guard)
-    corr = _fft.irfftn(ratio.sum(axis=2), s=(h, w)) / m
+    strong = mag >= guard
+    np.divide(cross, mag, out=cross, where=strong)
+    cross[~strong] = 0.0
+    corr = _fft.irfftn(cross.sum(axis=2), s=(h, w)) / m
 
     ri, ci = np.unravel_index(int(np.argmax(corr)), corr.shape)
     peak = float(corr[ri, ci])
@@ -197,42 +202,55 @@ def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
     return t_win, s_win
 
 
-def _bands(windows: dict) -> list:
-    """Group point indices by search-window row: each band's search windows
-    span at most ``_BAND_ROWS`` rows (a lone window may exceed it)."""
-    bands = []
-    for k in sorted(windows, key=lambda k: windows[k][1].row0):
-        s_win = windows[k][1]
-        if bands and (s_win.row0 + s_win.h
-                      - windows[bands[-1][0]][1].row0) <= _BAND_ROWS:
-            bands[-1].append(k)
-        else:
-            bands.append([k])
-    return bands
-
-
-def _describe(grid: RasterGrid, wins: list, params: MatchParams):
-    """One float32 descriptor region covering ``wins`` grown by the
-    descriptor's reach and clipped to the grid; returns a function that
-    gives the view of one window."""
+def _describe(grid: RasterGrid, win: Window,
+              params: MatchParams) -> DescriptorVolume:
+    """Descriptor volume of one window: built on the window grown by the
+    descriptor's reach and clipped to the grid, with nodata and non-finite
+    samples set to 0, so it equals the whole-image descriptor of the
+    zero-filled grid there."""
     reach = params.cfog.reach
-    r0 = max(min(w.row0 for w in wins) - reach, 0)
-    c0 = max(min(w.col0 for w in wins) - reach, 0)
-    r1 = min(max(w.row0 + w.h for w in wins) + reach, grid.height)
-    c1 = min(max(w.col0 + w.w for w in wins) + reach, grid.width)
-    data = grid.data[r0:r1, c0:c1].copy()
+    r0, c0 = max(win.row0 - reach, 0), max(win.col0 - reach, 0)
+    data = grid.data[r0:min(win.row0 + win.h + reach, grid.height),
+                     c0:min(win.col0 + win.w + reach, grid.width)].copy()
     data[~np.isfinite(data) | grid.is_nodata(data)] = 0.0
     if params.descriptor == "raw":
-        region = data[:, :, None]
+        vol = data[:, :, None]
     else:
-        region = build_cfog(data, params.cfog,
-                            normalize=params.normalize).values
+        vol = build_cfog(data, params.cfog, normalize=params.normalize).values
+    return DescriptorVolume(values=vol[win.row0 - r0:win.row0 - r0 + win.h,
+                                       win.col0 - c0:win.col0 - c0 + win.w])
 
-    def view(win: Window) -> DescriptorVolume:
-        rows = slice(win.row0 - r0, win.row0 - r0 + win.h)
-        cols = slice(win.col0 - c0, win.col0 - c0 + win.w)
-        return DescriptorVolume(values=region[rows, cols])
-    return view
+
+def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
+    """Yield the descriptor volume of each search window in ``wins`` (sorted
+    by top row), as a view into one rolling strip of ``search_size +
+    _STRIP_TILE`` sensed rows (fewer if the windows span fewer) over the
+    windows' column extent; a view is valid until the next one is drawn.
+
+    When a window runs past the strip, the rows it still needs move to the
+    top and the rest of the strip is described in tiles of at most
+    ``_STRIP_TILE`` rows, so every sensed row is described once."""
+    c0 = min(win.col0 for win in wins)
+    c1 = max(win.col0 + win.w for win in wins)
+    end = max(win.row0 + win.h for win in wins)
+    m = 1 if params.descriptor == "raw" else params.cfog.m
+    rows = min(params.search_size + _STRIP_TILE, end - wins[0].row0)
+    strip = np.empty((rows, c1 - c0, m), dtype=np.float32)
+    top = bottom = 0  # strip[:bottom - top] holds sensed rows top:bottom
+    for win in wins:
+        if win.row0 + win.h > bottom:
+            keep = max(bottom - win.row0, 0)
+            strip[:keep] = strip[bottom - top - keep:bottom - top]
+            top, bottom = win.row0, win.row0 + keep
+            stop = min(top + len(strip), end)
+            while bottom < stop:
+                n = min(_STRIP_TILE, stop - bottom)
+                strip[bottom - top:bottom - top + n] = _describe(
+                    grid, Window(c0, bottom, c1 - c0, n), params).values
+                bottom += n
+        yield DescriptorVolume(values=strip[
+            win.row0 - top:win.row0 - top + win.h,
+            win.col0 - c0:win.col0 - c0 + win.w])
 
 
 def _locate(ref_point: InterestPoint, s_win: Window, result,
@@ -270,15 +288,16 @@ def match_all(points: list, ref_grid: RasterGrid, sensed_grid: RasterGrid,
     """Match every interest point, preserving input order; skipped points are
     omitted from the list and tallied by reason in the stats."""
     outcomes = [_screen(pt, ref_grid, sensed_grid, params) for pt in points]
-    windows = {k: wins for k, wins in enumerate(outcomes)
-               if not isinstance(wins, str)}
-    for band in _bands(windows):
-        t_view = _describe(ref_grid, [windows[k][0] for k in band], params)
-        s_view = _describe(sensed_grid, [windows[k][1] for k in band], params)
-        for k in band:
-            t_win, s_win = windows[k]
-            result = phase_correlate_3d(t_view(t_win), s_view(s_win),
-                                        subpixel=params.subpixel)
+    order = sorted((k for k, wins in enumerate(outcomes)
+                    if not isinstance(wins, str)),
+                   key=lambda k: outcomes[k][1].row0)
+    if order:
+        s_vols = _strip_volumes(sensed_grid, [outcomes[k][1] for k in order],
+                                params)
+        for k, s_vol in zip(order, s_vols):
+            t_win, s_win = outcomes[k]
+            result = phase_correlate_3d(_describe(ref_grid, t_win, params),
+                                        s_vol, subpixel=params.subpixel)
             outcomes[k] = _locate(points[k], s_win, result, ref_grid,
                                   sensed_grid, params)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coreg import keypoints
 from coreg.keypoints import (
     CIRCLE,
     BlockGridParams,
@@ -76,6 +77,58 @@ def test_single_block_top_k_matches_exhaustive_sort():
     order = np.lexsort((cs, rs, -scores[rs, cs]))
     expected = [(cs[i], rs[i], scores[rs[i], cs[i]]) for i in order[:5]]
     assert [(p.col, p.row, p.score) for p in pts] == expected
+
+
+def _lexsort_selection(scores, n, k):
+    """Top K per block by sorting every positive score of the block."""
+    h, w = scores.shape
+    bh, bw = h // n, w // n
+    found = []
+    for by in range(n):
+        r0, r1 = by * bh, h if by == n - 1 else (by + 1) * bh
+        for bx in range(n):
+            c0, c1 = bx * bw, w if bx == n - 1 else (bx + 1) * bw
+            sub = scores[r0:r1, c0:c1]
+            rs, cs = np.nonzero(sub > 0)
+            order = np.lexsort((cs, rs, -sub[rs, cs]))
+            found += [(c0 + cs[i], r0 + rs[i], sub[rs[i], cs[i]])
+                      for i in order[:k]]
+    return found
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_partitioned_top_k_equals_the_full_lexsort(monkeypatch, k):
+    rng = np.random.default_rng(15)
+    scores = np.zeros((60, 60))
+    # few distinct levels: ties at, above and below the K-th score
+    scores[rng.random(scores.shape) < 0.5] = 1.0
+    scores += rng.integers(0, 4, scores.shape) * (scores > 0)
+    scores[20:40, 20:40] = 2.0               # a block tied throughout
+    scores[33:35, 40:43] = 9.0               # more maxima than K
+    scores[40:60, 0:20] = 0.0                # a block with one candidate
+    scores[50, 5] = 0.5
+    monkeypatch.setattr(keypoints, "fast_score_map",
+                        lambda data, threshold: scores.copy())
+    params = BlockGridParams(n_blocks=3, k_per_block=k, border=3)
+    pts = detect_block_fast(np.zeros(scores.shape), params)
+    bordered = scores.copy()
+    bordered[:3], bordered[-3:] = 0.0, 0.0
+    bordered[:, :3], bordered[:, -3:] = 0.0, 0.0
+    expected = _lexsort_selection(bordered, 3, k)
+    assert [(p.col, p.row, p.score) for p in pts] == expected
+    assert len(expected) == 8 * k + 1
+
+
+@pytest.mark.parametrize("strip_rows", [1, 7, 41])
+def test_score_map_is_the_same_for_every_strip_height(monkeypatch,
+                                                       strip_rows):
+    img = texture(40, seed=16)
+    img[np.random.default_rng(16).random(img.shape) < 0.05] = np.nan
+    expected = fast_score_map(img, 0.05)
+    monkeypatch.setattr(keypoints, "_STRIP_ROWS", strip_rows)
+    got = fast_score_map(img, 0.05)
+    assert np.array_equal(got, expected)
+    assert (expected > 0).sum() > 50
 
 
 @settings(max_examples=25, deadline=None)

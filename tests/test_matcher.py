@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,9 +246,10 @@ def test_hole_next_to_a_search_window_does_not_move_its_match(
     assert c.peak > 0
 
 
-@pytest.mark.parametrize("band_rows", [1, 10 ** 6])
+# one row per strip tile, and one tile taller than the images
+@pytest.mark.parametrize("tile_rows", [1, 10 ** 6])
 def test_window_volumes_equal_the_whole_image_descriptor(
-        shifted_pair_600, monkeypatch, band_rows):
+        shifted_pair_600, monkeypatch, tile_rows):
     ref, sen = shifted_pair_600
     gapped = _with_hole(sen, np.nan)
     # plus a search window 2 px from the hole, inside the descriptor's reach
@@ -256,10 +259,11 @@ def test_window_volumes_equal_the_whole_image_descriptor(
     phase_correlate = matcher.phase_correlate_3d
 
     def recording(t_vol, s_vol, subpixel=False):
-        calls.append((t_vol.values, s_vol.values))
+        # search volumes are views into a strip that later tiles overwrite
+        calls.append((t_vol.values.copy(), s_vol.values.copy()))
         return phase_correlate(t_vol, s_vol, subpixel)
 
-    monkeypatch.setattr(matcher, "_BAND_ROWS", band_rows)
+    monkeypatch.setattr(matcher, "_STRIP_TILE", tile_rows)
     monkeypatch.setattr(matcher, "phase_correlate_3d", recording)
     params = MatchParams()
     _, stats = match_all(pts, ref, gapped, params)
@@ -287,6 +291,26 @@ def test_window_volumes_equal_the_whole_image_descriptor(
         assert len(hits) == 1
         found += hits
     assert len(set(found)) == len(calls)
+
+
+def test_match_all_memory_is_bounded_by_the_sensed_strip():
+    ref, sen = _pair_with_shift(3, -2, size=1024, seed=37)
+    params = MatchParams()
+    grid = np.linspace(100, 924, 8).astype(int)
+    pts = [InterestPoint(col=int(c), row=int(r), score=1.0)
+           for r in grid for c in grid]
+    strip_bytes = ((params.search_size + matcher._STRIP_TILE) * sen.width
+                   * params.cfog.m * 4)
+    tracemalloc.start()
+    try:
+        corrs, stats = match_all(pts, ref, sen, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.matched == len(pts) == 64
+    assert all((c.sensed_col - c.ref_col, c.sensed_row - c.ref_row) == (3, -2)
+               for c in corrs)
+    assert peak <= 3 * strip_bytes, f"{peak / strip_bytes:.2f} strips"
 
 
 def test_correspondence_csv_round_trip():
