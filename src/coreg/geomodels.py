@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import RasterGrid, sample_bilinear
+from .raster import RasterGrid, sample_bilinear, sampled_nodata
 
 
 class InsufficientControlPointsError(ValueError):
@@ -650,13 +650,14 @@ def attach_dem_heights(cps: list, dem: RasterGrid) -> list:
     Raises ValueError naming the first point that falls outside the DEM or
     on nodata.
     """
-    out = []
-    for i, cp in enumerate(cps):
-        c, r = dem.geotransform.geo_to_pixel(cp.ref_x, cp.ref_y)
-        z = sample_bilinear(dem, c, r)
-        if not math.isfinite(z) or bool(dem.is_nodata(z)):
-            raise ValueError(
-                f"control point {i} at ({cp.ref_x}, {cp.ref_y}) is outside "
-                f"the DEM or hits nodata")
-        out.append(replace(cp, ref_z=float(z)))
-    return out
+    c, r = dem.geotransform.geo_to_pixel([cp.ref_x for cp in cps],
+                                         [cp.ref_y for cp in cps])
+    z = sample_bilinear(dem, c, r)
+    bad = np.flatnonzero(sampled_nodata(dem, z))
+    if bad.size:
+        i = int(bad[0])
+        cp = cps[i]
+        raise ValueError(
+            f"control point {i} at ({cp.ref_x}, {cp.ref_y}) is outside "
+            f"the DEM or hits nodata")
+    return [replace(cp, ref_z=float(h)) for cp, h in zip(cps, z)]

@@ -115,6 +115,15 @@ def _parabola_offset(c_minus: float, c_0: float, c_plus: float) -> float:
     return float(np.clip(off, -0.5, 0.5))
 
 
+def _padded_spectrum(t: np.ndarray, h: int, w: int) -> np.ndarray:
+    """``rfftn(t, s=(m, h, w), axes=(2, 0, 1))`` of a (rows, cols, m)
+    volume zero-padded to h x w, without transforming the padding rows: the
+    rows are transformed along columns, then channels, and only then padded
+    to h, in rfftn's own axis order, so the spectrum is bitwise the same."""
+    return _fft.fft(_fft.fft(_fft.rfft(t, n=w, axis=1), axis=2,
+                             overwrite_x=True), n=h, axis=0)
+
+
 def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
                        subpixel: bool = False):
     """Translation between two descriptor volumes via the normalized
@@ -144,7 +153,7 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
 
     h, w, m = s.shape
     S = _fft.rfftn(s, axes=(2, 0, 1))
-    T = _fft.rfftn(t, s=(m, h, w), axes=(2, 0, 1))
+    T = _padded_spectrum(t, h, w)
     # the normalized cross-power spectrum, formed in S's buffer; complex
     # products use fused multiply-adds, so operand order fixes the last bits
     cross = np.multiply(np.conjugate(T, out=T), S, out=S)

@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 
-# output pixels per warp chunk: the chunk's ~25 temporaries stay in cache, and
-# the allocator reuses their memory rather than returning it to the operating
-# system and page-faulting it back in for every chunk, as it does for
-# megabyte-sized chunks
+# output pixels per warp chunk: the chunk's float64 coordinates, model
+# outputs and sampler buffers (2.6 MB at their peak for a poly3 model, 3.7 MB
+# for rfm3) stay in cache, and the allocator reuses their memory rather than
+# returning it to the operating system and page-faulting it back in for every
+# chunk, as it does for megabyte-sized chunks
 _WARP_CHUNK_PIXELS = 16384
 # sample positions this far (in pixels) outside the grid are clipped onto its
 # edge: a model that maps a pixel exactly onto the edge may land one rounding
@@ -355,46 +356,80 @@ def load_raster(path) -> RasterGrid:
 def sample_bilinear(grid: RasterGrid, col, row):
     """Bilinear interpolation at fractional pixel coordinates.
 
-    Accepts scalars or arrays. Positions whose 2x2 neighborhood leaves the
-    grid, or touches a nodata sample, evaluate to the grid's nodata sentinel
-    (NaN when the grid declares none). Positions within _EDGE_TOL of the
-    grid are clipped onto its edge.
-    """
-    cols = np.asarray(col, dtype=np.float64)
-    rows = np.asarray(row, dtype=np.float64)
-    scalar = cols.ndim == 0 and rows.ndim == 0
-    cols, rows = np.broadcast_arrays(cols, rows)
-    fill = float(grid.nodata) if grid.nodata is not None else np.nan
-    out = np.full(cols.shape, fill, dtype=np.float64)
+    Accepts scalars or arrays (broadcast against each other); returns a float
+    for scalars, else a float64 array. Positions whose 2x2 neighborhood
+    leaves the grid, or touches a nodata sample, evaluate to the grid's
+    nodata sentinel as a float64 (NaN when the grid declares none); see
+    :func:`sampled_nodata`. Positions within _EDGE_TOL of the grid are
+    clipped onto its edge.
 
+    Every position is gathered, none compacted: positions outside the grid
+    (NaN and infinite ones too) read pixel 0, and the fill is written over
+    them at the end.
+    """
+    cols, rows = np.broadcast_arrays(np.asarray(col, dtype=np.float64),
+                                     np.asarray(row, dtype=np.float64))
+    shape = cols.shape
     h, w = grid.data.shape
-    inb = ((cols >= -_EDGE_TOL) & (cols <= w - 1 + _EDGE_TOL)
-           & (rows >= -_EDGE_TOL) & (rows <= h - 1 + _EDGE_TOL)
-           & np.isfinite(cols) & np.isfinite(rows))
-    if np.any(inb):
-        c = np.clip(cols[inb], 0, w - 1)
-        r = np.clip(rows[inb], 0, h - 1)
-        c0 = np.minimum(np.floor(c).astype(np.intp), max(w - 2, 0))
-        r0 = np.minimum(np.floor(r).astype(np.intp), max(h - 2, 0))
-        c1 = np.minimum(c0 + 1, w - 1)
-        r1 = np.minimum(r0 + 1, h - 1)
-        fc = c - c0
-        fr = r - r0
-        data = grid.data
-        v00 = data[r0, c0].astype(np.float64)
-        v01 = data[r0, c1].astype(np.float64)
-        v10 = data[r1, c0].astype(np.float64)
-        v11 = data[r1, c1].astype(np.float64)
-        vals = ((1 - fr) * ((1 - fc) * v00 + fc * v01)
-                + fr * ((1 - fc) * v10 + fc * v11))
-        if grid.nodata is not None:
-            bad = (grid.is_nodata(v00) | grid.is_nodata(v01)
-                   | grid.is_nodata(v10) | grid.is_nodata(v11))
-            vals[bad] = fill
-        out[inb] = vals
-    if scalar:
-        return float(out)
-    return out
+    # comparisons with NaN are false, so non-finite positions are outside
+    outside = np.ravel(~((cols >= -_EDGE_TOL) & (cols <= w - 1 + _EDGE_TOL)
+                         & (rows >= -_EDGE_TOL) & (rows <= h - 1 + _EDGE_TOL)))
+    fc = np.ravel(np.clip(cols, 0, w - 1))
+    fr = np.ravel(np.clip(rows, 0, h - 1))
+    np.copyto(fc, 0.0, where=outside)
+    np.copyto(fr, 0.0, where=outside)
+    # the top-left neighbour and the fractions; whole numbers below 2**53
+    # are exact in float64, so the flat index is formed there
+    c0 = np.floor(fc)
+    r0 = np.floor(fr)
+    np.minimum(c0, max(w - 2, 0), out=c0)
+    np.minimum(r0, max(h - 2, 0), out=r0)
+    fc -= c0
+    fr -= r0
+    r0 *= w
+    r0 += c0
+    idx = r0.astype(np.intp)
+    # a 1-pixel-wide or -tall grid has no second column or row
+    dc = 1 if w > 1 else 0
+    dr = w if h > 1 else 0
+    flat = grid.data.ravel()
+    v00 = flat.take(idx)
+    idx += dc
+    v01 = flat.take(idx)
+    idx += dr
+    v11 = flat.take(idx)
+    idx -= dc
+    v10 = flat.take(idx)
+    del idx
+
+    # (1-fr)*((1-fc)*v00 + fc*v01) + fr*((1-fc)*v10 + fc*v11), operand for
+    # operand, in the buffers of c0 (the output), r0, fc and fr
+    gc = np.subtract(1, fc, out=r0)
+    top = np.add(np.multiply(gc, v00, out=c0), fc * v01, out=c0)
+    bot = np.add(np.multiply(gc, v10, out=gc),
+                 np.multiply(fc, v11, out=fc), out=gc)
+    out = np.add(np.multiply(1 - fr, top, out=top),
+                 np.multiply(fr, bot, out=fr), out=top)
+
+    if grid.nodata is not None:
+        for v in (v00, v01, v10, v11):
+            outside |= grid.is_nodata(v)
+    np.copyto(out, _fill(grid), where=outside)
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
+
+
+def _fill(grid: RasterGrid) -> float:
+    return float(grid.nodata) if grid.nodata is not None else np.nan
+
+
+def sampled_nodata(grid: RasterGrid, values) -> np.ndarray:
+    """Mask of values sampled from ``grid`` that carry no sample: the
+    sampler's fill (the sentinel as a float64, which a float32 comparison
+    would miss for a sentinel such as 0.1) or any non-finite value."""
+    values = np.asarray(values)
+    return ~np.isfinite(values) | (values == _fill(grid))
 
 
 def crop_to_overlap(sensed: RasterGrid, reference: RasterGrid,
@@ -444,7 +479,9 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     output pixel is evaluated at its own map position (with a DEM height for
     rational function models) and the sensed grid is sampled bilinearly.
     Pixels that fall outside the sensed extent, hit nodata, or fail model
-    evaluation become nodata in the output.
+    evaluation become nodata in the output. Each chunk of output rows is
+    sampled straight into the float32 output; a failed model evaluation is
+    marked by a NaN sensed column, which the sampler fills.
 
     Returns (grid, eval_failures): the count of pixels whose inputs (map
     position and, for rfm, a DEM height) are finite but whose model output
@@ -455,8 +492,7 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     if needs_dem and dem is None:
         raise ValueError("rfm warp requires a DEM")
 
-    fill = float(sensed.nodata) if sensed.nodata is not None else np.nan
-    out = np.full((height, width), fill, dtype=np.float64)
+    out = np.empty((height, width), dtype=np.float32)
     cols = np.arange(width, dtype=np.float64)
     chunk_rows = max(1, _WARP_CHUNK_PIXELS // width)
     eval_failures = 0
@@ -469,8 +505,7 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
         if needs_dem:
             dc, dr = dem.geotransform.geo_to_pixel(gx, gy)
             gz = sample_bilinear(dem, dc, dr)
-            if dem.nodata is not None and not math.isnan(dem.nodata):
-                gz[gz == dem.nodata] = np.nan
+            gz[sampled_nodata(dem, gz)] = np.nan
             inputs.append(gz)
         px, py = model.apply(*inputs)
         ok = np.isfinite(px) & np.isfinite(py)
@@ -478,11 +513,9 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
             finite_in = np.logical_and.reduce([np.isfinite(a) for a in inputs])
             eval_failures += int(np.count_nonzero(finite_in & ~ok))
         sc, sr = sensed.geotransform.geo_to_pixel(px, py)
-        sc = np.where(ok, sc, np.nan)
-        sr = np.where(ok, sr, np.nan)
-        out[r0:r1, :] = sample_bilinear(sensed, sc, sr)
+        sc[~ok] = np.nan
+        out[r0:r1] = sample_bilinear(sensed, sc, sr)
 
-    nodata = sensed.nodata if sensed.nodata is not None else float("nan")
-    grid = RasterGrid(data=out.astype(np.float32), geotransform=target_gt,
-                      crs_tag=sensed.crs_tag, nodata=nodata)
+    grid = RasterGrid(data=out, geotransform=target_gt,
+                      crs_tag=sensed.crs_tag, nodata=_fill(sensed))
     return grid, eval_failures

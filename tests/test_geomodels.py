@@ -17,7 +17,7 @@ from coreg.geomodels import (
     poly_basis,
     poly_basis_3d,
 )
-from coreg.raster import GeoTransform, RasterGrid
+from coreg.raster import GeoTransform, RasterGrid, warp
 from coreg.synthgen import identity_warp, translation_warp
 
 from conftest import as_grid
@@ -339,6 +339,35 @@ def test_ramp_dem_heights_exact():
     out = attach_dem_heights(cps, dem)
     assert np.isclose(out[0].ref_z, 0.1225)
     assert np.isclose(out[1].ref_z, 0.03)
+
+
+def test_dem_fill_and_holes_give_no_height():
+    # 0.1 has no exact float32 value: the sampler's fill is float(0.1), a
+    # hole's samples are float32(0.1), and neither may pass for a height
+    data = np.full((10, 10), 50.0, dtype=np.float32)
+    data[4:6, 4:6] = 0.1
+    dem = as_grid(data, nodata=0.1)
+    inside = ControlPoint(1.5, 1.5, 0.0, 0.0)
+    assert attach_dem_heights([inside], dem)[0].ref_z == 50.0
+    for bad in (ControlPoint(50.0, 50.0, 0.0, 0.0),
+                ControlPoint(4.5, 4.5, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="control point 1 at"):
+            attach_dem_heights([inside, bad, bad], dem)
+
+    # u = X + Z / 1000, v = Y: pixels whose DEM neighbourhood touches the
+    # hole have no height, so they are nodata, and no model failure
+    spec = ModelSpec("rfm", 1, "distinct")
+    model = FittedModel.from_coefficients(spec, [0.0, 1.0, 0.0, 1e-3],
+                                          [0.0, 0.0, 1.0, 0.0])
+    sensed = as_grid(np.arange(100, dtype=np.float32).reshape(10, 10),
+                     nodata=-5.0)
+    out, failures = warp(sensed, model, sensed.geotransform, 10, 10, dem)
+    assert failures == 0
+    hole = np.zeros((10, 10), dtype=bool)
+    hole[3:6, 3:6] = True
+    hole[:, 9] = True   # column 9 maps past the sensed extent
+    assert np.all(out.data[hole] == -5.0)
+    assert np.all(out.data[~hole] != -5.0)
 
 
 def test_cp_outside_dem_names_the_index():

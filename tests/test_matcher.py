@@ -97,6 +97,27 @@ def test_true_peak_dominates_spurious_peak():
     assert p_true > 1.5 * p_false
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t_shape, frame", [
+    ((50, 50, 9), (100, 100)), ((100, 100, 9), (200, 200)),
+    ((7, 5, 3), (15, 17)), ((1, 1, 1), (4, 5)), ((33, 20, 8), (40, 41)),
+    ((16, 16, 5), (16, 16)), ((12, 3, 4), (13, 30)),
+])
+def test_template_spectrum_is_the_padded_rfftn(t_shape, frame, dtype):
+    from scipy import fft
+
+    rng = np.random.default_rng(list(t_shape + frame))
+    t = rng.random(t_shape).astype(dtype)
+    h, w = frame
+    want = fft.rfftn(t, s=(t_shape[2], h, w), axes=(2, 0, 1))
+    # templates are channel-last views of channel-major planes
+    planes = np.ascontiguousarray(t.transpose(2, 0, 1))
+    for template in (t, planes.transpose(1, 2, 0)):
+        got = matcher._padded_spectrum(template, h, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 # -- search-window prediction ----------------------------------------------
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreg.geomodels import ControlPoint, FittedModel, ModelSpec, fit
+from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
+                             attach_dem_heights, fit)
 from coreg.raster import (
+    _EDGE_TOL,
     EmptyOverlapError,
     GeoTransform,
     RasterGrid,
@@ -168,6 +172,116 @@ def test_sample_one_rounding_error_outside_is_the_edge_value():
     assert np.isnan(sample_bilinear(grid, 2.0, -1e-3))
 
 
+def _compaction_sample_bilinear(grid, col, row):
+    """The sampler as it was before it gathered every position: it compacts
+    the in-grid positions, interpolates them and scatters them back into a
+    float64 frame of fill values. Kept as the reference."""
+    cols = np.asarray(col, dtype=np.float64)
+    rows = np.asarray(row, dtype=np.float64)
+    scalar = cols.ndim == 0 and rows.ndim == 0
+    cols, rows = np.broadcast_arrays(cols, rows)
+    fill = float(grid.nodata) if grid.nodata is not None else np.nan
+    out = np.full(cols.shape, fill, dtype=np.float64)
+
+    h, w = grid.data.shape
+    inb = ((cols >= -_EDGE_TOL) & (cols <= w - 1 + _EDGE_TOL)
+           & (rows >= -_EDGE_TOL) & (rows <= h - 1 + _EDGE_TOL)
+           & np.isfinite(cols) & np.isfinite(rows))
+    if np.any(inb):
+        c = np.clip(cols[inb], 0, w - 1)
+        r = np.clip(rows[inb], 0, h - 1)
+        c0 = np.minimum(np.floor(c).astype(np.intp), max(w - 2, 0))
+        r0 = np.minimum(np.floor(r).astype(np.intp), max(h - 2, 0))
+        c1 = np.minimum(c0 + 1, w - 1)
+        r1 = np.minimum(r0 + 1, h - 1)
+        fc = c - c0
+        fr = r - r0
+        data = grid.data
+        v00 = data[r0, c0].astype(np.float64)
+        v01 = data[r0, c1].astype(np.float64)
+        v10 = data[r1, c0].astype(np.float64)
+        v11 = data[r1, c1].astype(np.float64)
+        vals = ((1 - fr) * ((1 - fc) * v00 + fc * v01)
+                + fr * ((1 - fc) * v10 + fc * v11))
+        if grid.nodata is not None:
+            bad = (grid.is_nodata(v00) | grid.is_nodata(v01)
+                   | grid.is_nodata(v10) | grid.is_nodata(v11))
+            vals[bad] = fill
+        out[inb] = vals
+    if scalar:
+        return float(out)
+    return out
+
+
+def _positions(rng, extent, n):
+    """Positions across and beyond [0, extent - 1]: uniform ones, whole
+    pixels, the edges nudged inside and beyond _EDGE_TOL, NaN and +-inf."""
+    hi = extent - 1.0
+    special = [0.0, hi, -0.5 * _EDGE_TOL, hi + 0.5 * _EDGE_TOL,
+               -2.0 * _EDGE_TOL, hi + 2.0 * _EDGE_TOL, -1e-16, hi + 1e-13,
+               np.nan, np.inf, -np.inf]
+    pos = rng.uniform(-1.5, extent + 0.5, n)
+    pos[::3] = np.floor(pos[::3])
+    pos[rng.integers(0, n, 2 * len(special))] = np.repeat(special, 2)
+    return pos
+
+
+def _assert_bitwise(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (1, 9), (9, 1), (1, 1), (2, 2)])
+@pytest.mark.parametrize("nodata", [None, "nan", -9999.0, 0.1])
+def test_sample_equals_the_compaction_sampler(shape, nodata):
+    rng = np.random.default_rng([shape[0], shape[1], 7])
+    data = rng.uniform(-2.0, 2.0, shape).astype(np.float32)
+    holes = rng.random(shape) < 0.15
+    if nodata is None:
+        data[holes] = np.nan    # NaN samples propagate when undeclared
+    else:
+        nodata = np.nan if nodata == "nan" else nodata
+        data[holes] = nodata
+    grid = as_grid(data, nodata=nodata)
+    h, w = shape
+    cols, rows = _positions(rng, w, 400), _positions(rng, h, 400)
+    _assert_bitwise(sample_bilinear(grid, cols, rows),
+                    _compaction_sample_bilinear(grid, cols, rows))
+    # 0-d inputs return floats; mixed shapes broadcast
+    for c, r in zip(cols[:40], rows[:40]):
+        _assert_bitwise(sample_bilinear(grid, c, r),
+                        _compaction_sample_bilinear(grid, c, r))
+    c2, r2 = cols[:12].reshape(3, 4, 1), rows[:5]
+    _assert_bitwise(sample_bilinear(grid, c2, r2),
+                    _compaction_sample_bilinear(grid, c2, r2))
+    _assert_bitwise(sample_bilinear(grid, c2, 0.5),
+                    _compaction_sample_bilinear(grid, c2, 0.5))
+    empty = np.empty(0)
+    _assert_bitwise(sample_bilinear(grid, empty, empty),
+                    _compaction_sample_bilinear(grid, empty, empty))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_allocates_under_100_bytes_per_point():
+    n = 65536
+    rng = np.random.default_rng(11)
+    grid = as_grid(rng.random((256, 256)).astype(np.float32), nodata=-1.0)
+    cols = rng.uniform(-4.0, 260.0, n)
+    rows = rng.uniform(-4.0, 260.0, n)
+    assert _traced_peak(sample_bilinear, grid, cols, rows) / n <= 100.0
+
+
 # -- warp ------------------------------------------------------------------
 
 
@@ -226,3 +340,33 @@ def test_warp_counts_model_failures_not_extent_misses():
     out, failures = warp(sensed, model, sensed.geotransform, 48, 40)
     assert failures == 40
     assert np.all(out.data[:, 32] == -5.0)
+
+
+def _cubic_field(n):
+    def field(x, y, z=0.0):
+        u = 2.0 * x / (n - 1) - 1.0
+        v = 2.0 * y / (n - 1) - 1.0
+        return (x + 12.0 + 6.0 * u * v + 3.0 * u ** 3 + 0.004 * z,
+                y - 9.0 + 5.0 * v * v - 2.0 * u * v * v - 0.003 * z)
+    return field
+
+
+@pytest.mark.parametrize("name", ["poly3", "rfm3_distinct"])
+def test_warp_allocates_its_output_plus_under_4_mib(name):
+    n = 768
+    field = _cubic_field(n)
+    yy, xx = np.mgrid[0:n, 0:n]
+    dem = as_grid((250.0 + 200.0 * np.sin(xx / 97.0) * np.cos(yy / 131.0))
+                  .astype(np.float32))
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0.0, n - 1.0, (2, 120))
+    cps = attach_dem_heights(
+        [ControlPoint(float(a), float(b), 0.0, 0.0) for a, b in zip(x, y)], dem)
+    cps = [ControlPoint(c.ref_x, c.ref_y, *field(c.ref_x, c.ref_y, c.ref_z),
+                        ref_z=c.ref_z) for c in cps]
+    spec = (ModelSpec("polynomial", 3) if name == "poly3"
+            else ModelSpec("rfm", 3, "distinct"))
+    model = fit(spec, cps)
+    sensed = as_grid(texture(n, seed=12))
+    peak = _traced_peak(warp, sensed, model, sensed.geotransform, n, n, dem)
+    assert peak <= n * n * 4 + 4 * 2 ** 20
