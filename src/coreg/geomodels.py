@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import RasterGrid, sample_bilinear, sampled_nodata
+from .raster import RasterGrid, nan_filled, sample_bilinear
 
 
 class InsufficientControlPointsError(ValueError):
@@ -652,8 +652,8 @@ def attach_dem_heights(cps: list, dem: RasterGrid) -> list:
     """
     c, r = dem.geotransform.geo_to_pixel([cp.ref_x for cp in cps],
                                          [cp.ref_y for cp in cps])
-    z = sample_bilinear(dem, c, r)
-    bad = np.flatnonzero(sampled_nodata(dem, z))
+    z = sample_bilinear(nan_filled(dem), c, r)
+    bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         i = int(bad[0])
         cp = cps[i]

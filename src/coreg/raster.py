@@ -359,9 +359,9 @@ def sample_bilinear(grid: RasterGrid, col, row):
     Accepts scalars or arrays (broadcast against each other); returns a float
     for scalars, else a float64 array. Positions whose 2x2 neighborhood
     leaves the grid, or touches a nodata sample, evaluate to the grid's
-    nodata sentinel as a float64 (NaN when the grid declares none); see
-    :func:`sampled_nodata`. Positions within _EDGE_TOL of the grid are
-    clipped onto its edge.
+    nodata sentinel as a float64 (NaN when the grid declares none; see
+    :func:`nan_filled`). Positions within _EDGE_TOL of the grid are clipped
+    onto its edge.
 
     Every position is gathered, none compacted: positions outside the grid
     (NaN and infinite ones too) read pixel 0, and the fill is written over
@@ -424,12 +424,15 @@ def _fill(grid: RasterGrid) -> float:
     return float(grid.nodata) if grid.nodata is not None else np.nan
 
 
-def sampled_nodata(grid: RasterGrid, values) -> np.ndarray:
-    """Mask of values sampled from ``grid`` that carry no sample: the
-    sampler's fill (the sentinel as a float64, which a float32 comparison
-    would miss for a sentinel such as 0.1) or any non-finite value."""
-    values = np.asarray(values)
-    return ~np.isfinite(values) | (values == _fill(grid))
+def nan_filled(grid: RasterGrid) -> RasterGrid:
+    """``grid`` with its nodata samples set to NaN and no sentinel, so the
+    sampler fills with NaN and no interpolated value is mistaken for fill;
+    ``grid`` itself when its fill is NaN already."""
+    if grid.nodata is None or math.isnan(grid.nodata):
+        return grid
+    data = grid.data.copy()
+    data[grid.is_nodata(data)] = np.nan
+    return replace(grid, data=data, nodata=None)
 
 
 def crop_to_overlap(sensed: RasterGrid, reference: RasterGrid,
@@ -477,7 +480,9 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
 
     The model maps reference map coordinates to sensed map coordinates; each
     output pixel is evaluated at its own map position (with a DEM height for
-    rational function models) and the sensed grid is sampled bilinearly.
+    rational function models, read directly when the DEM shares the target
+    grid and sampled bilinearly otherwise) and the sensed grid is sampled
+    bilinearly.
     Pixels that fall outside the sensed extent, hit nodata, or fail model
     evaluation become nodata in the output. Each chunk of output rows is
     sampled straight into the float32 output; a failed model evaluation is
@@ -489,8 +494,13 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     collapse) rather than DEM gaps or positions outside the sensed image.
     """
     needs_dem = model.spec.family == "rfm"
-    if needs_dem and dem is None:
-        raise ValueError("rfm warp requires a DEM")
+    if needs_dem:
+        if dem is None:
+            raise ValueError("rfm warp requires a DEM")
+        heights = nan_filled(dem)
+        # a DEM on the target grid is read, not sampled, at each pixel
+        on_grid = (dem.geotransform == target_gt
+                   and dem.data.shape == (height, width))
 
     out = np.empty((height, width), dtype=np.float32)
     cols = np.arange(width, dtype=np.float64)
@@ -502,11 +512,11 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
                              indexing="ij")
         gx, gy = target_gt.pixel_to_geo(cc, rr)
         inputs = [gx, gy]
-        if needs_dem:
+        if needs_dem and on_grid:
+            inputs.append(heights.data[r0:r1].astype(np.float64))
+        elif needs_dem:
             dc, dr = dem.geotransform.geo_to_pixel(gx, gy)
-            gz = sample_bilinear(dem, dc, dr)
-            gz[sampled_nodata(dem, gz)] = np.nan
-            inputs.append(gz)
+            inputs.append(sample_bilinear(heights, dc, dr))
         px, py = model.apply(*inputs)
         ok = np.isfinite(px) & np.isfinite(py)
         if not model.has_unit_denominators:

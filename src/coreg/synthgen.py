@@ -10,10 +10,12 @@ unit-mean speckle noise. The exact warp is returned as a fitted-model object
 so accuracy claims can be checked against ground truth.
 
 Value noise upsamples each octave's lattice separably, rows then columns,
-from per-axis indices and weights. The pull-back inverts the warp 65,536
-pixels at a time by a chord Newton iteration: one fixed-point step, one
-forward-difference Jacobian, then steps through its frozen inverse, about
-eight warp evaluations per chunk where the fixed point alone took thirteen.
+from per-axis indices and weights. The pull-back inverts the warp by a chord
+Newton iteration: steps through a frozen inverse Jacobian until each point
+stops moving. The warp is first inverted on a coarse lattice of nodes; the
+frame is then inverted in whole-row chunks, each pixel started from the
+bilinearly interpolated inverse displacement and stepped with the
+interpolated inverse Jacobian, about four warp evaluations per pixel.
 """
 
 from __future__ import annotations
@@ -33,8 +35,14 @@ _INVERTIBLE_SAMPLES = 25
 _INVERT_MAX_ITERS = 80
 _INVERT_TOL = 1e-12
 _JACOBIAN_STEP = 2.0 ** -10
-# generate builds noise and inverts the warp this many pixels at a time
+# generate builds noise this many pixels at a time, and inverts the warp in
+# whole-row chunks of about _INVERT_CHUNK_PIXELS, so the solver's arrays
+# stay in cache
 _CHUNK_PIXELS = 65536
+_INVERT_CHUNK_PIXELS = 16384
+# the frame inversion's lattice: a node every this many pixels per axis,
+# plus the last row and column
+_LATTICE_STEP = 8
 
 
 class NonInvertibleWarpError(RuntimeError):
@@ -218,45 +226,70 @@ def check_invertible(warp: FittedModel, x0: float, y0: float,
             f"collapses")
 
 
-def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray):
+def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
+                     seed=None):
     """Solve warp(rx, ry) = (tx, ty) per point by a chord Newton iteration.
 
-    Writing the warp as identity plus displacement, one fixed-point step
-    r1 = 2t - warp(t) lands close to the solution while the displacement
-    gradient stays small. The Jacobian is taken there once, by forward
-    differences, and its 2x2 inverse is kept frozen: each further step adds
-    J^-1 (t - warp(r)) until no finite point moves by _INVERT_TOL or more,
-    or _INVERT_MAX_ITERS steps have been taken. Points where the warp is
-    not finite drop out of that test, so an all-non-finite input stops
-    after the first step. Returns (rx, ry, ok) where ok flags points whose
-    forward image is finite and lands within 1e-6 of the target.
+    Unseeded, writing the warp as identity plus displacement, one
+    fixed-point step r1 = 2t - warp(t) lands close to the solution while the
+    displacement gradient stays small; the Jacobian is taken there once, by
+    forward differences, and its 2x2 inverse is kept frozen. ``seed`` gives
+    both instead: six arrays shaped like tx, the inverse displacement
+    (ux, uy) that starts the iteration at t + u, and the entries (a, b, c, d)
+    of the frozen inverse [[a, b], [c, d]], which also takes the first step.
+    Each step adds J^-1 (t - warp(r)). A point retires, and is evaluated no
+    more, after its first step below _INVERT_TOL, or one that is not
+    finite; the rest stop after _INVERT_MAX_ITERS steps, so an
+    all-non-finite input stops after the first step. Returns (rx, ry, ok)
+    where ok flags points whose forward image is finite and lands within
+    1e-6 of the target.
     """
     tx = np.asarray(tx, dtype=np.float64)
     ty = np.asarray(ty, dtype=np.float64)
-    rx = tx.copy()
-    ry = ty.copy()
+    shape = tx.shape
+    gx, gy = tx.ravel(), ty.ravel()
+    if seed is None:
+        x, y, inverse = gx.copy(), gy.copy(), None
+    else:
+        ux, uy, *inverse = (np.ravel(s) for s in seed)
+        x, y = gx + ux, gy + uy
+    # per point: the estimate and its forward image, written when it retires
+    rx, ry, fx_end, fy_end = (np.empty(gx.size) for _ in range(4))
+    live = np.arange(gx.size)
     # non-finite points are reported through ok, not warnings
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        fx, fy = warp.apply(rx, ry)
-        inverse = None
+        fx, fy = warp.apply(x, y)
         for _ in range(_INVERT_MAX_ITERS):
             # the residual t - warp(r), written over warp(r)
-            dx = np.subtract(tx, fx, out=fx)
-            dy = np.subtract(ty, fy, out=fy)
+            dx = np.subtract(gx, fx, out=fx)
+            dy = np.subtract(gy, fy, out=fy)
             if inverse is not None:
                 a, b, c, d = inverse
                 dx, dy = a * dx + b * dy, c * dx + d * dy
-            rx += dx
-            ry += dy
+            x += dx
+            y += dy
             moved = np.maximum(np.abs(dx), np.abs(dy))
-            fx, fy = warp.apply(rx, ry)
-            if moved.max(where=np.isfinite(moved), initial=0.0) < _INVERT_TOL:
+            fx, fy = warp.apply(x, y)
+            keep = (moved >= _INVERT_TOL) & (moved < np.inf)
+            if not keep.all():
+                done = np.flatnonzero(~keep)
+                at = live[done]
+                rx[at], ry[at] = x[done], y[done]
+                fx_end[at], fy_end[at] = fx[done], fy[done]
+                keep = np.flatnonzero(keep)
+                live, gx, gy, x, y, fx, fy = (
+                    v[keep] for v in (live, gx, gy, x, y, fx, fy))
+                if inverse is not None:
+                    inverse = [v[keep] for v in inverse]
+            if not live.size:
                 break
             if inverse is None:
-                inverse = _inverse_jacobian(warp, rx, ry, fx, fy)
-        err = np.hypot(fx - tx, fy - ty)
+                inverse = _inverse_jacobian(warp, x, y, fx, fy)
+        rx[live], ry[live] = x, y
+        fx_end[live], fy_end[live] = fx, fy
+        err = np.hypot(fx_end - tx.ravel(), fy_end - ty.ravel())
     ok = np.isfinite(err) & (err < 1e-6)
-    return rx, ry, ok
+    return rx.reshape(shape), ry.reshape(shape), ok.reshape(shape)
 
 
 def _inverse_jacobian(warp: FittedModel, rx, ry, fx, fy):
@@ -272,6 +305,84 @@ def _inverse_jacobian(warp: FittedModel, rx, ry, fx, fy):
     vy -= fy
     scale = h / (ux * vy - uy * vx)
     return vy * scale, -uy * scale, -vx * scale, ux * scale
+
+
+def _node_weights(nodes: np.ndarray, n: int):
+    """Index of the lower bracketing node, and the weight of the upper one,
+    for each of n pixels along an axis whose lattice nodes are ``nodes``."""
+    pos = np.arange(n, dtype=np.float64)
+    idx = np.minimum(np.searchsorted(nodes, pos, side="right") - 1,
+                     len(nodes) - 2)
+    return idx, (pos - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+
+
+def _lattice_seed(warp: FittedModel, n: int):
+    """The seed of invert_warp_grid over an n x n frame, from the warp
+    inverted at lattice nodes every _LATTICE_STEP pixels plus the last row
+    and column; None when any node is not ok.
+
+    The inverse displacement and the inverse Jacobian at the nodes are
+    interpolated along columns once. The returned seed(r0, r1) gives the
+    six planes of frame rows r0..r1, mixing for each row the two lattice
+    rows that bracket it.
+    """
+    nodes = np.unique(np.r_[np.arange(0, n, _LATTICE_STEP), n - 1])
+    nodes = nodes.astype(np.float64)
+    ny, nx = np.meshgrid(nodes, nodes, indexing="ij")
+    lx, ly, ok = invert_warp_grid(warp, nx, ny)
+    if not ok.all():
+        return None
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        fx, fy = warp.apply(lx, ly)
+        planes = np.stack([lx - nx, ly - ny,
+                           *_inverse_jacobian(warp, lx, ly, fx, fy)])
+    idx, w = _node_weights(nodes, n)
+    # lo + w * (hi - lo), exact where lo == hi: along columns here, along
+    # rows from the differences of consecutive lattice rows
+    lattice = planes.take(idx, axis=2)
+    diff = planes.take(idx + 1, axis=2)
+    diff -= lattice
+    diff *= w
+    lattice += diff
+    diff = np.diff(lattice, axis=1)
+
+    def seed(r0: int, r1: int) -> np.ndarray:
+        out = np.empty((len(lattice), r1 - r0, n))
+        for i in range(idx[r0], idx[r1 - 1] + 1):
+            # the rows between lattice rows i and i + 1
+            at = np.flatnonzero(idx[r0:r1] == i)
+            part = out[:, at[0]:at[-1] + 1]
+            np.multiply(w[r0 + at, None], diff[:, i, None], out=part)
+            part += lattice[:, i, None]
+        return out
+
+    return seed
+
+
+def invert_frame(warp: FittedModel, n: int):
+    """Invert warp over the n x n frame whose map coordinates are its pixel
+    indices, yielding (r0, r1, rx, ry, ok) for chunks of whole rows.
+
+    Each chunk is seeded from the lattice (see _lattice_seed), and a seeded
+    pixel that is not ok is solved again unseeded. If any lattice node is
+    not ok, the whole frame is inverted unseeded.
+    """
+    seed = _lattice_seed(warp, n)
+    step = max(1, _INVERT_CHUNK_PIXELS // n)
+    cols = np.arange(n, dtype=np.float64)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        ty, tx = np.meshgrid(np.arange(r0, r1, dtype=np.float64), cols,
+                             indexing="ij")
+        if seed is None:
+            yield (r0, r1, *invert_warp_grid(warp, tx, ty))
+            continue
+        rx, ry, ok = invert_warp_grid(warp, tx, ty, seed(r0, r1))
+        if not ok.all():
+            redo = ~ok
+            rx[redo], ry[redo], ok[redo] = invert_warp_grid(warp, tx[redo],
+                                                            ty[redo])
+        yield r0, r1, rx, ry, ok
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +428,12 @@ def generate(spec: SynthSpec):
     n = spec.size
     check_invertible(truth, 0.0, 0.0, float(n - 1), float(n - 1))
 
-    sensed = np.empty(n * n, dtype=np.float64)
-    for p0 in range(0, n * n, _CHUNK_PIXELS):
-        p1 = min(p0 + _CHUNK_PIXELS, n * n)
-        rows, cols = np.divmod(np.arange(p0, p1), n)
-        tx, ty = gt.pixel_to_geo(cols, rows)
-        sx, sy, ok = invert_warp_grid(truth, tx, ty)
-        src_c, src_r = gt.geo_to_pixel(sx, sy)
-        vals = sample_bilinear(reference, src_c, src_r)
-        sensed[p0:p1] = np.where(ok & np.isfinite(vals), vals, 0.0)
-    sensed = sensed.reshape(n, n)
+    # gt maps pixel indices to themselves, so the frame's map coordinates
+    # are its pixel indices, in the truth's and the reference's frames
+    sensed = np.empty((n, n), dtype=np.float64)
+    for r0, r1, sx, sy, ok in invert_frame(truth, n):
+        vals = sample_bilinear(reference, sx, sy)
+        sensed[r0:r1] = np.where(ok & np.isfinite(vals), vals, 0.0)
 
     sensed = _apply_radiometry(sensed, spec)
     if spec.speckle_var > 0:

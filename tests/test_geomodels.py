@@ -17,10 +17,10 @@ from coreg.geomodels import (
     poly_basis,
     poly_basis_3d,
 )
-from coreg.raster import GeoTransform, RasterGrid, warp
+from coreg.raster import GeoTransform, RasterGrid, sample_bilinear, warp
 from coreg.synthgen import identity_warp, translation_warp
 
-from conftest import as_grid
+from conftest import as_grid, texture
 
 
 EXPECTED_TABLE = {
@@ -354,8 +354,8 @@ def test_dem_fill_and_holes_give_no_height():
         with pytest.raises(ValueError, match="control point 1 at"):
             attach_dem_heights([inside, bad, bad], dem)
 
-    # u = X + Z / 1000, v = Y: pixels whose DEM neighbourhood touches the
-    # hole have no height, so they are nodata, and no model failure
+    # u = X + Z / 1000, v = Y: the DEM shares the target grid, so only the
+    # hole's own pixels have no height; they are nodata, and no model failure
     spec = ModelSpec("rfm", 1, "distinct")
     model = FittedModel.from_coefficients(spec, [0.0, 1.0, 0.0, 1e-3],
                                           [0.0, 0.0, 1.0, 0.0])
@@ -364,10 +364,55 @@ def test_dem_fill_and_holes_give_no_height():
     out, failures = warp(sensed, model, sensed.geotransform, 10, 10, dem)
     assert failures == 0
     hole = np.zeros((10, 10), dtype=bool)
-    hole[3:6, 3:6] = True
+    hole[4:6, 4:6] = True
     hole[:, 9] = True   # column 9 maps past the sensed extent
     assert np.all(out.data[hole] == -5.0)
     assert np.all(out.data[~hole] != -5.0)
+
+
+def _height_shift_rfm():
+    """u = X + Z / 1000, v = Y."""
+    return FittedModel.from_coefficients(ModelSpec("rfm", 1, "distinct"),
+                                         [0.0, 1.0, 0.0, 1e-3],
+                                         [0.0, 0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("nodata", [np.nan, -9999.0])
+def test_dem_hole_neighbours_keep_their_own_heights(nodata):
+    heights = (100.0 * np.arange(25, dtype=np.float32)).reshape(5, 5)
+    data = heights.copy()
+    data[2, 2] = nodata
+    dem = as_grid(data, nodata=nodata)
+    sensed = as_grid(texture(8, seed=3), nodata=-5.0)
+    model = _height_shift_rfm()
+    out, failures = warp(sensed, model, dem.geotransform, 5, 5, dem)
+    assert failures == 0
+    assert out.data[2, 2] == -5.0
+    rr, cc = np.mgrid[0:5, 0:5].astype(np.float64)
+    want = sample_bilinear(sensed, *model.apply(cc, rr, heights))
+    keep = np.ones((5, 5), dtype=bool)
+    keep[2, 2] = False
+    assert np.array_equal(out.data[keep], want[keep].astype(np.float32))
+
+
+def test_on_grid_dem_read_equals_the_sampled_heights():
+    # a DEM one row and column larger than the target is sampled, at whole
+    # pixels, and must give the same heights as the on-grid read
+    rng = np.random.default_rng(4)
+    big = as_grid((500.0 * rng.random((41, 41))).astype(np.float32))
+    dem = as_grid(big.data[:40, :40])
+    sensed = as_grid(texture(48, seed=5))
+    read, _ = warp(sensed, _height_shift_rfm(), dem.geotransform, 40, 40, dem)
+    sampled, _ = warp(sensed, _height_shift_rfm(), dem.geotransform, 40, 40,
+                      big)
+    assert np.array_equal(read.data, sampled.data)
+
+
+def test_height_interpolated_to_the_sentinel_is_a_height():
+    dem = as_grid(np.array([[-9998.0, -10000.0], [-9998.0, -10000.0]],
+                           dtype=np.float32), nodata=-9999.0)
+    cp = attach_dem_heights([ControlPoint(0.5, 0.5, 0.0, 0.0)], dem)[0]
+    assert cp.ref_z == -9999.0
 
 
 def test_cp_outside_dem_names_the_index():

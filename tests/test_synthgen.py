@@ -10,11 +10,13 @@ from coreg.geomodels import (FittedModel, ModelSpec, Normalization,
 from coreg.synthgen import (
     NonInvertibleWarpError,
     SynthSpec,
+    _lattice_seed,
     _value_noise,
     check_invertible,
     cubic_truth,
     generate,
     identity_warp,
+    invert_frame,
     invert_warp_grid,
     spec_from_manifest,
     spec_to_manifest,
@@ -186,14 +188,16 @@ def test_invert_mild_quadratic_round_trip():
 
 
 class _CountingWarp:
-    """Forwards apply to a model and counts the calls."""
+    """Forwards apply to a model and counts the calls and the points."""
 
     def __init__(self, model):
         self.model = model
         self.calls = 0
+        self.points = 0
 
     def apply(self, *args):
         self.calls += 1
+        self.points += np.broadcast(*args).size
         return self.model.apply(*args)
 
 
@@ -245,12 +249,12 @@ def _random_warp(rng, name, size):
                                          norm=norm)
 
 
-def test_chord_newton_agrees_with_the_fixed_point_oracle():
-    rng = np.random.default_rng(11)
-    size = 96
-    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
-    tested = converged = 0
-    while tested < 120:
+def _invertible_draws(size, count=120, seed=11):
+    """Random near-identity warps over a size frame that pass
+    check_invertible, cycling through poly2, poly3 and proj10."""
+    rng = np.random.default_rng(seed)
+    tested = 0
+    while tested < count:
         warp = _random_warp(rng, ("poly2", "poly3", "proj10")[tested % 3],
                             size)
         try:
@@ -258,6 +262,14 @@ def test_chord_newton_agrees_with_the_fixed_point_oracle():
         except NonInvertibleWarpError:
             continue
         tested += 1
+        yield warp
+
+
+def test_chord_newton_agrees_with_the_fixed_point_oracle():
+    size = 96
+    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
+    converged = 0
+    for warp in _invertible_draws(size):
         ox, oy, oracle_ok = _fixed_point_inverse(warp, cc, rr)
         if not oracle_ok.all():
             continue
@@ -267,6 +279,75 @@ def test_chord_newton_agrees_with_the_fixed_point_oracle():
         assert float(np.max(np.abs(sx - ox))) <= 1e-6
         assert float(np.max(np.abs(sy - oy))) <= 1e-6
     assert converged >= 100
+
+
+def _inverted_frame(warp, n):
+    """invert_frame's chunks joined into (rx, ry, ok) over the frame."""
+    parts = list(invert_frame(warp, n))
+    assert [p[0] for p in parts] == [0] + [p[1] for p in parts[:-1]]
+    assert parts[-1][1] == n
+    return [np.concatenate([p[k] for p in parts]) for k in (2, 3, 4)]
+
+
+def test_seeded_frame_inversion_agrees_with_the_unseeded_solve():
+    size = 96
+    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
+    fallbacks = 0
+    for warp in _invertible_draws(size):
+        ux, uy, uok = invert_warp_grid(warp, cc, rr)
+        sx, sy, ok = _inverted_frame(warp, size)
+        assert np.array_equal(ok, uok)
+        assert float(np.max(np.abs(sx[ok] - ux[ok]), initial=0.0)) <= 1e-9
+        assert float(np.max(np.abs(sy[ok] - uy[ok]), initial=0.0)) <= 1e-9
+        if _lattice_seed(warp, size) is None:
+            # a lattice node is not ok: the frame is the unseeded solve
+            fallbacks += 1
+            np.testing.assert_array_equal(sx, ux)
+            np.testing.assert_array_equal(sy, uy)
+    assert fallbacks == 4
+
+
+def test_seeded_pixels_that_fail_are_solved_again_unseeded():
+    # this poly3 draw distorts most near its bottom-left corner, where the
+    # interpolated inverse Jacobian is too poor and the seeded iteration
+    # diverges for a few dozen pixels that the unseeded solve inverts
+    size = 96
+    *_, warp = _invertible_draws(size, count=14, seed=12)
+    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
+    seed = _lattice_seed(warp, size)
+    _, _, seeded_ok = invert_warp_grid(warp, cc, rr, seed(0, size))
+    redo = ~seeded_ok
+    assert 0 < np.count_nonzero(redo) < 100
+    ux, uy, uok = invert_warp_grid(warp, cc, rr)
+    sx, sy, ok = _inverted_frame(warp, size)
+    assert uok.all() and ok.all()
+    np.testing.assert_array_equal(sx[redo], ux[redo])
+    np.testing.assert_array_equal(sy[redo], uy[redo])
+
+
+def test_retired_points_bound_the_work_of_a_stray_point():
+    # the draws whose lattice has a node that is not ok hold pixels whose
+    # inverse leaves the probed frame and never converges; the points that
+    # converged stop being evaluated
+    size = 96
+    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
+    strays = 0
+    for warp in _invertible_draws(size):
+        if _lattice_seed(warp, size) is not None:
+            continue
+        strays += 1
+        counted = _CountingWarp(warp)
+        _, _, ok = invert_warp_grid(counted, cc, rr)
+        assert not ok.all()
+        assert counted.points <= 12 * size * size
+    assert strays == 4
+
+
+def test_flat_scene_frame_inverts_in_under_4_5_evaluations_per_pixel():
+    warp = _CountingWarp(cubic_truth(2048))
+    _, _, ok = _inverted_frame(warp, 768)
+    assert ok.all()
+    assert warp.points <= 4.5 * 768 ** 2
 
 
 def test_criterion_6_chunk_inverts_in_nine_warp_evaluations():
