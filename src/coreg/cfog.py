@@ -166,10 +166,14 @@ def _normalize(planes: np.ndarray):
 
 
 def build_cfog(image, params: CfogParams | None = None,
-               normalize: bool = True) -> DescriptorVolume:
+               normalize: bool = True, *, region=None,
+               out: np.ndarray | None = None) -> DescriptorVolume:
     """Full descriptor pipeline: gradients, orientation channels, smoothing,
     optional per-pixel L2 normalization (zero vectors stay zero).
 
+    ``region``, a (rows, cols) pair of slices, describes that part of the
+    image alone (default: all of it); ``out``, an (m, rows, cols) array of
+    the image's float dtype, receives the planes in place of a new array.
     Rows are described in tiles of ``_TILE_ROWS``, each from a crop grown by
     the descriptor's reach, so the temporaries stay tile-sized and every
     tile equals the whole-image descriptor bitwise. The result is a view of
@@ -179,15 +183,25 @@ def build_cfog(image, params: CfogParams | None = None,
         params = CfogParams()
     data = _as_float(getattr(image, "data", image))
     h, w = data.shape
+    rows, cols = region or (slice(None), slice(None))
+    r_lo, r_hi, _ = rows.indices(h)
+    c_lo, c_hi, _ = cols.indices(w)
+    shape = (params.m, r_hi - r_lo, c_hi - c_lo)
+    if out is None:
+        out = np.empty(shape, dtype=data.dtype)
+    elif out.shape != shape or out.dtype != data.dtype:
+        raise ValueError(f"out must be a {shape} {data.dtype} array, got "
+                         f"{out.shape} {out.dtype}")
     reach = params.reach
-    planes = np.empty((params.m, h, w), dtype=data.dtype)
-    for r0 in range(0, h, _TILE_ROWS):
-        r1 = min(r0 + _TILE_ROWS, h)
+    left, right = max(c_lo - reach, 0), min(c_hi + reach, w)
+    for r0 in range(r_lo, r_hi, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, r_hi)
         top = max(r0 - reach, 0)
-        gx, gy = gradient_xy(data[top:min(r1 + reach, h)])
+        gx, gy = gradient_xy(data[top:min(r1 + reach, h), left:right])
         tile = smooth_3d(orientation_channels(gx, gy, params.m), params)
-        out = planes[:, r0:r1]
-        out[...] = tile.values.transpose(2, 0, 1)[:, r0 - top:r1 - top]
+        planes = out[:, r0 - r_lo:r1 - r_lo]
+        planes[...] = tile.values.transpose(2, 0, 1)[
+            :, r0 - top:r1 - top, c_lo - left:c_hi - left]
         if normalize:
-            _normalize(out)
-    return DescriptorVolume(values=planes.transpose(1, 2, 0))
+            _normalize(planes)
+    return DescriptorVolume(values=out.transpose(1, 2, 0))

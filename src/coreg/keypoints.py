@@ -10,7 +10,10 @@ of each mask (Rosten and Drummond, ECCV 2006).
 
 Selection partitions the image into an N x N block grid and keeps the top K
 scorers per block, which forces the spatial spread that a global top-K would
-not give on unevenly textured scenes.
+not give on unevenly textured scenes. Only the detection interior, the
+image less its border, is scored: a score depends on the pixel's 7 x 7
+neighbourhood alone, so scoring a crop grown by 3 px gives the interior's
+scores exactly.
 """
 
 from __future__ import annotations
@@ -96,9 +99,12 @@ def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
     over the 16 circle offsets packs the brighter and darker circle pixels
     into ``uint16`` masks, which ``_ARC_MEMBERS`` maps to their maximal arcs
     (no pixel holds both, so the two are ORed); the second adds
-    |d_i| - threshold, in circle order, where bit i is set. Computing the
-    differences twice keeps a few strip-sized arrays alive, not 16. NaN
-    samples compare false and join no arc. ``threshold`` must be >= 0.
+    (|d_i| - threshold) times bit i, in circle order. Where the bit is clear
+    that adds a signed zero, which leaves the sum as it is; a strip holding
+    a non-finite sample, where the product could be NaN, adds a selected
+    0.0 instead. Computing the differences twice keeps a few strip-sized
+    arrays alive, not 16. NaN samples compare false and join no arc.
+    ``threshold`` must be >= 0.
     """
     data = np.asarray(data)
     h, w = data.shape
@@ -128,28 +134,16 @@ def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
         members = _ARC_MEMBERS[bright] | _ARC_MEMBERS[dark]
 
         strip_score = scores[y0:y1, 3:w - 3]
+        finite = np.isfinite(block).all()
         for i in range(len(CIRCLE)):
             contrib = np.abs(diff(i))
             contrib -= threshold
-            strip_score += np.where(members & np.uint16(1 << i), contrib, 0.0)
+            bit = (members >> i) & 1
+            if finite:
+                strip_score += np.multiply(contrib, bit, out=contrib)
+            else:
+                strip_score += np.where(bit, contrib, 0.0)
     return scores
-
-
-def fast_score(image, col: int, row: int, threshold: float) -> float:
-    """Segment-test corner score at one pixel.
-
-    The pixel must sit at least 3 px inside the image so the circle fits.
-    Computed through the same code path as the full map, so the two agree
-    bitwise.
-    """
-    data = getattr(image, "data", image)
-    data = np.asarray(data)
-    h, w = data.shape
-    if not (3 <= col < w - 3 and 3 <= row < h - 3):
-        raise ValueError(f"pixel ({col}, {row}) is within 3 px of the edge of "
-                         f"a {w}x{h} image")
-    window = data[row - 3:row + 4, col - 3:col + 4]
-    return float(fast_score_map(window, threshold)[3, 3])
 
 
 def _resolve_threshold(data: np.ndarray, threshold: float | None) -> float:
@@ -173,7 +167,9 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
     and the result can be smaller than N*N*K. Ties break toward smaller
     (row, col) for determinism. Samples equal to a grid's nodata sentinel
     count as NaN: they are outside the automatic threshold's range and
-    belong to no arc.
+    belong to no arc. The threshold comes from the whole image, but only
+    the pixels at least ``border`` (and 3) px inside it are scored, from a
+    crop 3 px larger on each side.
     """
     data = image.data if isinstance(image, RasterGrid) else np.asarray(image)
     if getattr(image, "nodata", None) is not None:
@@ -183,9 +179,9 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
     if 2 * border >= min(h, w):
         return []
     threshold = _resolve_threshold(data, params.fast_threshold)
-    scores = fast_score_map(data, threshold)
-    scores[:border] = scores[h - border:] = 0.0
-    scores[:, :border] = scores[:, w - border:] = 0.0
+    # scores[r, c] is the score of pixel (off + r, off + c)
+    off = border - 3
+    scores = fast_score_map(data[off:h - off, off:w - off], threshold)
 
     n = params.n_blocks
     bh = h // n
@@ -197,7 +193,10 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
         for bx in range(n):
             c0 = bx * bw
             c1 = w if bx == n - 1 else (bx + 1) * bw
-            sub = scores[r0:r1, c0:c1]
+            # the block's scored part starts at pixel (top, left)
+            top, left = max(r0, off), max(c0, off)
+            sub = scores[top - off:max(r1 - off, 0),
+                         left - off:max(c1 - off, 0)]
             rs, cs = np.nonzero(sub > 0)
             if rs.size == 0:
                 continue
@@ -211,7 +210,7 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
                 rs, cs, vals = rs[keep], cs[keep], vals[keep]
             order = np.lexsort((cs, rs, -vals))
             for idx in order[:k]:
-                points.append(InterestPoint(col=int(c0 + cs[idx]),
-                                            row=int(r0 + rs[idx]),
+                points.append(InterestPoint(col=int(left + cs[idx]),
+                                            row=int(top + rs[idx]),
                                             score=float(vals[idx])))
     return points

@@ -5,19 +5,23 @@ For each reference interest point, the initial georeferencing predicts a
 search window in the sensed image. Points whose windows do not fit, touch a
 non-finite or nodata sample, or hold flat content are skipped first. The
 rest are sorted by search-window row. The sensed image is described through
-one rolling float32 strip, ``search_size + _STRIP_TILE`` rows tall over the
-search windows' column extent: when a window runs past the strip, the rows
-still needed move to its top and the next rows are described in tiles of
-``_STRIP_TILE``, so every sensed row is described once and every search
-volume is a view into the strip. Each template is described on its own.
-Every block is described from a crop grown by the descriptor's reach, with
-nodata and non-finite samples set to 0, so a window's descriptor equals the
-whole-image descriptor restricted to that window whatever the tiling.
+one rolling channel-major float32 strip, ``search_size + _STRIP_TILE`` rows
+tall over the search windows' column extent: when a window runs past the
+strip, the rows still needed move to its top and ``build_cfog`` writes the
+next rows straight into its planes in tiles of ``_STRIP_TILE``, so every
+sensed row is described once and every search volume is a view into the
+strip. Each template is described on its own. Every block is described from
+a crop grown by the descriptor's reach, with nodata and non-finite samples
+set to 0, so a window's descriptor equals the whole-image descriptor
+restricted to that window whatever the tiling.
 
 Each pair is correlated in one pass: the template volume is zero-padded
-into the search frame, both are 3D-FFT'd, and the normalized cross-power
-spectrum's inverse transform concentrates into a sharp peak at the true
-offset. Matching content shifts only spatially, so the peak is searched in
+into the search frame, both are 3D-FFT'd as channel-major (m, h, w) planes,
+and the normalized cross-power spectrum's inverse transform concentrates
+into a sharp peak at the true offset. Each bin is normalized by one multiply
+with its reciprocal magnitude, and the planes are summed in numpy's own
+pairwise order, so the spectrum is bitwise what a divide and a channel-last
+sum give. Matching content shifts only spatially, so the peak is searched in
 the channel-0 slice of the correlation volume alone, which is a 2D inverse
 of the spectrum summed over the channel axis; no match is rejected for
 where its energy falls along the channel axis. A point is skipped as
@@ -116,12 +120,69 @@ def _parabola_offset(c_minus: float, c_0: float, c_plus: float) -> float:
 
 
 def _padded_spectrum(t: np.ndarray, h: int, w: int) -> np.ndarray:
-    """``rfftn(t, s=(m, h, w), axes=(2, 0, 1))`` of a (rows, cols, m)
-    volume zero-padded to h x w, without transforming the padding rows: the
-    rows are transformed along columns, then channels, and only then padded
-    to h, in rfftn's own axis order, so the spectrum is bitwise the same."""
-    return _fft.fft(_fft.fft(_fft.rfft(t, n=w, axis=1), axis=2,
-                             overwrite_x=True), n=h, axis=0)
+    """``rfftn(t, s=(m, h, w), axes=(0, 1, 2))`` of (m, rows, cols) planes
+    zero-padded to h x w, without transforming the padding rows: the planes
+    are transformed along columns, then channels, and only then padded to h
+    along rows, in rfftn's own axis order, so the spectrum is bitwise the
+    same."""
+    return _fft.fft(_fft.fft(_fft.rfft(t, n=w, axis=2), axis=0,
+                             overwrite_x=True), n=h, axis=1)
+
+
+def _channel_sum(planes: np.ndarray) -> np.ndarray:
+    """``planes.sum(axis=0)`` of complex (m, ...) planes, bitwise as numpy
+    sums a contiguous axis of length m: pairwise, from four accumulators
+    that take every fourth plane, then the leftover planes in turn, plus
+    numpy's initial +0.0; more than 64 planes are split near the middle, at
+    a multiple of 4, and the halves summed apart. The planes are
+    overwritten."""
+    m = len(planes)
+    if m > 64:
+        half = m // 8 * 4
+        return _channel_sum(planes[:half]) + _channel_sum(planes[half:])
+    first = 1
+    if m >= 4:
+        first = m - m % 4
+        for i in range(4, first, 4):
+            planes[:4] += planes[i:i + 4]
+        planes[0:4:2] += planes[1:4:2]
+        planes[0] += planes[2]
+    total = planes[0]
+    for plane in planes[first:]:
+        total += plane
+    total += 0.0
+    return total
+
+
+def _summed_cross_power(t: np.ndarray, s: np.ndarray):
+    """The normalized cross-power spectrum of (m, rows, cols) template
+    planes zero-padded into the (m, h, w) search planes, summed over the
+    channels: an (h, w // 2 + 1) array, or None when it is all zero or not
+    finite.
+
+    Each bin is normalized by one multiply with 1/|c|, which rounds every
+    nonzero part as numpy's division by |c| does; only the sign of a zero
+    part may differ, and no sum that starts from +0.0 can show it. Bins
+    weaker than ``SPECTRUM_GUARD`` times the strongest are zeroed after the
+    multiply, and the planes are summed in numpy's pairwise order
+    (``_channel_sum``), so the result is bitwise the channel-last
+    divide-and-sum.
+    """
+    _, h, w = s.shape
+    S = _fft.rfftn(s, axes=(0, 1, 2))
+    T = _padded_spectrum(t, h, w)
+    # formed in S's buffer; complex products use fused multiply-adds, so
+    # operand order fixes the last bits
+    cross = np.multiply(np.conjugate(T, out=T), S, out=S)
+    mag = np.abs(cross)
+    guard = SPECTRUM_GUARD * mag.max()
+    if not (np.isfinite(guard) and guard > 0.0):
+        return None
+    weak = mag < guard
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross *= np.reciprocal(mag, out=mag)
+    cross[weak] = 0.0
+    return _channel_sum(cross)
 
 
 def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
@@ -137,10 +198,13 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     model instead of letting channel-axis noise wobble the argmax. That
     slice is the 2D inverse of the spectrum summed over the channel axis
     (divided by m), so the columns carry the halved real-FFT axis and the
-    channel axis is collapsed before the inverse. Returns (x0, y0, peak)
-    with x0/y0 unwrapped to signed offsets (indices beyond half the frame
-    wrap negative), or None when an input volume is all zero or the
-    cross-power spectrum is all zero or not finite.
+    channel axis is collapsed before the inverse. Both volumes are
+    transformed as channel-major (m, h, w) planes, so the spectra are planes
+    too and the normalization and the channel sum run over whole planes
+    (see ``_summed_cross_power``). Returns (x0, y0, peak) with x0/y0
+    unwrapped to signed offsets (indices beyond half the frame wrap
+    negative), or None when an input volume is all zero or the cross-power
+    spectrum is all zero or not finite.
     """
     t = t_vol.values
     s = s_vol.values
@@ -152,19 +216,10 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
         return None
 
     h, w, m = s.shape
-    S = _fft.rfftn(s, axes=(2, 0, 1))
-    T = _padded_spectrum(t, h, w)
-    # the normalized cross-power spectrum, formed in S's buffer; complex
-    # products use fused multiply-adds, so operand order fixes the last bits
-    cross = np.multiply(np.conjugate(T, out=T), S, out=S)
-    mag = np.abs(cross)
-    guard = SPECTRUM_GUARD * mag.max()
-    if not (np.isfinite(guard) and guard > 0.0):
+    total = _summed_cross_power(t.transpose(2, 0, 1), s.transpose(2, 0, 1))
+    if total is None:
         return None
-    strong = mag >= guard
-    np.divide(cross, mag, out=cross, where=strong)
-    cross[~strong] = 0.0
-    corr = _fft.irfftn(cross.sum(axis=2), s=(h, w)) / m
+    corr = _fft.irfftn(total, s=(h, w)) / m
 
     ri, ci = np.unravel_index(int(np.argmax(corr)), corr.shape)
     peak = float(corr[ri, ci])
@@ -211,55 +266,61 @@ def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
     return t_win, s_win
 
 
-def _describe(grid: RasterGrid, win: Window,
-              params: MatchParams) -> DescriptorVolume:
-    """Descriptor volume of one window: built on the window grown by the
-    descriptor's reach and clipped to the grid, with nodata and non-finite
-    samples set to 0, so it equals the whole-image descriptor of the
-    zero-filled grid there."""
+def _describe(grid: RasterGrid, win: Window, params: MatchParams,
+              out: np.ndarray | None = None) -> DescriptorVolume:
+    """Descriptor volume of one window, written into ``out``'s (m, h, w)
+    planes when given: built from the window grown by the descriptor's
+    reach and clipped to the grid, with nodata and non-finite samples set to
+    0, so it equals the whole-image descriptor of the zero-filled grid
+    there."""
     reach = params.cfog.reach
     r0, c0 = max(win.row0 - reach, 0), max(win.col0 - reach, 0)
     data = grid.data[r0:min(win.row0 + win.h + reach, grid.height),
                      c0:min(win.col0 + win.w + reach, grid.width)].copy()
     data[~np.isfinite(data) | grid.is_nodata(data)] = 0.0
-    if params.descriptor == "raw":
-        vol = data[:, :, None]
-    else:
-        vol = build_cfog(data, params.cfog, normalize=params.normalize).values
-    return DescriptorVolume(values=vol[win.row0 - r0:win.row0 - r0 + win.h,
-                                       win.col0 - c0:win.col0 - c0 + win.w])
+    region = (slice(win.row0 - r0, win.row0 - r0 + win.h),
+              slice(win.col0 - c0, win.col0 - c0 + win.w))
+    if params.descriptor == "cfog":
+        return build_cfog(data, params.cfog, normalize=params.normalize,
+                          region=region, out=out)
+    if out is None:
+        return DescriptorVolume(values=data[region][:, :, None])
+    out[0] = data[region]
+    return DescriptorVolume(values=out.transpose(1, 2, 0))
 
 
 def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
     """Yield the descriptor volume of each search window in ``wins`` (sorted
-    by top row), as a view into one rolling strip of ``search_size +
-    _STRIP_TILE`` sensed rows (fewer if the windows span fewer) over the
-    windows' column extent; a view is valid until the next one is drawn.
+    by top row), as a (h, w, m) view into one rolling channel-major strip of
+    ``search_size + _STRIP_TILE`` sensed rows (fewer if the windows span
+    fewer) over the windows' column extent; a view is valid until the next
+    one is drawn.
 
     When a window runs past the strip, the rows it still needs move to the
-    top and the rest of the strip is described in tiles of at most
-    ``_STRIP_TILE`` rows, so every sensed row is described once."""
+    top and the rest of the strip is described, straight into its planes, in
+    tiles of at most ``_STRIP_TILE`` rows, so every sensed row is described
+    once."""
     c0 = min(win.col0 for win in wins)
     c1 = max(win.col0 + win.w for win in wins)
     end = max(win.row0 + win.h for win in wins)
     m = 1 if params.descriptor == "raw" else params.cfog.m
     rows = min(params.search_size + _STRIP_TILE, end - wins[0].row0)
-    strip = np.empty((rows, c1 - c0, m), dtype=np.float32)
-    top = bottom = 0  # strip[:bottom - top] holds sensed rows top:bottom
+    strip = np.empty((m, rows, c1 - c0), dtype=np.float32)
+    top = bottom = 0  # strip[:, :bottom - top] holds sensed rows top:bottom
     for win in wins:
         if win.row0 + win.h > bottom:
             keep = max(bottom - win.row0, 0)
-            strip[:keep] = strip[bottom - top - keep:bottom - top]
+            strip[:, :keep] = strip[:, bottom - top - keep:bottom - top]
             top, bottom = win.row0, win.row0 + keep
-            stop = min(top + len(strip), end)
+            stop = min(top + rows, end)
             while bottom < stop:
                 n = min(_STRIP_TILE, stop - bottom)
-                strip[bottom - top:bottom - top + n] = _describe(
-                    grid, Window(c0, bottom, c1 - c0, n), params).values
+                _describe(grid, Window(c0, bottom, c1 - c0, n), params,
+                          out=strip[:, bottom - top:bottom - top + n])
                 bottom += n
         yield DescriptorVolume(values=strip[
-            win.row0 - top:win.row0 - top + win.h,
-            win.col0 - c0:win.col0 - c0 + win.w])
+            :, win.row0 - top:win.row0 - top + win.h,
+            win.col0 - c0:win.col0 - c0 + win.w].transpose(1, 2, 0))
 
 
 def _locate(ref_point: InterestPoint, s_win: Window, result,

@@ -242,7 +242,10 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
     finite; the rest stop after _INVERT_MAX_ITERS steps, so an
     all-non-finite input stops after the first step. Returns (rx, ry, ok)
     where ok flags points whose forward image is finite and lands within
-    1e-6 of the target.
+    1e-6 of the target. Seeded, a point still moving at the cap is not ok
+    either, whatever its residual, so that invert_frame solves it again
+    unseeded: such a point can end within 1e-6 of the target yet 2e-6 px
+    from the converged solve.
     """
     tx = np.asarray(tx, dtype=np.float64)
     ty = np.asarray(ty, dtype=np.float64)
@@ -289,6 +292,8 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
         fx_end[live], fy_end[live] = fx, fy
         err = np.hypot(fx_end - tx.ravel(), fy_end - ty.ravel())
     ok = np.isfinite(err) & (err < 1e-6)
+    if seed is not None:
+        ok[live] = False
     return rx.reshape(shape), ry.reshape(shape), ok.reshape(shape)
 
 

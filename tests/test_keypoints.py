@@ -7,16 +7,83 @@ from hypothesis.extra.numpy import arrays
 
 from coreg import keypoints
 from coreg.keypoints import (
+    _ARC_MEMBERS,
     CIRCLE,
     BlockGridParams,
     _resolve_threshold,
     detect_block_fast,
-    fast_score,
     fast_score_map,
 )
-from coreg.synthgen import SynthSpec, generate
+from coreg.synthgen import SynthSpec, cubic_truth, generate
 
 from conftest import as_grid, texture
+
+
+def fast_score(image, col, row, threshold):
+    """Segment-test corner score at one pixel at least 3 px inside the
+    image, through fast_score_map on its 7 x 7 neighbourhood."""
+    data = np.asarray(image)
+    assert 3 <= row < data.shape[0] - 3 and 3 <= col < data.shape[1] - 3
+    window = data[row - 3:row + 4, col - 3:col + 4]
+    return float(fast_score_map(window, threshold)[3, 3])
+
+
+def _selecting_score_map(data, threshold):
+    """fast_score_map as it was before its second pass multiplied by the
+    arc bit: |d_i| - threshold is selected with np.where."""
+    data = np.asarray(data)
+    h, w = data.shape
+    scores = np.zeros((h, w), dtype=np.float64)
+    if h < 7 or w < 7:
+        return scores
+    for y0 in range(3, h - 3, keypoints._STRIP_ROWS):
+        y1 = min(y0 + keypoints._STRIP_ROWS, h - 3)
+        n = y1 - y0
+        block = np.asarray(data[y0 - 3:y1 + 3, :], dtype=np.float64)
+        center = block[3:3 + n, 3:w - 3]
+
+        def diff(i):
+            dc, dr = CIRCLE[i]
+            return block[3 + dr:3 + dr + n, 3 + dc:w - 3 + dc] - center
+
+        bright = np.zeros(center.shape, dtype=np.uint16)
+        dark = np.zeros(center.shape, dtype=np.uint16)
+        for i in reversed(range(len(CIRCLE))):
+            d = diff(i)
+            bright <<= 1
+            bright |= d > threshold
+            dark <<= 1
+            dark |= d < -threshold
+        members = _ARC_MEMBERS[bright] | _ARC_MEMBERS[dark]
+
+        strip_score = scores[y0:y1, 3:w - 3]
+        for i in range(len(CIRCLE)):
+            contrib = np.abs(diff(i))
+            contrib -= threshold
+            strip_score += np.where(members & np.uint16(1 << i), contrib, 0.0)
+    return scores
+
+
+def _full_frame_detection(data, params, nodata=None):
+    """detect_block_fast as it was before it scored the interior alone: the
+    whole frame is scored, the border zeroed, and each block sorted."""
+    data = np.asarray(data)
+    if nodata is not None:
+        data = np.where(data == np.float32(nodata), np.float32(np.nan), data)
+    border = max(params.border, 3)
+    threshold = _resolve_threshold(data, params.fast_threshold)
+    scores = _selecting_score_map(data, threshold)
+    scores[:border], scores[-border:] = 0.0, 0.0
+    scores[:, :border], scores[:, -border:] = 0.0, 0.0
+    return _lexsort_selection(scores, params.n_blocks, params.k_per_block)
+
+
+@pytest.fixture(scope="module")
+def flat_scene_reference():
+    """The 768 px reference of the flat-scene benchmark scene (seed 2)."""
+    spec = SynthSpec(size=768, warp=cubic_truth(2048), radiometry="gamma",
+                     gamma=0.8, speckle_var=0.005, seed=2)
+    return generate(spec)[0].data
 
 
 def test_constant_image_yields_nothing():
@@ -107,13 +174,14 @@ def test_partitioned_top_k_equals_the_full_lexsort(monkeypatch, k):
     scores[33:35, 40:43] = 9.0               # more maxima than K
     scores[40:60, 0:20] = 0.0                # a block with one candidate
     scores[50, 5] = 0.5
-    monkeypatch.setattr(keypoints, "fast_score_map",
-                        lambda data, threshold: scores.copy())
-    params = BlockGridParams(n_blocks=3, k_per_block=k, border=3)
-    pts = detect_block_fast(np.zeros(scores.shape), params)
+    # a score map is zero within 3 px of its edges
     bordered = scores.copy()
     bordered[:3], bordered[-3:] = 0.0, 0.0
     bordered[:, :3], bordered[:, -3:] = 0.0, 0.0
+    monkeypatch.setattr(keypoints, "fast_score_map",
+                        lambda data, threshold: bordered.copy())
+    params = BlockGridParams(n_blocks=3, k_per_block=k, border=3)
+    pts = detect_block_fast(np.zeros(scores.shape), params)
     expected = _lexsort_selection(bordered, 3, k)
     assert [(p.col, p.row, p.score) for p in pts] == expected
     assert len(expected) == 8 * k + 1
@@ -226,6 +294,56 @@ def test_score_map_equals_the_per_pixel_oracle():
                 full += len(arc) == 16
                 ties += len(arc) > 0 and threshold in map(abs, d)
     assert wraps and full and ties
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+def test_score_map_is_bitwise_the_selecting_score_map(flat_scene_reference):
+    rng = np.random.default_rng(24)
+    images = [(img, threshold) for img, threshold in _oracle_images()]
+    images.append((rng.standard_normal((90, 70)), 0.3))
+    ref = flat_scene_reference
+    threshold = _resolve_threshold(ref, None)
+    for fill in (np.nan, -9999.0):
+        holed = ref.copy()
+        holed[100:180, 300:420] = fill
+        holed[700:, :50] = fill
+        holed[rng.random(holed.shape) < 0.001] = fill
+        images.append((holed, threshold))
+    images.append((ref, threshold))
+    for img, threshold in images:
+        got = fast_score_map(img, threshold)
+        want = _selecting_score_map(img, threshold)
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.count_nonzero(got) > 10000
+
+
+@pytest.mark.parametrize("shape, n, k, border", [
+    ((100, 93), 7, 2, 9), ((64, 80), 3, 1, 0), ((64, 80), 5, 3, 2),
+    ((61, 61), 4, 2, 3), ((120, 90), 6, 1, 25), ((40, 40), 1, 4, 17),
+])
+def test_interior_detection_equals_full_frame_scoring(shape, n, k, border):
+    img = texture(*shape, seed=sum(shape) + border)
+    img[np.random.default_rng(border).random(shape) < 0.02] = np.nan
+    params = BlockGridParams(n_blocks=n, k_per_block=k, border=border)
+    pts = detect_block_fast(img, params)
+    assert [(p.col, p.row, p.score) for p in pts] == \
+        _full_frame_detection(img, params)
+    assert pts
+
+
+def test_interior_detection_of_a_sentinel_image(flat_scene_reference):
+    data = flat_scene_reference.copy()
+    data[:, :120] = -9999.0
+    data[400:470, 500:560] = -9999.0
+    grid = as_grid(data, nodata=-9999.0)
+    params = BlockGridParams(n_blocks=8, border=50)
+    pts = detect_block_fast(grid, params)
+    assert [(p.col, p.row, p.score) for p in pts] == \
+        _full_frame_detection(data, params, nodata=-9999.0)
+    assert len(pts) >= 50
 
 
 def test_negative_threshold_is_rejected():

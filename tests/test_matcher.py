@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,13 +110,148 @@ def test_template_spectrum_is_the_padded_rfftn(t_shape, frame, dtype):
     rng = np.random.default_rng(list(t_shape + frame))
     t = rng.random(t_shape).astype(dtype)
     h, w = frame
-    want = fft.rfftn(t, s=(t_shape[2], h, w), axes=(2, 0, 1))
-    # templates are channel-last views of channel-major planes
+    m = t_shape[2]
+    # the channel-last spectrum, as planes, is the planes' spectrum
+    want = np.ascontiguousarray(
+        fft.rfftn(t, s=(m, h, w), axes=(2, 0, 1)).transpose(2, 0, 1))
     planes = np.ascontiguousarray(t.transpose(2, 0, 1))
-    for template in (t, planes.transpose(1, 2, 0)):
+    assert np.array_equal(
+        fft.rfftn(planes, s=(m, h, w), axes=(0, 1, 2)).view(np.uint8),
+        want.view(np.uint8))
+    # templates are also planes of a larger channel-major descriptor
+    framed = np.zeros((m, t_shape[0] + 5, t_shape[1] + 4), dtype)
+    framed[:, 2:-3, 1:-3] = planes
+    for template in (planes, framed[:, 2:-3, 1:-3]):
         got = matcher._padded_spectrum(template, h, w)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _divide_and_sum(T, S):
+    """The normalization and channel sum as they were done on channel-last
+    (h, w, m) spectra: a masked divide by the magnitude, then
+    ``sum(axis=2)``; None when the cross-power spectrum is all zero or not
+    finite."""
+    cross = np.multiply(np.conjugate(T, out=T), S, out=S)
+    mag = np.abs(cross)
+    guard = matcher.SPECTRUM_GUARD * mag.max()
+    if not (np.isfinite(guard) and guard > 0.0):
+        return None
+    strong = mag >= guard
+    np.divide(cross, mag, out=cross, where=strong)
+    cross[~strong] = 0.0
+    return cross.sum(axis=2)
+
+
+def _dividing_cross_power(t, s):
+    """The channel-summed cross-power spectrum as it was formed from
+    channel-last (h, w, m) volumes."""
+    from scipy import fft
+
+    h, w, m = s.shape
+    return _divide_and_sum(fft.rfftn(t, s=(m, h, w), axes=(2, 0, 1)),
+                           fft.rfftn(s, axes=(2, 0, 1)))
+
+
+def _cross_power_cases():
+    rng = np.random.default_rng(41)
+    for dtype in (np.float32, np.float64):
+        for (h, w), (th, tw), m in (((200, 200), (100, 100), 9),
+                                    ((40, 41), (33, 20), 8),
+                                    ((31, 16), (9, 16), 1),
+                                    ((24, 30), (11, 7), 5)):
+            s = rng.random((h, w, m)).astype(dtype)
+            t = rng.random((th, tw, m)).astype(dtype)
+            yield "random", t, s
+            if m > 1:
+                # all-zero channels on either side
+                s0, t0 = s.copy(), t.copy()
+                s0[..., m // 2] = 0.0
+                t0[..., 0] = 0.0
+                yield "zero channels", t0, s0
+            # nearly constant templates: most bins fall below the guard
+            yield "weak bins", (1.0 + 1e-7 * t).astype(dtype), s
+    # a constant against a column checkerboard: the spectra share no bin
+    s = np.ones((4, 4, 2))
+    s[:, 1::2] = -1.0
+    yield "all zero", np.ones((2, 2, 2)), s
+    yield "not finite", np.ones((2, 2, 2)), np.where(s > 0, np.nan, s)
+
+
+def test_cross_power_is_bitwise_the_channel_last_divide_and_sum():
+    kinds = set()
+    for kind, t, s in _cross_power_cases():
+        want = _dividing_cross_power(t, s)
+        got = matcher._summed_cross_power(
+            np.ascontiguousarray(t.transpose(2, 0, 1)),
+            np.ascontiguousarray(s.transpose(2, 0, 1)))
+        if want is None:
+            assert got is None, kind
+        else:
+            iv = np.int32 if want.dtype == np.complex64 else np.int64
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(iv), want.view(iv)), kind
+        kinds.add((kind, want is None))
+    assert kinds == {("random", False), ("zero channels", False),
+                     ("weak bins", False), ("all zero", True),
+                     ("not finite", True)}
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_signed_zeros_normalize_as_the_divide(monkeypatch, dtype):
+    # spectra with exact zeros of either sign in real and imaginary parts
+    rng = np.random.default_rng(43)
+    S, T = (rng.standard_normal((2, 9, 20, 11))
+            + 1j * rng.standard_normal((2, 9, 20, 11))).astype(dtype)
+    for spectrum in (S, T):
+        parts = spectrum.view(spectrum.real.dtype).reshape(-1)
+        picked = rng.random(parts.size)
+        parts[picked < 0.2] = 0.0
+        parts[picked > 0.8] = -0.0
+    monkeypatch.setattr(matcher, "_padded_spectrum", lambda t, h, w: T.copy())
+    monkeypatch.setattr(matcher, "_fft", SimpleNamespace(
+        rfftn=lambda s, axes: S.copy()))
+    got = matcher._summed_cross_power(None, np.empty((9, 20, 20)))
+    want = _divide_and_sum(np.ascontiguousarray(T.transpose(1, 2, 0)),
+                           np.ascontiguousarray(S.transpose(1, 2, 0)))
+    iv = np.int32 if dtype == np.complex64 else np.int64
+    assert np.array_equal(got.view(iv), want.view(iv))
+
+
+def test_weak_bins_cases_hold_nonzero_bins_below_the_guard():
+    from scipy import fft
+
+    cases = [(t, s) for kind, t, s in _cross_power_cases()
+             if kind == "weak bins"]
+    nonzero = []
+    for t, s in cases:
+        h, w, m = s.shape
+        mag = np.abs(np.conjugate(fft.rfftn(t, s=(m, h, w), axes=(2, 0, 1)))
+                     * fft.rfftn(s, axes=(2, 0, 1)))
+        weak = mag < matcher.SPECTRUM_GUARD * mag.max()
+        assert weak.any() and not weak.all()
+        nonzero.append(bool((mag[weak] > 0).any()))
+    # a float32 (31, 16, 1) frame rounds every weak bin to zero
+    assert len(cases) == 8 and sum(nonzero) == 7
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12, 17, 64, 65, 130])
+def test_channel_sum_is_numpys_pairwise_sum(m, dtype):
+    rng = np.random.default_rng(m)
+    planes = (rng.standard_normal((m, 6, 5))
+              + 1j * rng.standard_normal((m, 6, 5))).astype(dtype)
+    # signed zeros, and sums that are exactly zero
+    flat = planes.view(planes.real.dtype).reshape(-1)
+    flat[rng.random(flat.size) < 0.2] = -0.0
+    planes[:, 0] = -0.0
+    planes[:, 1, :2] = 0.0
+    planes[: m // 2, 2] = 1.0
+    planes[m // 2:, 2] = -1.0
+    want = np.ascontiguousarray(planes.transpose(1, 2, 0)).sum(axis=-1)
+    got = matcher._channel_sum(planes.copy())
+    iv = np.int32 if dtype == np.complex64 else np.int64
+    assert np.array_equal(got.view(iv), want.view(iv))
 
 
 # -- search-window prediction ----------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from coreg import synthgen
 from coreg.geomodels import (FittedModel, ModelSpec, Normalization,
                              model_spec_from_name)
 from coreg.synthgen import (
@@ -323,6 +324,38 @@ def test_seeded_pixels_that_fail_are_solved_again_unseeded():
     assert uok.all() and ok.all()
     np.testing.assert_array_equal(sx[redo], ux[redo])
     np.testing.assert_array_equal(sy[redo], uy[redo])
+
+
+def test_points_still_moving_at_the_step_cap_are_solved_again(monkeypatch):
+    # on this draw some seeded pixels run all the steps and end within 1e-6
+    # of the target but 1.8e-6 px from the converged solve
+    size = 96
+    *_, warp = _invertible_draws(size, count=14, seed=12)
+    rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
+    sx, sy, ok = _inverted_frame(warp, size)
+    monkeypatch.setattr(synthgen, "_INVERT_MAX_ITERS", 2000)
+    cx, cy, converged = invert_warp_grid(warp, cc, rr)
+    assert ok.all() and converged.all()
+    assert float(np.max(np.abs(sx - cx))) <= 1e-9
+    assert float(np.max(np.abs(sy - cy))) <= 1e-9
+
+
+def test_a_seeded_point_moving_at_the_step_cap_is_not_ok(monkeypatch):
+    monkeypatch.setattr(synthgen, "_INVERT_MAX_ITERS", 1)
+    tx, ty = np.meshgrid(np.arange(5.0), np.arange(4.0))
+    warp = translation_warp(0.5, -2.0)
+    zero, one = np.zeros_like(tx), np.ones_like(tx)
+    # one exact step: the residual is 0, but the point is still moving
+    rx, ry, ok = invert_warp_grid(warp, tx, ty, (zero, zero, one, zero,
+                                                 zero, one))
+    assert np.array_equal(rx, tx - 0.5) and np.array_equal(ry, ty + 2.0)
+    assert not ok.any()
+    # unseeded, the residual decides
+    assert invert_warp_grid(warp, tx, ty)[2].all()
+    # a point that starts at its solution retires on its first step
+    _, _, ok = invert_warp_grid(warp, tx, ty, (-0.5 * one, 2.0 * one, one,
+                                               zero, zero, one))
+    assert ok.all()
 
 
 def test_retired_points_bound_the_work_of_a_stray_point():
