@@ -67,18 +67,6 @@ class DescriptorVolume:
             raise ValueError(f"descriptor volume must be 3-D, got {vals.shape}")
         self.values = vals
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[2]
-
 
 def _as_float(values) -> np.ndarray:
     vals = np.asarray(values)

@@ -10,6 +10,7 @@ from .cfog import CfogParams
 from .geomodels import all_model_specs, model_spec_from_name
 from .keypoints import BlockGridParams
 from .matcher import MatchParams
+from .raster import parse_records
 from .robustfit import RansacParams
 
 
@@ -109,46 +110,25 @@ def parse_cp_counts(value: str) -> tuple:
     return counts
 
 
-_FIELD_PARSERS = {
-    "n_blocks": int,
-    "k_per_block": int,
-    "fast_threshold": _parse_optional_float,
-    "template_size": int,
-    "search_size": int,
-    "m_orientations": int,
-    "sigma_spatial": float,
-    "normalize_descriptor": _parse_bool,
-    "subpixel": _parse_bool,
-    "descriptor": str,
-    "ransac_model": str,
-    "inlier_tol": float,
-    "ransac_max_iters": int,
-    "ransac_confidence": float,
-    "top_k": int,
-    "n_checkpoints": int,
-    "cp_counts": parse_cp_counts,
-    "models": str,
-    "margin": int,
-    "seed": int,
-    "threads": int,
-}
-
-assert set(_FIELD_PARSERS) == {f.name for f in fields(PipelineConfig)}
+# each field's parser, by the field's annotation
+_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
+                 "float | None": _parse_optional_float,
+                 "tuple": parse_cp_counts}
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type]
+                  for f in fields(PipelineConfig)}
 
 
 def load_config(path) -> PipelineConfig:
     """Read a flat ``key = value`` configuration file; unknown keys are
-    errors so typos do not silently fall back to defaults."""
+    errors so typos do not silently fall back to defaults. Every error
+    message starts with the path."""
     text = Path(path).read_text(encoding="utf-8")
     overrides = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_PARSERS:
-            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        overrides[key] = _FIELD_PARSERS[key](value)
+    try:
+        for key, value in parse_records(text).items():
+            if key not in _FIELD_PARSERS:
+                raise ValueError(f"unknown configuration key {key!r}")
+            overrides[key] = _FIELD_PARSERS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return replace(PipelineConfig(), **overrides).validate()

@@ -19,12 +19,14 @@ on the true residual; one solver serves every denominator mode.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import RasterGrid, nan_filled, sample_bilinear
+from .raster import RasterGrid, nan_filled, parse_records, sample_bilinear
 
 
 class InsufficientControlPointsError(ValueError):
@@ -37,6 +39,9 @@ class DegenerateFitError(RuntimeError):
 
 _PROJECTIVE_ORDER = {10: 1, 22: 2, 38: 3}
 _RFM_DENOM_MODES = ("unit", "shared", "distinct")
+# the fields of a model's text form, in file order
+_COEFF_VECTORS = ("num_x", "den_x", "num_y", "den_y")
+MODEL_FIELDS = ("family", "order", "denom_mode", "norm") + _COEFF_VECTORS
 
 # |denominator| below this (normalized units) marks an evaluation failure
 DENOM_EPS = 1e-12
@@ -117,10 +122,8 @@ class ModelSpec:
 
     @property
     def basis_size(self) -> int:
-        n = self.basis_order
-        if self.family == "rfm":
-            return (n + 1) * (n + 2) * (n + 3) // 6
-        return (n + 1) * (n + 2) // 2
+        # rfm bases are over (X, Y, Z), the others over (X, Y)
+        return len(_exponents(self.basis_order, 3 if self.family == "rfm" else 2))
 
     @property
     def denominators(self) -> str:
@@ -186,18 +189,22 @@ def min_cp_count(spec: ModelSpec) -> int:
 # Monomial bases
 
 
-def _exponents_2d(order: int) -> list[tuple[int, int]]:
-    # total degree ascending, then descending power of X
-    return [(i, deg - i)
-            for deg in range(order + 1)
-            for i in range(deg, -1, -1)]
+@functools.cache  # every model evaluation and fit asks again
+def _exponents(order: int, dims: int) -> tuple:
+    """Exponent tuples of the monomials in ``dims`` axes of total degree at
+    most ``order``: total degree ascending, then descending power of the
+    first axis, then of the second."""
+    candidates = itertools.product(range(order + 1), repeat=dims)
+    return tuple(sorted((e for e in candidates if sum(e) <= order),
+                        key=lambda e: (sum(e), [-x for x in e])))
 
 
-def _exponents_3d(order: int) -> list[tuple[int, int, int]]:
-    return [(i, j, deg - i - j)
-            for deg in range(order + 1)
-            for i in range(deg, -1, -1)
-            for j in range(deg - i, -1, -1)]
+def _basis(axes, order: int) -> np.ndarray:
+    """The monomials of _exponents(order, len(axes)), stacked along the last
+    axis; each is the left-to-right product of its axes' powers."""
+    axes = [np.asarray(a, dtype=np.float64) for a in axes]
+    return np.stack([math.prod(a ** e for a, e in zip(axes, exps))
+                     for exps in _exponents(order, len(axes))], axis=-1)
 
 
 def poly_basis(X, Y, order: int) -> np.ndarray:
@@ -206,18 +213,12 @@ def poly_basis(X, Y, order: int) -> np.ndarray:
     Ordered by total degree then by descending i: order 2 gives
     [1, X, Y, X^2, XY, Y^2].
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    return np.stack([X ** i * Y ** j for i, j in _exponents_2d(order)], axis=-1)
+    return _basis((X, Y), order)
 
 
 def poly_basis_3d(X, Y, Z, order: int) -> np.ndarray:
     """Monomials X^i Y^j Z^k with i+j+k <= order, same graded ordering."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
-    return np.stack([X ** i * Y ** j * Z ** k
-                     for i, j, k in _exponents_3d(order)], axis=-1)
+    return _basis((X, Y, Z), order)
 
 
 def _monomial_sums(axes, exponents, coeff_vecs) -> list:
@@ -288,10 +289,6 @@ class Normalization:
     v_scale: float = 1.0
 
     @classmethod
-    def identity(cls) -> "Normalization":
-        return cls()
-
-    @classmethod
     def from_points(cls, X, Y, u, v, Z=None) -> "Normalization":
         x_off, x_scale = _axis_norm(np.asarray(X, float))
         y_off, y_scale = _axis_norm(np.asarray(Y, float))
@@ -340,7 +337,7 @@ class FittedModel:
     den_x: np.ndarray
     num_y: np.ndarray
     den_y: np.ndarray
-    norm: Normalization = field(default_factory=Normalization.identity)
+    norm: Normalization = field(default_factory=Normalization)
     warning: str | None = None
     cp_residuals: np.ndarray | None = None
 
@@ -358,18 +355,6 @@ class FittedModel:
         if self.den_x[0] != 1.0 or self.den_y[0] != 1.0:
             raise ValueError("denominator constant terms must equal 1")
 
-    @property
-    def coeffs_x(self) -> np.ndarray:
-        return np.concatenate([self.num_x, self.den_x[1:]])
-
-    @property
-    def coeffs_y(self) -> np.ndarray:
-        return np.concatenate([self.num_y, self.den_y[1:]])
-
-    @property
-    def param_count(self) -> int:
-        return self.spec.param_count
-
     @classmethod
     def from_coefficients(cls, spec: ModelSpec, num_x, num_y,
                           den_x=None, den_y=None,
@@ -383,7 +368,7 @@ class FittedModel:
                    den_x=unit.copy() if den_x is None else np.asarray(den_x, float),
                    num_y=np.asarray(num_y, float),
                    den_y=unit.copy() if den_y is None else np.asarray(den_y, float),
-                   norm=norm if norm is not None else Normalization.identity())
+                   norm=norm if norm is not None else Normalization())
 
     @property
     def has_unit_denominators(self) -> bool:
@@ -418,12 +403,8 @@ class FittedModel:
         return u.reshape(shape), v.reshape(shape)
 
     def _apply_block(self, X, Y, Z=None):
-        axes = self.norm.fwd_in(X, Y, Z)
-        if Z is None:
-            axes = axes[:2]
-            exponents = _exponents_2d(self.spec.basis_order)
-        else:
-            exponents = _exponents_3d(self.spec.basis_order)
+        axes = [a for a in self.norm.fwd_in(X, Y, Z) if a is not None]
+        exponents = _exponents(self.spec.basis_order, len(axes))
         if self.has_unit_denominators:
             # x / 1.0 == x, so skipping the denominators is exact
             un, vn = _monomial_sums(axes, exponents, (self.num_x, self.num_y))
@@ -435,46 +416,55 @@ class FittedModel:
                 vn = np.where(np.abs(den_v) < DENOM_EPS, np.nan, num_v / den_v)
         return self.norm.inv_out(un, vn)
 
-    # -- text serialization
+    # -- text serialization: the fields of a model file, which a synthetic
+    # scene's manifest also carries as its warp_* keys
+
+    def to_fields(self) -> dict:
+        """The model's text fields in file order: family, order, denom_mode
+        (rfm only), norm and the four coefficient vectors, each number
+        written with 17 significant digits so that it reads back exactly."""
+        fields = {"family": self.spec.family, "order": str(self.spec.order)}
+        if self.spec.denom_mode is not None:
+            fields["denom_mode"] = self.spec.denom_mode
+        numbers = {"norm": self.norm.as_tuple(),
+                   **{key: getattr(self, key) for key in _COEFF_VECTORS}}
+        for key, vec in numbers.items():
+            fields[key] = " ".join(f"{c:.17e}" for c in vec)
+        return fields
+
+    @classmethod
+    def from_fields(cls, fields: dict) -> "FittedModel":
+        """Inverse of to_fields; a missing ``norm`` is the identity. Raises
+        ValueError naming a missing field."""
+        for key in ("family", "order") + _COEFF_VECTORS:
+            if key not in fields:
+                raise ValueError(f"model lacks the {key!r} field")
+
+        def numbers(key):
+            return [float(t) for t in fields[key].split()]
+
+        spec = ModelSpec(fields["family"], int(fields["order"]),
+                         fields.get("denom_mode"))
+        norm = Normalization(*numbers("norm")) if "norm" in fields \
+            else Normalization()
+        vecs = {key: np.array(numbers(key)) for key in _COEFF_VECTORS}
+        return cls(spec=spec, norm=norm, **vecs)
 
     def to_text(self) -> str:
-        def fmt(vec):
-            return " ".join(f"{c:.17e}" for c in vec)
-
-        lines = [
-            f"model {self.spec.name}",
-            f"family {self.spec.family}",
-            f"order {self.spec.order}",
-        ]
-        if self.spec.denom_mode is not None:
-            lines.append(f"denom_mode {self.spec.denom_mode}")
-        lines.append("norm " + fmt(self.norm.as_tuple()))
-        lines.append("num_x " + fmt(self.num_x))
-        lines.append("den_x " + fmt(self.den_x))
-        lines.append("num_y " + fmt(self.num_y))
-        lines.append("den_y " + fmt(self.den_y))
+        lines = [f"model {self.spec.name}"]
+        lines += [f"{key} {value}" for key, value in self.to_fields().items()]
         if self.warning:
             lines.append(f"warning {self.warning}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "FittedModel":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            fields[key] = value
-        for key in ("family", "order", "norm", "num_x", "den_x", "num_y", "den_y"):
-            if key not in fields:
-                raise ValueError(f"model text lacks {key!r} line")
-        spec = ModelSpec(fields["family"], int(fields["order"]),
-                         fields.get("denom_mode"))
-        norm = Normalization(*(float(t) for t in fields["norm"].split()))
-        vecs = {k: np.array([float(t) for t in fields[k].split()])
-                for k in ("num_x", "den_x", "num_y", "den_y")}
-        return cls(spec=spec, norm=norm, warning=fields.get("warning"), **vecs)
+        fields = parse_records(text, sep=" ")
+        if "norm" not in fields:
+            raise ValueError("model text lacks 'norm' line")
+        model = cls.from_fields(fields)
+        model.warning = fields.get("warning")
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +558,11 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
     if model.has_unit_denominators:
         return None
     axis = np.linspace(-1.0, 1.0, 21)
+    samples = [axis, axis]
     if model.spec.family == "rfm":
-        zs = np.linspace(-1.0, 1.0, 5) if has_z else np.array([0.0])
-        axes = np.meshgrid(axis, axis, zs, indexing="ij")
-        exponents = _exponents_3d(model.spec.basis_order)
-    else:
-        axes = np.meshgrid(axis, axis, indexing="ij")
-        exponents = _exponents_2d(model.spec.basis_order)
+        samples.append(np.linspace(-1.0, 1.0, 5) if has_z else np.array([0.0]))
+    axes = np.meshgrid(*samples, indexing="ij")
+    exponents = _exponents(model.spec.basis_order, len(axes))
     for den in _monomial_sums(axes, exponents, (model.den_x, model.den_y)):
         if np.min(den) < 1e-6:
             return "denominator-near-zero"
@@ -610,14 +598,10 @@ def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
     if normalize:
         norm = Normalization.from_points(X, Y, u, v, Z)
     else:
-        norm = Normalization.identity()
-    Xn, Yn, Zn = norm.fwd_in(X, Y, Z)
+        norm = Normalization()
     un, vn = norm.fwd_out(u, v)
-
-    if spec.family == "rfm":
-        A = poly_basis_3d(Xn, Yn, Zn, spec.basis_order)
-    else:
-        A = poly_basis(Xn, Yn, spec.basis_order)
+    A = _basis([a for a in norm.fwd_in(X, Y, Z) if a is not None],
+               spec.basis_order)
 
     # nums: numerator per coordinate; dens: its denominator's free terms
     mode = spec.denominators

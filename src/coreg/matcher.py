@@ -212,8 +212,6 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
         raise ValueError(f"channel counts differ: {t.shape[2]} vs {s.shape[2]}")
     if t.shape[0] > s.shape[0] or t.shape[1] > s.shape[1]:
         raise ValueError(f"template {t.shape} exceeds search frame {s.shape}")
-    if not t.any() or not s.any():
-        return None
 
     h, w, m = s.shape
     total = _summed_cross_power(t.transpose(2, 0, 1), s.transpose(2, 0, 1))

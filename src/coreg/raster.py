@@ -212,19 +212,34 @@ def _write_header(path: Path, grid: RasterGrid, dtype: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_header(path: Path) -> dict:
-    if not path.exists():
-        raise RasterFormatError(f"missing sidecar header {path}")
-    entries = {}
-    for lineno, line in enumerate(path.read_text(encoding="ascii").splitlines(), 1):
+def parse_records(text: str, sep: str = "=") -> dict:
+    """The ``key<sep>value`` lines of a text file as a dict of stripped
+    strings; blank lines and ``#`` comments are skipped, and a later line
+    overrides an earlier one with the same key.
+
+    Headers, synthetic-scene manifests and configuration files use ``=``,
+    model files a space. Raises ValueError naming the first line that has
+    no separator.
+    """
+    records = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise RasterFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
+        key, found, value = line.partition(sep)
+        if not found:
+            raise ValueError(f"line {lineno}: expected key{sep}value, got {line!r}")
+        records[key.strip()] = value.strip()
+    return records
+
+
+def _read_header(path: Path) -> dict:
+    if not path.exists():
+        raise RasterFormatError(f"missing sidecar header {path}")
+    try:
+        return parse_records(path.read_text(encoding="ascii"))
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from None
 
 
 def _header_geo(entries: dict, path: Path):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geomodels import ControlPoint, FittedModel, ModelSpec, Normalization, fit
-from .raster import GeoTransform, RasterGrid, sample_bilinear
+from .geomodels import MODEL_FIELDS, ControlPoint, FittedModel, ModelSpec, fit
+from .raster import GeoTransform, RasterGrid, parse_records, sample_bilinear
 
 # check_invertible probes a grid of this many samples per axis
 _INVERTIBLE_SAMPLES = 25
@@ -454,63 +454,37 @@ def generate(spec: SynthSpec):
 # Manifest round trip (flat key=value recipe files for the CLI)
 
 
+# the recipe keys besides the warp's, in file order, each with its parser;
+# the warp's are its model fields prefixed with warp_
+_MANIFEST_KEYS = {"size": int, "texture": str, "radiometry": str,
+                  "gamma": float, "speckle_var": float, "seed": int}
+
+
 def spec_to_manifest(spec: SynthSpec) -> str:
-    lines = [
-        f"size={spec.size}",
-        f"texture={spec.texture}",
-        f"radiometry={spec.radiometry}",
-        f"gamma={spec.gamma!r}",
-        f"speckle_var={spec.speckle_var!r}",
-        f"seed={spec.seed}",
-    ]
+    lines = [f"{key}={getattr(spec, key)}" for key in _MANIFEST_KEYS]
     warp = spec.warp if spec.warp is not None else identity_warp()
-    lines.append(f"warp_family={warp.spec.family}")
-    lines.append(f"warp_order={warp.spec.order}")
-    if warp.spec.denom_mode is not None:
-        lines.append(f"warp_denom_mode={warp.spec.denom_mode}")
-
-    def fmt(vec):
-        return " ".join(f"{c:.17e}" for c in vec)
-
-    lines.append(f"warp_num_x={fmt(warp.num_x)}")
-    lines.append(f"warp_den_x={fmt(warp.den_x)}")
-    lines.append(f"warp_num_y={fmt(warp.num_y)}")
-    lines.append(f"warp_den_y={fmt(warp.den_y)}")
-    lines.append(f"warp_norm={fmt(warp.norm.as_tuple())}")
+    fields = warp.to_fields()
+    fields["norm"] = fields.pop("norm")  # written last
+    lines += [f"warp_{key}={value}" for key, value in fields.items()]
     return "\n".join(lines) + "\n"
 
 
 def spec_from_manifest(text: str) -> SynthSpec:
-    entries = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"manifest line {lineno}: expected key=value, "
-                             f"got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-
-    warp = None
-    if "warp_family" in entries:
-        mspec = ModelSpec(entries["warp_family"], int(entries["warp_order"]),
-                          entries.get("warp_denom_mode"))
-
-        def vec(key):
-            return np.array([float(t) for t in entries[key].split()])
-
-        norm = Normalization(*(float(t) for t in entries["warp_norm"].split())) \
-            if "warp_norm" in entries else Normalization.identity()
-        warp = FittedModel(spec=mspec, num_x=vec("warp_num_x"),
-                           den_x=vec("warp_den_x"), num_y=vec("warp_num_y"),
-                           den_y=vec("warp_den_y"), norm=norm)
+    """Read a recipe written by spec_to_manifest, or by hand: keys left out
+    take SynthSpec's defaults, no warp_* keys mean no warp, and a warp
+    without warp_norm has the identity normalization. Raises ValueError
+    naming a malformed line or an unknown key."""
+    try:
+        entries = parse_records(text)
+    except ValueError as exc:
+        raise ValueError(f"manifest {exc}") from None
+    warp_keys = {f"warp_{key}" for key in MODEL_FIELDS}
+    for key in entries:
+        if key not in _MANIFEST_KEYS and key not in warp_keys:
+            raise ValueError(f"manifest: unknown key {key!r}")
+    fields = {key.removeprefix("warp_"): value
+              for key, value in entries.items() if key in warp_keys}
     return SynthSpec(
-        size=int(entries.get("size", 512)),
-        texture=entries.get("texture", "fractal"),
-        warp=warp,
-        radiometry=entries.get("radiometry", "identity"),
-        gamma=float(entries.get("gamma", 0.4)),
-        speckle_var=float(entries.get("speckle_var", 0.0)),
-        seed=int(entries.get("seed", 0)),
-    )
+        warp=FittedModel.from_fields(fields) if fields else None,
+        **{key: parse(entries[key]) for key, parse in _MANIFEST_KEYS.items()
+           if key in entries})

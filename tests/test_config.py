@@ -1,0 +1,56 @@
+import pytest
+
+from coreg.config import PipelineConfig, load_config
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(text, encoding="utf-8")
+    return load_config(path)
+
+
+def test_comments_and_blank_lines_are_skipped(tmp_path):
+    cfg = _load(tmp_path, "# the protocol\n\n  top_k = 50  \n   \n# seed = 3\n"
+                          "models = poly1, poly3\n")
+    assert cfg.top_k == 50
+    assert cfg.seed == PipelineConfig().seed
+    assert cfg.models == "poly1, poly3"
+
+
+@pytest.mark.parametrize("text,want", [("yes", True), ("off", False),
+                                       ("1", True), ("0", False)])
+def test_booleans(tmp_path, text, want):
+    cfg = _load(tmp_path, f"subpixel = {text}\nnormalize_descriptor = {text}\n")
+    assert cfg.subpixel is want
+    assert cfg.normalize_descriptor is want
+
+
+def test_bad_boolean_rejected(tmp_path):
+    with pytest.raises(ValueError, match="boolean"):
+        _load(tmp_path, "subpixel = maybe\n")
+
+
+def test_fast_threshold_auto_and_number(tmp_path):
+    assert _load(tmp_path, "fast_threshold = auto\n").fast_threshold is None
+    assert _load(tmp_path, "fast_threshold = 0.25\n").fast_threshold == 0.25
+
+
+def test_numbers_and_strings_take_their_field_types(tmp_path):
+    cfg = _load(tmp_path, "n_blocks = 8\ninlier_tol = 35\ndescriptor = raw\n")
+    assert cfg.n_blocks == 8 and type(cfg.n_blocks) is int
+    assert cfg.inlier_tol == 35.0 and type(cfg.inlier_tol) is float
+    assert cfg.descriptor == "raw"
+
+
+def test_cp_counts(tmp_path):
+    assert _load(tmp_path, "cp_counts = 10, 20,30,\n").cp_counts == (10, 20, 30)
+
+
+def test_unknown_key_rejected_naming_the_file(tmp_path):
+    with pytest.raises(ValueError, match=r"pipeline\.cfg.*'inlier_tolerance'"):
+        _load(tmp_path, "inlier_tolerance = 3\n")
+
+
+def test_malformed_line_rejected_naming_the_file(tmp_path):
+    with pytest.raises(ValueError, match=r"pipeline\.cfg.*'top_k 50'"):
+        _load(tmp_path, "seed = 1\ntop_k 50\n")

@@ -319,6 +319,27 @@ def test_model_text_round_trip():
     assert back.to_text() == text
 
 
+def test_model_text_without_norm_rejected():
+    text = fit(model_spec_from_name("poly1"), _cps_2d(10, seed=15)).to_text()
+    stripped = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("norm "))
+    with pytest.raises(ValueError, match="norm"):
+        FittedModel.from_text(stripped)
+
+
+def test_model_text_with_warning_and_comment_round_trips():
+    model = fit(model_spec_from_name("rfm1_distinct"),
+                _cps_2d(40, seed=16, z=True))
+    model.warning = "denominator-near-zero"
+    text = model.to_text()
+    assert text.endswith("warning denominator-near-zero\n")
+    back = FittedModel.from_text("# fitted by hand\n\n" + text)
+    assert back.spec == model.spec
+    assert back.norm == model.norm
+    assert back.warning == model.warning
+    assert back.to_text() == text
+
+
 # -- DEM attachment ----------------------------------------------------------
 
 

@@ -73,6 +73,10 @@ def test_phase_correlation_is_deterministic():
 def test_flat_volume_gives_no_match():
     flat = DescriptorVolume(values=np.zeros((16, 16, 4)))
     assert phase_correlate_3d(flat, _vol(5, 16, 16)) is None
+    # a zero search volume, and a zero template smaller than the search frame
+    assert phase_correlate_3d(_vol(5, 16, 16), flat) is None
+    small = DescriptorVolume(values=np.zeros((8, 12, 4), dtype=np.float32))
+    assert phase_correlate_3d(small, _vol(6, 16, 16)) is None
 
 
 def test_non_finite_cross_power_gives_no_match():

@@ -78,6 +78,36 @@ def test_payload_size_mismatch_rejected(tmp_path):
         load_raster(tmp_path / "g.bin")
 
 
+def _edit_header(tmp_path, edit):
+    """Save a small grid as g.bin, then rewrite its header's lines through
+    ``edit``; a None result deletes the header."""
+    save_raster(as_grid(np.zeros((4, 10), dtype=np.float32)), tmp_path / "g.bin")
+    hdr = tmp_path / "g.hdr"
+    lines = edit(hdr.read_text().splitlines())
+    if lines is None:
+        hdr.unlink()
+    else:
+        hdr.write_text("".join(line + "\n" for line in lines))
+
+
+def test_header_comments_and_blank_lines_are_skipped(tmp_path):
+    _edit_header(tmp_path, lambda lines: ["# written by hand", ""] + lines)
+    assert load_raster(tmp_path / "g.bin").data.shape == (4, 10)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda lines: None, r"g\.hdr"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("gt=")], r"g\.bin"),
+    (lambda lines: lines + ["crs SYNTH"], r"g\.hdr.*'crs SYNTH'"),
+], ids=["missing-sidecar", "missing-gt", "malformed-line"])
+def test_bad_header_raises_naming_the_file(tmp_path, edit, named):
+    from coreg.raster import RasterFormatError
+
+    _edit_header(tmp_path, edit)
+    with pytest.raises(RasterFormatError, match=named):
+        load_raster(tmp_path / "g.bin")
+
+
 # -- geotransform ----------------------------------------------------------
 
 

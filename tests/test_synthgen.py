@@ -443,3 +443,39 @@ def test_manifest_defaults_and_identity_warp():
 def test_manifest_garbage_line_rejected():
     with pytest.raises(ValueError):
         spec_from_manifest("size=32\nnot a key value line\n")
+
+
+def test_manifest_unknown_key_rejected():
+    # a misspelt speckle_var must not generate a speckle-free scene
+    with pytest.raises(ValueError, match="'speckle'"):
+        spec_from_manifest("size=32\nspeckle=0.05\n")
+
+
+def test_manifest_without_warp_norm_reads_as_identity_norm():
+    # the criterion-9 recipe
+    spec = spec_from_manifest(
+        "size=256\nseed=11\nradiometry=gamma\ngamma=0.6\nspeckle_var=0.01\n"
+        "warp_family=polynomial\nwarp_order=1\n"
+        "warp_num_x=3.0e0 1.0e0 0.0e0\nwarp_den_x=1.0e0 0.0e0 0.0e0\n"
+        "warp_num_y=-2.0e0 0.0e0 1.0e0\nwarp_den_y=1.0e0 0.0e0 0.0e0\n")
+    assert spec.warp.norm == Normalization()
+    assert spec.warp.apply(10.0, 20.0) == (13.0, 18.0)
+    assert spec_to_manifest(spec).endswith(
+        "warp_norm=" + " ".join(["0.00000000000000000e+00",
+                                 "1.00000000000000000e+00"] * 5) + "\n")
+
+
+def test_manifest_round_trips_an_rfm_denom_mode():
+    rng = np.random.default_rng(22)
+    warp = FittedModel.from_coefficients(
+        model_spec_from_name("rfm1_shared"), rng.normal(size=4),
+        rng.normal(size=4), [1.0, 0.1, 0.0, 0.02], [1.0, 0.1, 0.0, 0.02],
+        Normalization(*rng.uniform(1.0, 2.0, 10)))
+    text = spec_to_manifest(SynthSpec(size=32, warp=warp))
+    assert "warp_denom_mode=shared\n" in text
+    back = spec_from_manifest(text)
+    assert back.warp.spec == warp.spec
+    assert back.warp.norm == warp.norm
+    for key in ("num_x", "den_x", "num_y", "den_y"):
+        assert np.array_equal(getattr(back.warp, key), getattr(warp, key))
+    assert spec_to_manifest(back) == text
