@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,8 @@ from .geomodels import (DegenerateFitError, InsufficientControlPointsError,
                         fit as fit_model, min_cp_count, model_spec_from_name)
 from .matcher import (correspondences_from_csv, correspondences_to_csv,
                       match_all)
-from .metrics import (checkpoint_rmse, misreg_to_csv, misregistration,
-                      split_checkpoints, sweep, sweep_to_csv,
-                      to_control_points)
+from .metrics import (checkpoint_rmse, holdout, misreg_to_csv,
+                      misregistration, sweep, sweep_to_csv, to_control_points)
 from .keypoints import detect_block_fast
 from .raster import (RasterError, crop_to_overlap, load_raster, save_raster,
                      warp)
@@ -66,24 +65,14 @@ def _write(path: Path, text: str):
 
 
 def _base_config(args) -> PipelineConfig:
+    """The --config file (or the defaults) overridden by every flag given;
+    each such flag stores into the field of the same name."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    mapping = {
-        "seed": "seed", "threads": "threads",
-        "template_size": "template_size", "search_size": "search_size",
-        "blocks": "n_blocks", "top_k": "top_k",
-        "checkpoints": "n_checkpoints", "margin": "margin",
-        "models": "models",
-    }
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "cp_counts", None) is not None:
-        overrides["cp_counts"] = parse_cp_counts(args.cp_counts)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
+    if "cp_counts" in overrides:
+        overrides["cp_counts"] = parse_cp_counts(overrides["cp_counts"])
+    return replace(cfg, **overrides).validate()
 
 
 def _load_corrs(path):
@@ -164,20 +153,24 @@ def run_measure(args) -> int:
 
 
 def _fit_with_optional_holdout(cfg, corrs, spec, dem, n_holdout, pixel_size):
-    needs_dem = spec.family == "rfm"
-    if needs_dem and dem is None:
+    if spec.dims == 2:
+        dem = None  # a model over (X, Y) ignores --dem
+    elif dem is None:
         raise ValueError(f"{spec.name} requires a DEM")
-    score = None
-    if n_holdout:
-        check_corrs, rest_corrs = split_checkpoints(corrs, n_holdout, cfg.seed)
-        cps = to_control_points(rest_corrs, dem if needs_dem else None)
-        checks = to_control_points(check_corrs, dem if needs_dem else None)
-        model = fit_model(spec, cps)
-        score = checkpoint_rmse(model, checks, pixel_size)
-    else:
-        cps = to_control_points(corrs, dem if needs_dem else None)
-        model = fit_model(spec, cps)
-    return model, score, len(cps)
+    if not n_holdout:
+        cps = to_control_points(corrs, dem)
+        return fit_model(spec, cps), None, len(cps)
+    checks, cps = holdout(corrs, n_holdout, cfg.seed, dem)
+    model = fit_model(spec, cps)
+    return model, checkpoint_rmse(model, checks, pixel_size), len(cps)
+
+
+def _score_lines(score) -> list:
+    """A checkpoint score as report lines."""
+    return [f"checkpoints={score.n_used}",
+            f"checkpoint_rmse_px={score.rmse!r}",
+            f"checkpoint_max_px={score.max_residual!r}",
+            f"checkpoint_mean_px={score.mean_distance!r}"]
 
 
 def run_fit(args) -> int:
@@ -185,12 +178,12 @@ def run_fit(args) -> int:
     corrs = _load_corrs(args.corr)
     spec = model_spec_from_name(args.model)
     dem = load_raster(args.dem) if args.dem else None
-    n_holdout = args.checkpoints if args.checkpoints is not None else 0
     out = _out_dir(args)
 
     with _Timer("fit"):
+        # nothing is held out unless --checkpoints is given
         model, score, n_cps = _fit_with_optional_holdout(
-            cfg, corrs, spec, dem, n_holdout, args.pixel_size)
+            cfg, corrs, spec, dem, args.n_checkpoints, args.pixel_size)
 
     _write(out / f"{spec.name}.model", model.to_text())
     lines = [
@@ -201,12 +194,7 @@ def run_fit(args) -> int:
         f"fit_rmse_map_units={float(np.sqrt(np.mean(model.cp_residuals ** 2)))!r}",
     ]
     if score is not None:
-        lines += [
-            f"checkpoints={score.n_used}",
-            f"checkpoint_rmse_px={score.rmse!r}",
-            f"checkpoint_max_px={score.max_residual!r}",
-            f"checkpoint_mean_px={score.mean_distance!r}",
-        ]
+        lines += _score_lines(score)
     if model.warning:
         lines.append(f"warning={model.warning}")
     _write(out / "fit_report.txt", "\n".join(lines) + "\n")
@@ -251,8 +239,7 @@ def run_register(args) -> int:
             cfg, corrs, spec, dem, cfg.n_checkpoints, pixel_size)
     with _Timer("warp"):
         registered, eval_failures = warp(
-            sensed, model, ref.geotransform, ref.width, ref.height,
-            dem=dem if spec.family == "rfm" else None)
+            sensed, model, ref.geotransform, ref.width, ref.height, dem=dem)
     save_raster(registered, out / "registered.bin")
     print(f"wrote {out / 'registered.bin'}")
     _write(out / f"{spec.name}.model", model.to_text())
@@ -262,10 +249,7 @@ def run_register(args) -> int:
     lines = [
         f"model={spec.name}",
         f"cp_count={n_cps}",
-        f"checkpoints={score.n_used}",
-        f"checkpoint_rmse_px={score.rmse!r}",
-        f"checkpoint_max_px={score.max_residual!r}",
-        f"checkpoint_mean_px={score.mean_distance!r}",
+        *_score_lines(score),
         f"input_mean_ds_px={misreg.mean_ds!r}",
         f"eval_failure_fraction={fail_frac!r}",
         f"output=registered.bin",
@@ -307,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensed", required=True)
     p.add_argument("--template-size", type=int, default=None)
     p.add_argument("--search-size", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
+    p.add_argument("--blocks", type=int, default=None, dest="n_blocks")
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--margin", type=int, default=None)
     p.set_defaults(func=run_match)
@@ -324,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dem")
-    p.add_argument("--checkpoints", type=int, default=None)
+    p.add_argument("--checkpoints", type=int, default=None,
+                   dest="n_checkpoints")
     p.add_argument("--pixel-size", type=float, default=1.0)
     p.set_defaults(func=run_fit)
 
@@ -335,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dem")
     p.add_argument("--models", default=None)
     p.add_argument("--cp-counts", default=None)
-    p.add_argument("--checkpoints", type=int, default=None)
+    p.add_argument("--checkpoints", type=int, default=None,
+                   dest="n_checkpoints")
     p.add_argument("--pixel-size", type=float, default=1.0)
     p.set_defaults(func=run_sweep)
 
@@ -347,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dem")
-    p.add_argument("--checkpoints", type=int, default=None)
+    p.add_argument("--checkpoints", type=int, default=None,
+                   dest="n_checkpoints")
     p.add_argument("--pixel-size", type=float, default=None)
     p.set_defaults(func=run_register)
 

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,6 @@ class DegenerateFitError(RuntimeError):
     """Control point configuration leaves the design matrix rank-deficient."""
 
 
-_PROJECTIVE_ORDER = {10: 1, 22: 2, 38: 3}
-_RFM_DENOM_MODES = ("unit", "shared", "distinct")
 # the fields of a model's text form, in file order
 _COEFF_VECTORS = ("num_x", "den_x", "num_y", "den_y")
 MODEL_FIELDS = ("family", "order", "denom_mode", "norm") + _COEFF_VECTORS
@@ -71,6 +70,24 @@ class ControlPoint:
     ref_z: float | None = None
 
 
+class _Family(NamedTuple):
+    prefix: str  # of the model names
+    basis_orders: dict  # allowed order -> polynomial order of the basis
+    dims: int  # monomial axes: 3 where the basis includes the height Z
+    denominators: dict  # allowed denom_mode -> unit, shared or distinct
+
+
+# the 17 models; all_model_specs, and so the rows of a sweep, follow this order
+_FAMILIES = {
+    "polynomial": _Family("poly", {n: n for n in (1, 2, 3, 4, 5)}, 2,
+                          {None: "unit"}),
+    "projective": _Family("proj", {10: 1, 22: 2, 38: 3}, 2,
+                          {None: "distinct"}),
+    "rfm": _Family("rfm", {n: n for n in (1, 2, 3)}, 3,
+                   {mode: mode for mode in ("unit", "shared", "distinct")}),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declaration of one transformation model.
@@ -85,104 +102,73 @@ class ModelSpec:
     denom_mode: str | None = None
 
     def __post_init__(self):
-        if self.family == "polynomial":
-            if self.order not in (1, 2, 3, 4, 5):
-                raise ValueError(f"polynomial order must be 1..5, got {self.order}")
-            if self.denom_mode is not None:
-                raise ValueError("denom_mode applies to rfm only")
-        elif self.family == "projective":
-            if self.order not in _PROJECTIVE_ORDER:
-                raise ValueError(
-                    f"projective parameter count must be 10, 22 or 38, got {self.order}")
-            if self.denom_mode is not None:
-                raise ValueError("denom_mode applies to rfm only")
-        elif self.family == "rfm":
-            if self.order not in (1, 2, 3):
-                raise ValueError(f"rfm order must be 1..3, got {self.order}")
-            if self.denom_mode not in _RFM_DENOM_MODES:
-                raise ValueError(f"rfm denom_mode must be one of "
-                                 f"{_RFM_DENOM_MODES}, got {self.denom_mode!r}")
-        else:
+        row = _FAMILIES.get(self.family)
+        if row is None:
             raise ValueError(f"unknown model family {self.family!r}")
+        if self.order not in row.basis_orders:
+            raise ValueError(f"{self.family} order must be one of "
+                             f"{tuple(row.basis_orders)}, got {self.order}")
+        if self.denom_mode not in row.denominators:
+            raise ValueError(f"{self.family} denom_mode must be one of "
+                             f"{tuple(row.denominators)}, got {self.denom_mode!r}")
 
     @property
     def name(self) -> str:
-        if self.family == "polynomial":
-            return f"poly{self.order}"
-        if self.family == "projective":
-            return f"proj{self.order}"
-        return f"rfm{self.order}_{self.denom_mode}"
+        mode = f"_{self.denom_mode}" if self.denom_mode is not None else ""
+        return f"{_FAMILIES[self.family].prefix}{self.order}{mode}"
 
     @property
     def basis_order(self) -> int:
         """Polynomial order of the underlying basis."""
-        if self.family == "projective":
-            return _PROJECTIVE_ORDER[self.order]
-        return self.order
+        return _FAMILIES[self.family].basis_orders[self.order]
+
+    @property
+    def dims(self) -> int:
+        """Monomial axes: 2 over (X, Y), or 3 where the model also takes the
+        reference height Z."""
+        return _FAMILIES[self.family].dims
 
     @property
     def basis_size(self) -> int:
-        # rfm bases are over (X, Y, Z), the others over (X, Y)
-        return len(_exponents(self.basis_order, 3 if self.family == "rfm" else 2))
+        return len(_exponents(self.basis_order, self.dims))
 
     @property
     def denominators(self) -> str:
         """``unit`` (both denominators are 1), ``shared`` (one common
         denominator) or ``distinct`` (one per coordinate). A projective
         model is a 2D rational with distinct denominators."""
-        if self.family == "polynomial":
-            return "unit"
-        if self.family == "projective":
-            return "distinct"
-        return self.denom_mode
+        return _FAMILIES[self.family].denominators[self.denom_mode]
 
     @property
     def param_count(self) -> int:
+        # b numerator terms per coordinate, b - 1 free terms per denominator
         b = self.basis_size
-        mode = self.denominators
-        if mode == "unit":
-            return 2 * b
-        if mode == "shared":
-            return 3 * b - 1
-        return 4 * b - 2
+        n_dens = {"unit": 0, "shared": 1, "distinct": 2}[self.denominators]
+        return 2 * b + n_dens * (b - 1)
 
 
 def model_spec_from_name(name: str) -> ModelSpec:
     """Parse a canonical model name like ``poly3``, ``proj22``, ``rfm2_shared``."""
-    if name.startswith("poly"):
-        return ModelSpec("polynomial", int(name[4:]))
-    if name.startswith("proj"):
-        return ModelSpec("projective", int(name[4:]))
-    if name.startswith("rfm"):
-        head, _, mode = name.partition("_")
-        if mode:
-            return ModelSpec("rfm", int(head[3:]), mode)
+    for family, row in _FAMILIES.items():
+        if name.startswith(row.prefix):
+            order, mode = name[len(row.prefix):], None
+            if None not in row.denominators:  # names end in _<denom_mode>
+                order, _, mode = order.partition("_")
+            return ModelSpec(family, int(order), mode or None)
     raise ValueError(f"unknown model name {name!r}")
 
 
 def all_model_specs() -> list[ModelSpec]:
     """Every supported model: 5 polynomial + 3 projective + 9 rfm."""
-    specs = [ModelSpec("polynomial", n) for n in range(1, 6)]
-    specs += [ModelSpec("projective", p) for p in (10, 22, 38)]
-    specs += [ModelSpec("rfm", n, mode)
-              for n in (1, 2, 3) for mode in _RFM_DENOM_MODES]
-    return specs
+    return [ModelSpec(family, order, mode)
+            for family, row in _FAMILIES.items()
+            for order in row.basis_orders for mode in row.denominators]
 
 
 def min_cp_count(spec: ModelSpec) -> int:
-    """Smallest control point count that determines the model.
-
-    Unit and distinct denominators need one point per unknown of a single
-    coordinate equation; a shared denominator couples both equations, so
-    each point contributes two.
-    """
-    b = spec.basis_size
-    mode = spec.denominators
-    if mode == "unit":
-        return b
-    if mode == "shared":
-        return -(-(3 * b - 1) // 2)
-    return 2 * b - 1
+    """Smallest control point count that determines the model: each point
+    gives one equation per coordinate, so half the parameter count."""
+    return math.ceil(spec.param_count / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +329,11 @@ class FittedModel:
 
     def __post_init__(self):
         b = self.spec.basis_size
-        self.num_x = np.asarray(self.num_x, dtype=np.float64)
-        self.den_x = np.asarray(self.den_x, dtype=np.float64)
-        self.num_y = np.asarray(self.num_y, dtype=np.float64)
-        self.den_y = np.asarray(self.den_y, dtype=np.float64)
-        for label, vec in (("num_x", self.num_x), ("den_x", self.den_x),
-                           ("num_y", self.num_y), ("den_y", self.den_y)):
+        for key in _COEFF_VECTORS:
+            vec = np.asarray(getattr(self, key), dtype=np.float64)
+            setattr(self, key, vec)
             if vec.shape != (b,):
-                raise ValueError(f"{label} must have {b} coefficients for "
+                raise ValueError(f"{key} must have {b} coefficients for "
                                  f"{self.spec.name}, got {vec.shape}")
         if self.den_x[0] != 1.0 or self.den_y[0] != 1.0:
             raise ValueError("denominator constant terms must equal 1")
@@ -382,12 +365,12 @@ class FittedModel:
         Returns sensed (x, y) in map units, broadcast over the inputs, as
         Python floats for scalar inputs. Points where a denominator
         magnitude falls below DENOM_EPS evaluate to NaN. ``ref_z`` is
-        required for rfm and ignored otherwise.
+        required by a model over (X, Y, Z) and ignored otherwise.
         """
         coords = (ref_x, ref_y)
-        if self.spec.family == "rfm":
+        if self.spec.dims == 3:
             if ref_z is None:
-                raise ValueError("rational function model evaluation needs ref_z")
+                raise ValueError(f"{self.spec.name} evaluation needs ref_z")
             coords += (ref_z,)
         coords = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64)
                                        for c in coords))
@@ -559,7 +542,7 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
         return None
     axis = np.linspace(-1.0, 1.0, 21)
     samples = [axis, axis]
-    if model.spec.family == "rfm":
+    if model.spec.dims == 3:
         samples.append(np.linspace(-1.0, 1.0, 5) if has_z else np.array([0.0]))
     axes = np.meshgrid(*samples, indexing="ij")
     exponents = _exponents(model.spec.basis_order, len(axes))
@@ -567,6 +550,20 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
         if np.min(den) < 1e-6:
             return "denominator-near-zero"
     return None
+
+
+def control_point_arrays(cps: list, spec: ModelSpec):
+    """The control points as float64 arrays (X, Y, u, v, Z): reference and
+    sensed map coordinates, and the reference heights that ``spec`` takes
+    (None for a model over (X, Y)). Raises ValueError when ``spec`` takes
+    heights and a point has no ``ref_z``."""
+    X, Y, u, v = (np.array([getattr(cp, key) for cp in cps], dtype=np.float64)
+                  for key in ("ref_x", "ref_y", "sensed_x", "sensed_y"))
+    if spec.dims == 2:
+        return X, Y, u, v, None
+    if any(cp.ref_z is None for cp in cps):
+        raise ValueError(f"{spec.name} requires ref_z on every control point")
+    return X, Y, u, v, np.array([cp.ref_z for cp in cps], dtype=np.float64)
 
 
 def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
@@ -582,15 +579,7 @@ def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
         raise InsufficientControlPointsError(
             f"{spec.name} needs at least {need} control points, got {len(cps)}")
 
-    X = np.array([cp.ref_x for cp in cps], dtype=np.float64)
-    Y = np.array([cp.ref_y for cp in cps], dtype=np.float64)
-    u = np.array([cp.sensed_x for cp in cps], dtype=np.float64)
-    v = np.array([cp.sensed_y for cp in cps], dtype=np.float64)
-    Z = None
-    if spec.family == "rfm":
-        if any(cp.ref_z is None for cp in cps):
-            raise ValueError("rfm fit requires ref_z on every control point")
-        Z = np.array([cp.ref_z for cp in cps], dtype=np.float64)
+    X, Y, u, v, Z = control_point_arrays(cps, spec)
     stacked = [X, Y, u, v] + ([Z] if Z is not None else [])
     if not all(np.all(np.isfinite(a)) for a in stacked):
         raise ValueError("control points contain non-finite coordinates")

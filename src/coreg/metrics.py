@@ -16,7 +16,8 @@ import numpy as np
 
 from .geomodels import (FittedModel, ModelSpec, ControlPoint,
                         DegenerateFitError, InsufficientControlPointsError,
-                        attach_dem_heights, fit, min_cp_count)
+                        attach_dem_heights, control_point_arrays, fit,
+                        min_cp_count)
 from .raster import RasterGrid
 
 
@@ -103,17 +104,8 @@ def checkpoint_rmse(model: FittedModel, checkpoints: list,
     """Euclidean prediction residuals at held-out points."""
     if not checkpoints:
         raise ValueError("no checkpoints to evaluate")
-    X = np.array([p.ref_x for p in checkpoints])
-    Y = np.array([p.ref_y for p in checkpoints])
-    u = np.array([p.sensed_x for p in checkpoints])
-    v = np.array([p.sensed_y for p in checkpoints])
-    if model.spec.family == "rfm":
-        if any(p.ref_z is None for p in checkpoints):
-            raise ValueError("rfm evaluation requires ref_z on every checkpoint")
-        Z = np.array([p.ref_z for p in checkpoints])
-        px, py = model.apply(X, Y, Z)
-    else:
-        px, py = model.apply(X, Y)
+    X, Y, u, v, Z = control_point_arrays(checkpoints, model.spec)
+    px, py = model.apply(X, Y, Z)
     d = np.hypot(px - u, py - v) / pixel_size
     ok = np.isfinite(d)
     n_excluded = int((~ok).sum())
@@ -188,6 +180,14 @@ def split_checkpoints(corrs: list, n_checkpoints: int, seed) -> tuple[list, list
     return checkpoints, remainder
 
 
+def holdout(corrs: list, n_checkpoints: int, seed,
+            dem: RasterGrid | None = None) -> tuple[list, list]:
+    """split_checkpoints, with both sets as control points (heights from
+    the DEM when one is given): returns (checkpoints, control points)."""
+    check_corrs, rest_corrs = split_checkpoints(corrs, n_checkpoints, seed)
+    return to_control_points(check_corrs, dem), to_control_points(rest_corrs, dem)
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 
@@ -229,14 +229,13 @@ def sweep(specs: list, corrs: list, n_checkpoints: int, cp_counts,
         if cp_counts[0] < need:
             raise ValueError(f"cp_count {cp_counts[0]} is below the "
                              f"{spec.name} minimum of {need}")
-    needs_dem = any(spec.family == "rfm" for spec in specs)
+    needs_dem = any(spec.dims == 3 for spec in specs)
     if needs_dem and dem is None:
         raise ValueError("sweeping rfm models requires a DEM")
 
     rng = np.random.default_rng(seed)
-    check_corrs, rest_corrs = split_checkpoints(corrs, n_checkpoints, rng)
-    checkpoints = to_control_points(check_corrs, dem if needs_dem else None)
-    rest = to_control_points(rest_corrs, dem if needs_dem else None)
+    checkpoints, rest = holdout(corrs, n_checkpoints, rng,
+                                dem if needs_dem else None)
     perm = rng.permutation(len(rest))
     shuffled = [rest[i] for i in perm]
 

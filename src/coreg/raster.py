@@ -199,6 +199,9 @@ def read_window(grid: RasterGrid, win: Window) -> np.ndarray:
 # File I/O
 
 
+_HEADER_KEYS = ("width", "height", "dtype", "gt", "crs", "nodata")
+
+
 def _write_header(path: Path, grid: RasterGrid, dtype: str) -> None:
     lines = [
         f"width={grid.width}",
@@ -237,9 +240,14 @@ def _read_header(path: Path) -> dict:
     if not path.exists():
         raise RasterFormatError(f"missing sidecar header {path}")
     try:
-        return parse_records(path.read_text(encoding="ascii"))
+        entries = parse_records(path.read_text(encoding="ascii"))
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from None
+    for key in entries:
+        # a misspelt key (say no_data=) would otherwise be dropped silently
+        if key not in _HEADER_KEYS:
+            raise RasterFormatError(f"{path}: unknown header key {key!r}")
+    return entries
 
 
 def _header_geo(entries: dict, path: Path):
@@ -508,10 +516,10 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     is not, i.e. failures of the model itself (rational denominator
     collapse) rather than DEM gaps or positions outside the sensed image.
     """
-    needs_dem = model.spec.family == "rfm"
+    needs_dem = model.spec.dims == 3
     if needs_dem:
         if dem is None:
-            raise ValueError("rfm warp requires a DEM")
+            raise ValueError(f"{model.spec.name} warp requires a DEM")
         heights = nan_filled(dem)
         # a DEM on the target grid is read, not sampled, at each pixel
         on_grid = (dem.geotransform == target_gt

@@ -61,12 +61,6 @@ def _fit_affine(rc, rr, sc, sr) -> np.ndarray:
     return coeffs.T
 
 
-def _apply_affine(M, rc, rr):
-    sc = M[0, 0] * rc + M[0, 1] * rr + M[0, 2]
-    sr = M[1, 0] * rc + M[1, 1] * rr + M[1, 2]
-    return sc, sr
-
-
 def _fit_homography(rc, rr, sc, sr) -> np.ndarray:
     """Direct linear transform with coordinate normalization; 8 dof."""
     def normalizer(x, y):
@@ -118,11 +112,13 @@ def _apply_homography(H, rc, rr):
     return sc, sr
 
 
-def _residuals(model, kind, rc, rr, sc, sr):
-    if kind == "affine":
-        pc, pr = _apply_affine(model, rc, rr)
-    else:
-        pc, pr = _apply_homography(model, rc, rr)
+def _residuals(model, rc, rr, sc, sr):
+    """Distances from the sensed points to the reference points mapped by
+    ``model``: a 3x3 homography, or a 2x3 affine map evaluated as the
+    homography with last row (0, 0, 1), whose w is exactly 1."""
+    if len(model) == 2:
+        model = np.vstack([model, (0.0, 0.0, 1.0)])
+    pc, pr = _apply_homography(model, rc, rr)
     with np.errstate(invalid="ignore", over="ignore"):
         d = np.hypot(pc - sc, pr - sr)
     return np.where(np.isfinite(d), d, np.inf)
@@ -173,7 +169,7 @@ def ransac_filter(corrs: list, params: RansacParams) -> tuple[list, list]:
             continue
         consecutive_bad = 0
         it += 1
-        mask = _residuals(model, kind, rc, rr, sc, sr) <= params.inlier_tol
+        mask = _residuals(model, rc, rr, sc, sr) <= params.inlier_tol
         count = int(mask.sum())
         if count > best_count:
             best_count = count
@@ -184,7 +180,7 @@ def ransac_filter(corrs: list, params: RansacParams) -> tuple[list, list]:
         return [], list(corrs)
 
     final = fitter(rc[best_mask], rr[best_mask], sc[best_mask], sr[best_mask])
-    final_mask = _residuals(final, kind, rc, rr, sc, sr) <= params.inlier_tol
+    final_mask = _residuals(final, rc, rr, sc, sr) <= params.inlier_tol
     inliers = [c for c, keep in zip(corrs, final_mask) if keep]
     outliers = [c for c, keep in zip(corrs, final_mask) if not keep]
     return inliers, outliers
@@ -207,6 +203,6 @@ def select_top_k(corrs: list, k: int, affine: np.ndarray | None = None) -> list:
     if affine is None:
         affine = fit_global_affine(corrs)
     rc, rr, sc, sr = _pixel_arrays(corrs)
-    res = _residuals(affine, "affine", rc, rr, sc, sr)
+    res = _residuals(affine, rc, rr, sc, sr)
     order = np.argsort(res, kind="stable")
     return [corrs[i] for i in order[:k]]

@@ -427,7 +427,7 @@ def generate(spec: SynthSpec):
                      geotransform=gt, crs_tag=crs)
 
     truth = spec.warp if spec.warp is not None else identity_warp()
-    if truth.spec.family == "rfm":
+    if truth.spec.dims == 3:
         raise ValueError("synthetic truth warps must be 2-D "
                          "(polynomial or projective)")
     n = spec.size

@@ -6,7 +6,7 @@ from coreg.geomodels import model_spec_from_name
 from coreg.matcher import (CSV_HEADER, Correspondence, correspondences_from_csv,
                            correspondences_to_csv)
 from coreg.metrics import sweep, sweep_to_csv
-from coreg.raster import load_raster, save_raster
+from coreg.raster import GeoTransform, load_raster, save_raster
 from coreg.synthgen import SynthSpec, generate, translation_warp
 
 from conftest import as_grid, texture
@@ -195,6 +195,68 @@ def test_rfm_fit_with_dem_succeeds(scene, tmp_path):
                "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "rfm1_unit.model").exists()
+
+
+@pytest.fixture
+def far_dem(scene, tmp_path):
+    """A DEM of the scene's size placed where it covers no point."""
+    root, _ = scene
+    dem = load_raster(root / "dem.bin")
+    path = tmp_path / "far_dem.bin"
+    save_raster(as_grid(dem.data, GeoTransform(1e6, 1e6, 1.0, 1.0)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--model", "poly3"],
+    ["sweep", "--models", "poly1,poly3", "--cp-counts", "10,15",
+     "--checkpoints", "8"],
+], ids=["fit-poly3", "sweep-poly1-poly3"])
+def test_2d_models_ignore_the_dem(scene, far_dem, tmp_path, argv):
+    _, run = scene
+    rc = main(argv + ["--corr", str(run / "correspondences.csv"),
+                      "--dem", far_dem, "--out-dir", str(tmp_path)])
+    assert rc == 0
+
+
+def test_height_model_needs_the_dem_under_every_point(scene, far_dem,
+                                                     tmp_path, capsys):
+    _, run = scene
+    rc = main(["fit", "--corr", str(run / "correspondences.csv"),
+               "--model", "rfm1_unit", "--dem", far_dem,
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error kind=ValueError" in err
+    assert "control point 0 at" in err
+
+
+def test_fit_holds_out_only_with_the_checkpoints_flag(scene, tmp_path):
+    _, run = scene
+    corr = run / "correspondences.csv"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("n_checkpoints = 8\n")
+    rc = main(["fit", "--corr", str(corr), "--model", "poly1",
+               "--config", str(cfg), "--out-dir", str(tmp_path / "all")])
+    assert rc == 0
+    rep = _report(tmp_path / "all" / "fit_report.txt")
+    n = len(correspondences_from_csv(corr.read_text()))
+    assert rep["cp_count"] == str(n)
+    assert "checkpoints" not in rep
+    rc = main(["fit", "--corr", str(corr), "--model", "poly1",
+               "--checkpoints", "8", "--out-dir", str(tmp_path / "held")])
+    assert rc == 0
+    rep = _report(tmp_path / "held" / "fit_report.txt")
+    assert (rep["cp_count"], rep["checkpoints"]) == (str(n - 8), "8")
+
+
+def test_bad_cp_counts_fail_cleanly(scene, tmp_path, capsys):
+    _, run = scene
+    rc = main(["sweep", "--corr", str(run / "correspondences.csv"),
+               "--models", "poly1", "--cp-counts", "ten",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "error kind=ValueError" in capsys.readouterr().err
 
 
 def test_crs_mismatch_fails_cleanly(tmp_path, capsys):

@@ -57,6 +57,9 @@ def test_seventeen_models_enumerated():
     specs = all_model_specs()
     assert len(specs) == 17
     assert {s.name for s in specs} == set(EXPECTED_TABLE)
+    # sweep rows follow this order
+    assert [s.name for s in specs] == list(EXPECTED_TABLE)
+    assert all(model_spec_from_name(s.name) == s for s in specs)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_TABLE))
@@ -70,6 +73,22 @@ def test_parameter_and_min_cp_table(name):
 def test_unknown_model_name_rejected():
     with pytest.raises(ValueError):
         model_spec_from_name("poly9")
+
+
+@pytest.mark.parametrize("name", [
+    "poly0", "poly6", "proj11", "rfm4_shared", "rfm2", "rfm2_bogus",
+    "poly3_shared", "proj22_unit", "affine", ""])
+def test_malformed_model_names_rejected(name):
+    with pytest.raises(ValueError):
+        model_spec_from_name(name)
+
+
+@pytest.mark.parametrize("args", [
+    ("polynomial", 3, "shared"), ("rfm", 2), ("projective", 3),
+    ("affine", 1)], ids=lambda a: "-".join(map(str, a)))
+def test_invalid_model_specs_rejected(args):
+    with pytest.raises(ValueError):
+        ModelSpec(*args)
 
 
 # -- bases -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coreg.geomodels import ControlPoint, ModelSpec, fit
 from coreg.matcher import Correspondence
 from coreg.metrics import (
     checkpoint_rmse,
+    holdout,
     misreg_to_csv,
     misregistration,
     split_checkpoints,
@@ -136,6 +138,15 @@ def test_empty_checkpoints_rejected():
         checkpoint_rmse(translation_warp(0, 0), [])
 
 
+def test_height_model_needs_heights_on_every_checkpoint():
+    cps = [ControlPoint(x, y, x + 1.0, y - 2.0, ref_z=float(x % 7))
+           for x, y in np.random.default_rng(4).uniform(0, 500, (12, 2))]
+    model = fit(ModelSpec("rfm", 1, "unit"), cps)
+    assert checkpoint_rmse(model, cps).rmse < 1e-9
+    with pytest.raises(ValueError, match="ref_z"):
+        checkpoint_rmse(model, [replace(cp, ref_z=None) for cp in cps])
+
+
 def test_nan_predictions_are_excluded_not_averaged():
     from coreg.geomodels import FittedModel, model_spec_from_name
 
@@ -190,6 +201,14 @@ def test_split_spreads_checkpoints_spatially():
     assert got_corner >= 3
 
 
+def test_holdout_is_the_split_as_control_points():
+    corrs = _grid_corrs(60, seed=5)
+    checks, cps = holdout(corrs, 12, seed=2)
+    check_corrs, rest = split_checkpoints(corrs, 12, seed=2)
+    assert checks == to_control_points(check_corrs)
+    assert cps == to_control_points(rest)
+
+
 def test_to_control_points_copies_map_coords():
     corrs = _grid_corrs(5, seed=5, fn=lambda x, y: (x + 2, y - 1))
     cps = to_control_points(corrs)
@@ -236,6 +255,12 @@ def test_sweep_rejects_impossible_counts():
     corrs = _grid_corrs(60, seed=9)
     with pytest.raises(ValueError):
         sweep([ModelSpec("polynomial", 1)], corrs, 30, [40], seed=0)
+
+
+def test_sweep_of_height_models_needs_a_dem():
+    corrs = _grid_corrs(80, seed=10, fn=_cubic_field, jitter=0.1)
+    with pytest.raises(ValueError, match="DEM"):
+        sweep([ModelSpec("rfm", 1, "unit")], corrs, 20, [25], seed=0)
 
 
 def test_sweep_csv_layout():

@@ -99,7 +99,8 @@ def test_header_comments_and_blank_lines_are_skipped(tmp_path):
     (lambda lines: None, r"g\.hdr"),
     (lambda lines: [ln for ln in lines if not ln.startswith("gt=")], r"g\.bin"),
     (lambda lines: lines + ["crs SYNTH"], r"g\.hdr.*'crs SYNTH'"),
-], ids=["missing-sidecar", "missing-gt", "malformed-line"])
+    (lambda lines: lines + ["no_data=-9999"], r"g\.hdr.*'no_data'"),
+], ids=["missing-sidecar", "missing-gt", "malformed-line", "unknown-key"])
 def test_bad_header_raises_naming_the_file(tmp_path, edit, named):
     from coreg.raster import RasterFormatError
 
