@@ -15,6 +15,12 @@ All fits normalize coordinates per axis into [-1, 1] before solving; raw
 high-order monomials of map coordinates (~1e6 m) would destroy conditioning.
 Rational fits are linearized, solved, then refined by Gauss-Newton iterations
 on the true residual; one solver serves every denominator mode.
+
+A fitted model is evaluated at scattered points (``FittedModel.apply``) or on
+a lattice of column and row coordinates (``FittedModel.apply_lattice``), where
+each monomial is an outer product and each polynomial a few small matrix
+products; a warp onto a grid without shear and the denominator probe of a fit
+use the lattice.
 """
 
 from __future__ import annotations
@@ -148,13 +154,21 @@ class ModelSpec:
 
 
 def model_spec_from_name(name: str) -> ModelSpec:
-    """Parse a canonical model name like ``poly3``, ``proj22``, ``rfm2_shared``."""
+    """Parse a canonical model name like ``poly3``, ``proj22``, ``rfm2_shared``.
+
+    A name that parses to a model but is not its name, such as ``poly03``,
+    ``poly 3`` or ``proj1_0`` (``int`` takes zeros, spaces and underscores),
+    is rejected."""
     for family, row in _FAMILIES.items():
         if name.startswith(row.prefix):
             order, mode = name[len(row.prefix):], None
             if None not in row.denominators:  # names end in _<denom_mode>
                 order, _, mode = order.partition("_")
-            return ModelSpec(family, int(order), mode or None)
+            spec = ModelSpec(family, int(order), mode or None)
+            if spec.name != name:
+                raise ValueError(f"model name {name!r} is not canonical "
+                                 f"(did you mean {spec.name!r}?)")
+            return spec
     raise ValueError(f"unknown model name {name!r}")
 
 
@@ -207,22 +221,26 @@ def poly_basis_3d(X, Y, Z, order: int) -> np.ndarray:
     return _basis((X, Y, Z), order)
 
 
+def _powers(values, order: int) -> list:
+    """[values, values**2, ..., values**order], each power the previous one
+    times ``values``."""
+    powers = [values]
+    for _ in range(1, order):
+        powers.append(powers[-1] * values)
+    return powers
+
+
 def _monomial_sums(axes, exponents, coeff_vecs) -> list:
     """For each coefficient vector c, the sum over k of c[k] times monomial k
     of the equal-shape arrays ``axes``, where monomial k raises axis a to
     ``exponents[k][a]``.
 
-    Powers come from per-axis tables built by repeated multiplication, and
-    each monomial is added into every sum in place, so the (N, basis)
-    monomial matrix is never formed. ``exponents[0]`` is the constant.
+    Powers come from per-axis tables, and each monomial is added into every
+    sum in place, so the (N, basis) monomial matrix is never formed.
+    ``exponents[0]`` is the constant.
     """
     order = max(max(e) for e in exponents)
-    tables = []
-    for a in axes:
-        table = [None, a]
-        for _ in range(2, order + 1):
-            table.append(table[-1] * a)
-        tables.append(table)
+    tables = [[None] + _powers(a, order) for a in axes]
     shape = axes[0].shape
     sums = [np.full(shape, c[0]) for c in coeff_vecs]
     product = np.empty(shape)
@@ -237,6 +255,35 @@ def _monomial_sums(axes, exponents, coeff_vecs) -> list:
         for total, c in zip(sums, coeff_vecs):
             np.multiply(monomial, c[k], out=scaled)
             total += scaled
+    return sums
+
+
+def _lattice_sums(x, y, z, order: int, coeff_vecs) -> list:
+    """_monomial_sums over the lattice of the vectors ``y`` (rows) and ``x``
+    (columns), with heights ``z`` broadcast against the (rows, columns)
+    frame, or None for monomials in (x, y) alone.
+
+    A monomial x^a y^b z^e is an outer product, so per power e of z each
+    sum is the matrix product (y powers) @ C[e] @ (x powers), where
+    C[e][b, a] holds the coefficient of x^a y^b z^e; the parts are then
+    added up weighted by the powers of z. Only z has per-point powers, and
+    no per-point monomial is formed.
+    """
+    dims = 2 if z is None else 3
+    exponents = _exponents(order, dims)
+    col_powers = np.stack([np.ones_like(x)] + _powers(x, order))
+    row_powers = np.stack([np.ones_like(y)] + _powers(y, order), axis=1)
+    z_powers = [] if z is None else _powers(z, order)
+    sums = []
+    for c in coeff_vecs:
+        C = np.zeros((len(z_powers) + 1, order + 1, order + 1))
+        for k, (a, b, *e) in enumerate(exponents):
+            C[e[0] if e else 0, b, a] = c[k]
+        parts = row_powers @ C @ col_powers
+        total = parts[0]
+        for part, zp in zip(parts[1:], z_powers):
+            total = total + part * zp
+        sums.append(total)
     return sums
 
 
@@ -359,6 +406,24 @@ class FittedModel:
         rfm ``unit`` model, so evaluation cannot divide by zero."""
         return bool((self.den_x[1:] == 0).all() and (self.den_y[1:] == 0).all())
 
+    def _coefficient_vectors(self) -> tuple:
+        """num_x, num_y, then den_x, den_y unless both are identically 1."""
+        if self.has_unit_denominators:
+            return self.num_x, self.num_y
+        return self.num_x, self.num_y, self.den_x, self.den_y
+
+    def _map_out(self, sums):
+        """Sensed map coordinates from the monomial sums of the
+        _coefficient_vectors: numerator over denominator, NaN where the
+        denominator magnitude falls below DENOM_EPS. Unit denominators were
+        skipped, which is exact since x / 1.0 == x."""
+        un, vn, *dens = sums
+        if dens:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                un, vn = (np.where(np.abs(den) < DENOM_EPS, np.nan, num / den)
+                          for num, den in ((un, dens[0]), (vn, dens[1])))
+        return self.norm.inv_out(un, vn)
+
     def apply(self, ref_x, ref_y, ref_z=None):
         """Evaluate the model at reference coordinates.
 
@@ -388,16 +453,24 @@ class FittedModel:
     def _apply_block(self, X, Y, Z=None):
         axes = [a for a in self.norm.fwd_in(X, Y, Z) if a is not None]
         exponents = _exponents(self.spec.basis_order, len(axes))
-        if self.has_unit_denominators:
-            # x / 1.0 == x, so skipping the denominators is exact
-            un, vn = _monomial_sums(axes, exponents, (self.num_x, self.num_y))
-        else:
-            num_u, num_v, den_u, den_v = _monomial_sums(
-                axes, exponents, (self.num_x, self.num_y, self.den_x, self.den_y))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                un = np.where(np.abs(den_u) < DENOM_EPS, np.nan, num_u / den_u)
-                vn = np.where(np.abs(den_v) < DENOM_EPS, np.nan, num_v / den_v)
-        return self.norm.inv_out(un, vn)
+        return self._map_out(_monomial_sums(axes, exponents,
+                                            self._coefficient_vectors()))
+
+    def apply_lattice(self, ref_x, ref_y, ref_z=None):
+        """Evaluate the model on the lattice of the reference map x of each
+        column (vector ``ref_x``) and map y of each row (vector ``ref_y``).
+
+        Returns sensed (x, y) as (rows, columns) arrays: apply(ref_x[None, :],
+        ref_y[:, None], ref_z) up to rounding in the sums, with NaN at the
+        same points. ``ref_z``, the heights broadcast against that frame, is
+        required by a model over (X, Y, Z) and ignored otherwise.
+        """
+        if self.spec.dims == 3 and ref_z is None:
+            raise ValueError(f"{self.spec.name} evaluation needs ref_z")
+        xn, yn, zn = self.norm.fwd_in(ref_x, ref_y,
+                                      ref_z if self.spec.dims == 3 else None)
+        return self._map_out(_lattice_sums(xn, yn, zn, self.spec.basis_order,
+                                           self._coefficient_vectors()))
 
     # -- text serialization: the fields of a model file, which a synthetic
     # scene's manifest also carries as its warp_* keys
@@ -454,14 +527,15 @@ class FittedModel:
 # Fitting
 
 
-def _solve_lsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least squares via SVD with an explicit rank gate."""
+def _solve_lsq(A: np.ndarray, *rhs: np.ndarray) -> list:
+    """Least squares via one SVD of ``A`` with an explicit rank gate: the
+    solution for each right-hand side, each solved on its own."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
         raise DegenerateFitError(
             f"design matrix is rank deficient ({A.shape[0]}x{A.shape[1]}, "
             f"singular value ratio {s[-1] / max(s[0], 1e-300):.2e})")
-    return Vt.T @ ((U.T @ b) / s)
+    return [Vt.T @ ((U.T @ b) / s) for b in rhs]
 
 
 def _rational_score(A, nums, den_free, obs):
@@ -503,7 +577,8 @@ def _fit_rational(A: np.ndarray, obs: list):
     # parameter vector: numerator blocks in obs order, then den_free
     splits = A.shape[1] * np.arange(1, len(obs) + 1)
     design = _block_system(A, [-o[:, None] * A[:, 1:] for o in obs])
-    *nums, den_free = np.split(_solve_lsq(design, np.concatenate(obs)), splits)
+    (solution,) = _solve_lsq(design, np.concatenate(obs))
+    *nums, den_free = np.split(solution, splits)
 
     best, den, preds = _rational_score(A, nums, den_free, obs)
     for _ in range(_GN_MAX_ITERS):
@@ -535,18 +610,20 @@ def _with_unit_constant(den_free: np.ndarray) -> np.ndarray:
 
 
 def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
-    """Probe each denominator over the normalized CP bounding box; the fit
-    maps that box to [-1, 1] per axis, so a sign change or near-zero sample
-    there means the model divides by ~0 inside the data hull."""
+    """Probe each denominator on a 21x21 lattice over the normalized CP
+    bounding box (at 5 heights across it for a model over (X, Y, Z) whose
+    points differ in height, else at height 0); the fit maps that box to
+    [-1, 1] per axis, so a sign change or near-zero sample there means the
+    model divides by ~0 inside the data hull."""
     if model.has_unit_denominators:
         return None
     axis = np.linspace(-1.0, 1.0, 21)
-    samples = [axis, axis]
+    z = None
     if model.spec.dims == 3:
-        samples.append(np.linspace(-1.0, 1.0, 5) if has_z else np.array([0.0]))
-    axes = np.meshgrid(*samples, indexing="ij")
-    exponents = _exponents(model.spec.basis_order, len(axes))
-    for den in _monomial_sums(axes, exponents, (model.den_x, model.den_y)):
+        z = np.linspace(-1.0, 1.0, 5) if has_z else np.zeros(1)
+        z = z[:, None, None]
+    for den in _lattice_sums(axis, axis, z, model.spec.basis_order,
+                             (model.den_x, model.den_y)):
         if np.min(den) < 1e-6:
             return "denominator-near-zero"
     return None
@@ -595,7 +672,7 @@ def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
     # nums: numerator per coordinate; dens: its denominator's free terms
     mode = spec.denominators
     if mode == "unit":
-        nums = [_solve_lsq(A, un), _solve_lsq(A, vn)]
+        nums = _solve_lsq(A, un, vn)
         dens = [np.zeros(A.shape[1] - 1)] * 2
     elif mode == "shared":
         nums, den_free = _fit_rational(A, [un, vn])

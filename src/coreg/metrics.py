@@ -182,10 +182,11 @@ def split_checkpoints(corrs: list, n_checkpoints: int, seed) -> tuple[list, list
 
 def holdout(corrs: list, n_checkpoints: int, seed,
             dem: RasterGrid | None = None) -> tuple[list, list]:
-    """split_checkpoints, with both sets as control points (heights from
-    the DEM when one is given): returns (checkpoints, control points)."""
-    check_corrs, rest_corrs = split_checkpoints(corrs, n_checkpoints, seed)
-    return to_control_points(check_corrs, dem), to_control_points(rest_corrs, dem)
+    """split_checkpoints of the correspondences as control points (heights
+    from the DEM when one is given, attached before the split, so an error
+    names the point's index in ``corrs``): returns (checkpoints, control
+    points)."""
+    return split_checkpoints(to_control_points(corrs, dem), n_checkpoints, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,10 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     rational function models, read directly when the DEM shares the target
     grid and sampled bilinearly otherwise) and the sensed grid is sampled
     bilinearly.
+    On a target grid without shear, map x depends only on the column and
+    map y only on the row, so the model is evaluated on that lattice
+    (FittedModel.apply_lattice) from one coordinate per column and per row;
+    a sheared grid evaluates every pixel's map position (FittedModel.apply).
     Pixels that fall outside the sensed extent, hit nodata, or fail model
     evaluation become nodata in the output. Each chunk of output rows is
     sampled straight into the float32 output; a failed model evaluation is
@@ -525,25 +529,33 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
         on_grid = (dem.geotransform == target_gt
                    and dem.data.shape == (height, width))
 
+    lattice = target_gt.row_rot == 0 and target_gt.col_rot == 0
     out = np.empty((height, width), dtype=np.float32)
     cols = np.arange(width, dtype=np.float64)
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    if lattice:  # the map x of each column and the map y of each row
+        gx, _ = target_gt.pixel_to_geo(cols, 0.0)
+        _, gy = target_gt.pixel_to_geo(0.0, rows)
     chunk_rows = max(1, _WARP_CHUNK_PIXELS // width)
     eval_failures = 0
     for r0 in range(0, height, chunk_rows):
         r1 = min(r0 + chunk_rows, height)
-        rr, cc = np.meshgrid(np.arange(r0, r1, dtype=np.float64), cols,
-                             indexing="ij")
-        gx, gy = target_gt.pixel_to_geo(cc, rr)
-        inputs = [gx, gy]
+        if lattice:
+            x, y = gx, gy[r0:r1]   # (width,) and (rows, 1): they broadcast
+        else:
+            x, y = target_gt.pixel_to_geo(cols, rows[r0:r1])
+        z = None
         if needs_dem and on_grid:
-            inputs.append(heights.data[r0:r1].astype(np.float64))
+            z = heights.data[r0:r1].astype(np.float64)
         elif needs_dem:
-            dc, dr = dem.geotransform.geo_to_pixel(gx, gy)
-            inputs.append(sample_bilinear(heights, dc, dr))
-        px, py = model.apply(*inputs)
+            z = sample_bilinear(heights, *dem.geotransform.geo_to_pixel(x, y))
+        px, py = (model.apply_lattice(x, y[:, 0], z) if lattice
+                  else model.apply(x, y, z))
         ok = np.isfinite(px) & np.isfinite(py)
         if not model.has_unit_denominators:
-            finite_in = np.logical_and.reduce([np.isfinite(a) for a in inputs])
+            finite_in = np.isfinite(x) & np.isfinite(y)
+            if z is not None:
+                finite_in = finite_in & np.isfinite(z)
             eval_failures += int(np.count_nonzero(finite_in & ~ok))
         sc, sr = sensed.geotransform.geo_to_pixel(px, py)
         sc[~ok] = np.nan

@@ -231,6 +231,36 @@ def test_height_model_needs_the_dem_under_every_point(scene, far_dem,
     assert "control point 0 at" in err
 
 
+def test_dem_gap_names_the_row_of_the_correspondence_file(tmp_path, capsys):
+    # the scene and matches of criterion 9, with the DEM blanked under row 30
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text(
+        "size=256\nseed=11\nradiometry=gamma\ngamma=0.6\nspeckle_var=0.01\n"
+        "warp_family=polynomial\nwarp_order=1\n"
+        "warp_num_x=3.0e0 1.0e0 0.0e0\nwarp_den_x=1.0e0 0.0e0 0.0e0\n"
+        "warp_num_y=-2.0e0 0.0e0 1.0e0\nwarp_den_y=1.0e0 0.0e0 0.0e0\n")
+    assert main(["synth", "--spec", str(recipe),
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    assert main(["match", "--ref", str(tmp_path / "s" / "reference.bin"),
+                 "--sensed", str(tmp_path / "s" / "sensed.bin"),
+                 "--template-size", "48", "--search-size", "96",
+                 "--blocks", "10", "--margin", "20",
+                 "--out-dir", str(tmp_path / "m")]) == 0
+    corr = tmp_path / "m" / "correspondences.csv"
+    row = correspondences_from_csv(corr.read_text())[30]
+    dem = load_raster(tmp_path / "s" / "dem.bin")
+    c, r = (int(p) for p in dem.geotransform.geo_to_pixel(row.ref_x,
+                                                          row.ref_y))
+    data = dem.data.copy()
+    data[r:r + 2, c:c + 2] = np.nan
+    save_raster(as_grid(data, dem.geotransform), tmp_path / "holed.bin")
+    rc = main(["fit", "--corr", str(corr), "--model", "rfm1_unit",
+               "--dem", str(tmp_path / "holed.bin"), "--checkpoints", "8",
+               "--out-dir", str(tmp_path / "f")])
+    assert rc == 1
+    assert "control point 30 at" in capsys.readouterr().err
+
+
 def test_fit_holds_out_only_with_the_checkpoints_flag(scene, tmp_path):
     _, run = scene
     corr = run / "correspondences.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from coreg.geomodels import (
     DENOM_EPS,
+    _denominator_warning,
     ControlPoint,
     DegenerateFitError,
     FittedModel,
@@ -11,6 +12,7 @@ from coreg.geomodels import (
     Normalization,
     all_model_specs,
     attach_dem_heights,
+    control_point_arrays,
     fit,
     min_cp_count,
     model_spec_from_name,
@@ -80,6 +82,13 @@ def test_unknown_model_name_rejected():
     "poly3_shared", "proj22_unit", "affine", ""])
 def test_malformed_model_names_rejected(name):
     with pytest.raises(ValueError):
+        model_spec_from_name(name)
+
+
+@pytest.mark.parametrize("name", ["proj1_0", "poly 3", "poly03"])
+def test_non_canonical_model_names_rejected(name):
+    # int() accepts underscores, spaces and leading zeros
+    with pytest.raises(ValueError, match="not canonical"):
         model_spec_from_name(name)
 
 
@@ -211,6 +220,90 @@ def test_denominator_zero_crossing_is_nan_exactly_below_eps():
     assert np.array_equal(v, ys)
 
 
+def _lattice(seed=3):
+    """Column x, row y and a heights frame with a two-pixel hole."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-10.0, 510.0, 37))
+    ys = np.sort(rng.uniform(-180.0, 100.0, 23))
+    zs = rng.uniform(5.0, 55.0, (23, 37))
+    zs[4, 9] = zs[17, 30] = np.nan
+    return xs, ys, zs
+
+
+@pytest.mark.parametrize("spec", all_model_specs(), ids=lambda s: s.name)
+def test_lattice_equals_apply_at_every_lattice_point(spec):
+    model = _random_model(spec, seed=spec.basis_size)
+    xs, ys, zs = _lattice()
+    u, v = model.apply_lattice(xs, ys, zs)
+    ref_u, ref_v = model.apply(xs[None, :], ys[:, None], zs)
+    assert u.shape == v.shape == zs.shape
+    for got, want in ((u, ref_u), (v, ref_v)):
+        # a DEM hole is NaN for a model over (X, Y, Z) and nowhere else
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got).sum() == (2 if spec.dims == 3 else 0)
+        ok = ~np.isnan(want)
+        assert np.max(np.abs(got[ok] - want[ok])) <= \
+            1e-12 * np.max(np.abs(want[ok]))
+
+
+def test_lattice_requires_heights_for_a_height_model():
+    model = _random_model(ModelSpec("rfm", 2, "shared"), seed=4)
+    xs, ys, _ = _lattice()
+    with pytest.raises(ValueError, match="ref_z"):
+        model.apply_lattice(xs, ys)
+
+
+@pytest.mark.parametrize("name", ["proj10", "rfm1_distinct"])
+def test_lattice_nan_where_apply_is_nan(name):
+    # den_x = 1 - X/32 vanishes on the lattice column X = 32 exactly
+    spec = model_spec_from_name(name)
+    model = _random_model(spec, seed=6)
+    den_x = np.zeros(spec.basis_size)
+    den_x[:2] = 1.0, -1.0 / 32.0
+    model = FittedModel.from_coefficients(spec, model.num_x, model.num_y,
+                                          den_x, model.den_y)
+    xs = 32.0 + np.array([-3.0, -1e-9, -1e-14, 0.0, 1e-14, 1e-9, 2.0])
+    ys = np.linspace(-2.0, 2.0, 5)
+    zs = np.full((5, 7), 0.5)
+    u, v = model.apply_lattice(xs, ys, zs)
+    ref_u, ref_v = model.apply(xs[None, :], ys[:, None], zs)
+    assert np.array_equal(np.isnan(u), np.isnan(ref_u))
+    assert np.array_equal(np.isnan(v), np.isnan(ref_v))
+    assert np.isnan(u).sum(axis=0).tolist() == [0, 0, 5, 5, 5, 0, 0]
+    assert not np.isnan(v).any()
+
+
+def _probe_warning(model, has_z):
+    """The denominator probe on a meshgrid of the normalized box."""
+    axis = np.linspace(-1.0, 1.0, 21)
+    if model.spec.dims == 2:
+        A = poly_basis(*np.meshgrid(axis, axis), model.spec.basis_order)
+    else:
+        heights = np.linspace(-1.0, 1.0, 5) if has_z else np.zeros(1)
+        A = poly_basis_3d(*np.meshgrid(axis, axis, heights),
+                          model.spec.basis_order)
+    dens = (A @ model.den_x, A @ model.den_y)
+    return ("denominator-near-zero"
+            if min(float(np.min(d)) for d in dens) < 1e-6 else None)
+
+
+@pytest.mark.parametrize("spec", all_model_specs(), ids=lambda s: s.name)
+def test_denominator_warning_probes_the_normalized_box(spec):
+    warned = 0
+    for seed in range(12):
+        model = _random_model(spec, seed)
+        # push the denominators until some cross zero inside the box
+        den_x, den_y = (np.concatenate([[1.0], 8.0 * seed * d[1:]])
+                        for d in (model.den_x, model.den_y))
+        model = FittedModel.from_coefficients(spec, model.num_x, model.num_y,
+                                              den_x, den_y)
+        for has_z in (False, True):
+            got = _denominator_warning(model, has_z)
+            assert got == _probe_warning(model, has_z)
+            warned += got is not None
+    assert warned == 0 if model.has_unit_denominators else warned > 0
+
+
 # -- fitting -----------------------------------------------------------------
 
 
@@ -223,6 +316,29 @@ def test_minimum_cp_interpolation_poly3():
     cps = _cps_2d(10, seed=2, fn=cubic)
     model = fit(ModelSpec("polynomial", 3), cps)
     assert float(np.max(model.cp_residuals)) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["poly3", "rfm2_unit"])
+def test_unit_denominator_fit_takes_one_svd(monkeypatch, name):
+    spec = model_spec_from_name(name)
+    cps = _cps_2d(60, seed=8, z=spec.dims == 3,
+                  fn=lambda x, y, z=0.0: (x + 0.001 * x * y + 0.1 * z,
+                                          y - 0.002 * x * x))
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    model = fit(spec, cps)
+    assert len(calls) == 1
+    # each coordinate solved as by its own SVD of the design matrix
+    X, Y, u, v, Z = control_point_arrays(cps, spec)
+    axes = [a for a in model.norm.fwd_in(X, Y, Z) if a is not None]
+    A = (poly_basis if spec.dims == 2 else poly_basis_3d)(
+        *axes, spec.basis_order)
+    U, sv, Vt = svd(A, full_matrices=False)
+    for coeffs, obs in zip((model.num_x, model.num_y),
+                           model.norm.fwd_out(u, v)):
+        assert np.array_equal(coeffs, Vt.T @ ((U.T @ obs) / sv))
 
 
 def test_too_few_cps_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
-                             attach_dem_heights, fit)
+                             attach_dem_heights, fit, model_spec_from_name)
 from coreg.raster import (
     _EDGE_TOL,
     EmptyOverlapError,
@@ -15,6 +15,7 @@ from coreg.raster import (
     Window,
     crop_to_overlap,
     load_raster,
+    nan_filled,
     read_window,
     sample_bilinear,
     save_raster,
@@ -382,7 +383,7 @@ def _cubic_field(n):
     return field
 
 
-@pytest.mark.parametrize("name", ["poly3", "rfm3_distinct"])
+@pytest.mark.parametrize("name", ["poly3", "proj22", "rfm3_distinct"])
 def test_warp_allocates_its_output_plus_under_4_mib(name):
     n = 768
     field = _cubic_field(n)
@@ -395,9 +396,102 @@ def test_warp_allocates_its_output_plus_under_4_mib(name):
         [ControlPoint(float(a), float(b), 0.0, 0.0) for a, b in zip(x, y)], dem)
     cps = [ControlPoint(c.ref_x, c.ref_y, *field(c.ref_x, c.ref_y, c.ref_z),
                         ref_z=c.ref_z) for c in cps]
-    spec = (ModelSpec("polynomial", 3) if name == "poly3"
-            else ModelSpec("rfm", 3, "distinct"))
-    model = fit(spec, cps)
+    model = fit(model_spec_from_name(name), cps)
     sensed = as_grid(texture(n, seed=12))
     peak = _traced_peak(warp, sensed, model, sensed.geotransform, n, n, dem)
     assert peak <= n * n * 4 + 4 * 2 ** 20
+
+
+def _per_pixel_warp(sensed, model, target_gt, width, height, dem=None):
+    """warp evaluating the model at every pixel's map position, as on a
+    sheared target grid: the reference for the lattice evaluation."""
+    heights = nan_filled(dem) if dem is not None else None
+    rr, cc = np.mgrid[0:height, 0:width].astype(np.float64)
+    gx, gy = target_gt.pixel_to_geo(cc, rr)
+    inputs = [gx, gy]
+    if model.spec.dims == 3:
+        if dem.geotransform == target_gt and dem.data.shape == (height, width):
+            inputs.append(heights.data.astype(np.float64))
+        else:
+            inputs.append(sample_bilinear(
+                heights, *dem.geotransform.geo_to_pixel(gx, gy)))
+    px, py = model.apply(*inputs)
+    ok = np.isfinite(px) & np.isfinite(py)
+    failures = 0
+    if not model.has_unit_denominators:
+        finite_in = np.logical_and.reduce([np.isfinite(a) for a in inputs])
+        failures = int(np.count_nonzero(finite_in & ~ok))
+    sc, sr = sensed.geotransform.geo_to_pixel(px, py)
+    sc[~ok] = np.nan
+    return sample_bilinear(sensed, sc, sr).astype(np.float32), failures
+
+
+def _planted_warp_inputs(name, dem_kind, n=80):
+    """A model of ``name`` fitted to a smooth field, with a north-up target
+    grid and a textured sensed image on it; for a model over (X, Y, Z) a
+    DEM on the target grid, off it (finer, shifted pixels), or on it with a
+    nodata hole."""
+    gt = GeoTransform(500.0, 900.0, 2.0, -2.0)
+    field = _cubic_field(2 * n)
+    dem = None
+    if dem_kind is not None:
+        dem_gt = gt if dem_kind != "off-grid" else \
+            GeoTransform(497.3, 903.1, 1.5, -1.5)
+        m = n if dem_kind != "off-grid" else 2 * n
+        yy, xx = np.mgrid[0:m, 0:m]
+        relief = 250.0 + 200.0 * np.sin(xx / 17.0) * np.cos(yy / 23.0)
+        if dem_kind == "hole":
+            relief[30:36, 40:44] = -9999.0
+        dem = as_grid(relief, gt=dem_gt, nodata=-9999.0)
+    rng = np.random.default_rng(8)
+    cols, rows = rng.uniform(0.0, n - 1.0, (2, 150))
+    # control points clear of the hole's bilinear neighbourhood
+    clear = ~((cols > 38) & (cols < 45) & (rows > 28) & (rows < 37))
+    x, y = gt.pixel_to_geo(cols[clear], rows[clear])
+    heights = np.zeros_like(x)
+    if dem is not None:
+        heights = sample_bilinear(dem, *dem.geotransform.geo_to_pixel(x, y))
+    sx, sy = gt.pixel_to_geo(*field(cols[clear], rows[clear], heights))
+    cps = [ControlPoint(*map(float, p), ref_z=None if dem is None else z)
+           for *p, z in zip(x, y, sx, sy, heights.tolist())]
+    model = fit(model_spec_from_name(name), cps)
+    sensed = as_grid(texture(n, seed=13), gt=gt, nodata=-5.0)
+    return sensed, model, gt, dem
+
+
+@pytest.mark.parametrize("name,dem_kind", [
+    ("poly3", None), ("proj22", None), ("rfm3_distinct", "on-grid"),
+    ("rfm3_distinct", "off-grid"), ("rfm2_shared", "hole")],
+    ids=lambda a: a or "no-dem")
+def test_lattice_warp_matches_the_per_pixel_warp(name, dem_kind):
+    sensed, model, gt, dem = _planted_warp_inputs(name, dem_kind)
+    n = sensed.width
+    out, failures = warp(sensed, model, gt, n, n, dem)
+    want, want_failures = _per_pixel_warp(sensed, model, gt, n, n, dem)
+    assert failures == want_failures == 0
+    fill = out.data == -5.0
+    assert np.array_equal(fill, want == -5.0)
+    assert 0 < fill.sum() < n * n
+    if dem_kind == "hole":
+        assert fill[30:36, 40:44].all()
+    # the model's sums differ by rounding, the samples by at most 1 ulp
+    np.testing.assert_array_max_ulp(out.data[~fill], want[~fill], maxulp=1)
+
+
+@pytest.mark.parametrize("name,dem_kind", [
+    ("proj22", None), ("rfm2_distinct", "off-grid")])
+def test_sheared_target_grid_warps_pixel_by_pixel(monkeypatch, name,
+                                                    dem_kind):
+    sensed, model, gt, dem = _planted_warp_inputs(name, dem_kind)
+    sheared = GeoTransform(gt.origin_x, gt.origin_y, gt.pixel_w, gt.pixel_h,
+                           row_rot=0.05, col_rot=-0.03)
+
+    def refuse(*args):
+        raise AssertionError("a sheared grid has no lattice")
+
+    monkeypatch.setattr(FittedModel, "apply_lattice", refuse)
+    n = sensed.width
+    out, failures = warp(sensed, model, sheared, n, n, dem)
+    want, want_failures = _per_pixel_warp(sensed, model, sheared, n, n, dem)
+    assert failures == want_failures
+    assert np.array_equal(out.data, want)
