@@ -17,7 +17,7 @@ from .geomodels import (ControlPoint, DegenerateFitError, FittedModel,
 from .keypoints import BlockGridParams, InterestPoint, detect_block_fast
 from .matcher import (Correspondence, MatchParams, MatchStats,
                       correspondences_from_csv, correspondences_to_csv,
-                      match_all, match_point, phase_correlate_3d)
+                      match_all, phase_correlate_3d)
 from .metrics import (CheckpointScore, MisregReport, SweepResult,
                       checkpoint_rmse, misregistration, split_checkpoints,
                       sweep, sweep_to_csv, to_control_points)
@@ -66,7 +66,6 @@ __all__ = [
     'generate',
     'load_raster',
     'match_all',
-    'match_point',
     'min_cp_count',
     'misregistration',
     'model_spec_from_name',

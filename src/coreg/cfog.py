@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+import scipy
 
 # image rows per build_cfog tile, bounding its temporaries on large images
 _TILE_ROWS = 128
@@ -136,10 +136,11 @@ def smooth_3d(raw: np.ndarray, params: CfogParams) -> DescriptorVolume:
     # lines ndimage then walks in memory order
     planes = raw.transpose(2, 0, 1)
     out = np.empty(planes.shape, planes.dtype)
-    ndimage.convolve1d(planes, kernel, axis=1, mode="nearest", output=out)
-    ndimage.convolve1d(out, kernel, axis=2, mode="nearest", output=planes)
-    ndimage.convolve1d(planes, np.asarray(params.z_kernel, dtype=np.float64),
-                       axis=0, mode="wrap", output=out)
+    convolve1d = scipy.ndimage.convolve1d
+    convolve1d(planes, kernel, axis=1, mode="nearest", output=out)
+    convolve1d(out, kernel, axis=2, mode="nearest", output=planes)
+    convolve1d(planes, np.asarray(params.z_kernel, dtype=np.float64),
+               axis=0, mode="wrap", output=out)
     return DescriptorVolume(values=out.transpose(1, 2, 0))
 
 

@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as _fft
+import scipy
 
 from .config import PipelineConfig, load_config, parse_cp_counts
 from .geomodels import (DegenerateFitError, InsufficientControlPointsError,
@@ -109,7 +109,7 @@ def run_match(args) -> int:
         cropped = crop_to_overlap(sensed, ref, cfg.margin)
     with _Timer("detect"):
         points = detect_block_fast(ref, cfg.block_params())
-    with _Timer("match"), _fft.set_workers(cfg.threads):
+    with _Timer("match"), scipy.fft.set_workers(cfg.threads):
         corrs, stats = match_all(points, ref, cropped, cfg.match_params())
 
     if len(corrs) < 3:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
+import scipy
 
 from .cfog import CfogParams, DescriptorVolume, build_cfog
 from .keypoints import InterestPoint
@@ -125,8 +125,9 @@ def _padded_spectrum(t: np.ndarray, h: int, w: int) -> np.ndarray:
     are transformed along columns, then channels, and only then padded to h
     along rows, in rfftn's own axis order, so the spectrum is bitwise the
     same."""
-    return _fft.fft(_fft.fft(_fft.rfft(t, n=w, axis=2), axis=0,
-                             overwrite_x=True), n=h, axis=1)
+    fft = scipy.fft
+    return fft.fft(fft.fft(fft.rfft(t, n=w, axis=2), axis=0, overwrite_x=True),
+                   n=h, axis=1)
 
 
 def _channel_sum(planes: np.ndarray) -> np.ndarray:
@@ -169,7 +170,7 @@ def _summed_cross_power(t: np.ndarray, s: np.ndarray):
     divide-and-sum.
     """
     _, h, w = s.shape
-    S = _fft.rfftn(s, axes=(0, 1, 2))
+    S = scipy.fft.rfftn(s, axes=(0, 1, 2))
     T = _padded_spectrum(t, h, w)
     # formed in S's buffer; complex products use fused multiply-adds, so
     # operand order fixes the last bits
@@ -217,7 +218,7 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     total = _summed_cross_power(t.transpose(2, 0, 1), s.transpose(2, 0, 1))
     if total is None:
         return None
-    corr = _fft.irfftn(total, s=(h, w)) / m
+    corr = scipy.fft.irfftn(total, s=(h, w)) / m
 
     ri, ci = np.unravel_index(int(np.argmax(corr)), corr.shape)
     peak = float(corr[ri, ci])
@@ -378,16 +379,6 @@ def match_all(points: list, ref_grid: RasterGrid, sensed_grid: RasterGrid,
             stats.matched += 1
             corrs.append(outcome)
     return corrs, stats
-
-
-def match_point(ref_point: InterestPoint, ref_grid: RasterGrid,
-                sensed_grid: RasterGrid,
-                params: MatchParams) -> Correspondence | None:
-    """Match one reference interest point into the sensed image; None when
-    the point is skipped (window does not fit, touches nodata, flat content,
-    or unreliable correlation peak)."""
-    corrs, _ = match_all([ref_point], ref_grid, sensed_grid, params)
-    return corrs[0] if corrs else None
 
 
 # ---------------------------------------------------------------------------

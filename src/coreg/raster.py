@@ -299,14 +299,16 @@ def _load_bin(path: Path) -> RasterGrid:
     width, height = int(entries["width"]), int(entries["height"])
     if width < 1 or height < 1:
         raise RasterFormatError(f"{path}: bad size {width}x{height}")
-    payload = path.read_bytes()
+    size = path.stat().st_size
     expected = width * height * 4
-    if len(payload) != expected:
+    if size != expected:
         raise RasterFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(height, width)
+            f"{path}: payload is {size} bytes, header implies {expected}")
+    # read straight into the one array the grid keeps
+    data = np.fromfile(path, dtype="<f4", count=width * height)
     gt, crs, nodata = _header_geo(entries, path)
-    return RasterGrid(data=data.copy(), geotransform=gt, crs_tag=crs, nodata=nodata)
+    return RasterGrid(data=data.reshape(height, width), geotransform=gt,
+                      crs_tag=crs, nodata=nodata)
 
 
 def _tokenize_pgm(buf: bytes):

@@ -16,6 +16,12 @@ stops moving. The warp is first inverted on a coarse lattice of nodes; the
 frame is then inverted in whole-row chunks, each pixel started from the
 bilinearly interpolated inverse displacement and stepped with the
 interpolated inverse Jacobian, about four warp evaluations per pixel.
+
+The sensed frame is streamed: it is allocated once in float32, and each
+chunk of the inversion is sampled, remapped, multiplied by its own speckle
+draw (the draws follow each other as one full-frame draw would) and cast
+into its rows, so beyond the three float32 rasters only the float64 noise
+frame being built, and chunk-sized temporaries, are ever held.
 """
 
 from __future__ import annotations
@@ -172,7 +178,12 @@ def _texture(spec: SynthSpec, rng) -> np.ndarray:
     # gradient-based matching and corner detection both starve without them
     weights = [1.0 / float(np.sqrt(s)) for s in spacings]
     scene = _value_noise(spec.size, spec.size, rng, spacings, weights)
-    scene = 0.5 + 0.5 * np.tanh(6.0 * (scene - 0.5))
+    # 0.5 + 0.5 * tanh(6 * (scene - 0.5)), in place
+    scene -= 0.5
+    scene *= 6.0
+    np.tanh(scene, out=scene)
+    scene *= 0.5
+    scene += 0.5
     _normalize(scene)
     if spec.texture == "blobs":
         # opaque discs add the step edges that corner detection feeds on
@@ -326,10 +337,11 @@ def _lattice_seed(warp: FittedModel, n: int):
     inverted at lattice nodes every _LATTICE_STEP pixels plus the last row
     and column; None when any node is not ok.
 
-    The inverse displacement and the inverse Jacobian at the nodes are
-    interpolated along columns once. The returned seed(r0, r1) gives the
-    six planes of frame rows r0..r1, mixing for each row the two lattice
-    rows that bracket it.
+    The returned seed(r0, r1) gives the six planes of frame rows r0..r1:
+    the inverse displacement and the inverse Jacobian at the nodes of the
+    lattice rows that bracket them are interpolated along columns, and each
+    frame row then mixes its two bracketing lattice rows. Only those lattice
+    rows are interpolated, so no frame-sized array is built.
     """
     nodes = np.unique(np.r_[np.arange(0, n, _LATTICE_STEP), n - 1])
     nodes = nodes.astype(np.float64)
@@ -342,23 +354,24 @@ def _lattice_seed(warp: FittedModel, n: int):
         planes = np.stack([lx - nx, ly - ny,
                            *_inverse_jacobian(warp, lx, ly, fx, fy)])
     idx, w = _node_weights(nodes, n)
-    # lo + w * (hi - lo), exact where lo == hi: along columns here, along
-    # rows from the differences of consecutive lattice rows
-    lattice = planes.take(idx, axis=2)
-    diff = planes.take(idx + 1, axis=2)
-    diff -= lattice
-    diff *= w
-    lattice += diff
-    diff = np.diff(lattice, axis=1)
 
     def seed(r0: int, r1: int) -> np.ndarray:
+        lo, hi = idx[r0], idx[r1 - 1] + 2
+        # lo + w * (hi - lo), exact where lo == hi: along columns here,
+        # along rows from the differences of consecutive lattice rows
+        lattice = planes[:, lo:hi].take(idx, axis=2)
+        diff = planes[:, lo:hi].take(idx + 1, axis=2)
+        diff -= lattice
+        diff *= w
+        lattice += diff
+        diff = np.subtract(lattice[:, 1:], lattice[:, :-1], out=diff[:, :-1])
         out = np.empty((len(lattice), r1 - r0, n))
-        for i in range(idx[r0], idx[r1 - 1] + 1):
+        for i in range(lo, hi - 1):
             # the rows between lattice rows i and i + 1
             at = np.flatnonzero(idx[r0:r1] == i)
             part = out[:, at[0]:at[-1] + 1]
-            np.multiply(w[r0 + at, None], diff[:, i, None], out=part)
-            part += lattice[:, i, None]
+            np.multiply(w[r0 + at, None], diff[:, i - lo, None], out=part)
+            part += lattice[:, i - lo, None]
         return out
 
     return seed
@@ -423,8 +436,10 @@ def generate(spec: SynthSpec):
                     or [max(4, spec.size // 4)])
     relief = _value_noise(spec.size, spec.size, rng, dem_spacings,
                           [float(np.sqrt(s)) for s in dem_spacings])
-    dem = RasterGrid(data=(500.0 * relief).astype(np.float32),
-                     geotransform=gt, crs_tag=crs)
+    relief *= 500.0
+    dem = RasterGrid(data=relief.astype(np.float32), geotransform=gt,
+                     crs_tag=crs)
+    del relief
 
     truth = spec.warp if spec.warp is not None else identity_warp()
     if truth.spec.dims == 3:
@@ -434,19 +449,19 @@ def generate(spec: SynthSpec):
     check_invertible(truth, 0.0, 0.0, float(n - 1), float(n - 1))
 
     # gt maps pixel indices to themselves, so the frame's map coordinates
-    # are its pixel indices, in the truth's and the reference's frames
-    sensed = np.empty((n, n), dtype=np.float64)
+    # are its pixel indices, in the truth's and the reference's frames;
+    # each chunk is finished in float64 and cast into its rows, and its
+    # speckle draw follows the previous chunk's, as one full-frame draw would
+    sensed = np.empty((n, n), dtype=np.float32)
     for r0, r1, sx, sy, ok in invert_frame(truth, n):
         vals = sample_bilinear(reference, sx, sy)
-        sensed[r0:r1] = np.where(ok & np.isfinite(vals), vals, 0.0)
-
-    sensed = _apply_radiometry(sensed, spec)
-    if spec.speckle_var > 0:
-        shape = 1.0 / spec.speckle_var
-        sensed = sensed * rng.gamma(shape, scale=spec.speckle_var,
-                                    size=sensed.shape)
-    sensed_grid = RasterGrid(data=sensed.astype(np.float32), geotransform=gt,
-                             crs_tag=crs)
+        vals = _apply_radiometry(np.where(ok & np.isfinite(vals), vals, 0.0),
+                                 spec)
+        if spec.speckle_var > 0:
+            vals *= rng.gamma(1.0 / spec.speckle_var,
+                              scale=spec.speckle_var, size=vals.shape)
+        sensed[r0:r1] = vals
+    sensed_grid = RasterGrid(data=sensed, geotransform=gt, crs_tag=crs)
     return reference, sensed_grid, truth, dem
 
 

@@ -1,8 +1,8 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from coreg import matcher
@@ -13,7 +13,6 @@ from coreg.matcher import (
     correspondences_from_csv,
     correspondences_to_csv,
     match_all,
-    match_point,
     phase_correlate_3d,
     predict_search_center,
 )
@@ -213,8 +212,7 @@ def test_signed_zeros_normalize_as_the_divide(monkeypatch, dtype):
         parts[picked < 0.2] = 0.0
         parts[picked > 0.8] = -0.0
     monkeypatch.setattr(matcher, "_padded_spectrum", lambda t, h, w: T.copy())
-    monkeypatch.setattr(matcher, "_fft", SimpleNamespace(
-        rfftn=lambda s, axes: S.copy()))
+    monkeypatch.setattr(scipy.fft, "rfftn", lambda s, axes: S.copy())
     got = matcher._summed_cross_power(None, np.empty((9, 20, 20)))
     want = _divide_and_sum(np.ascontiguousarray(T.transpose(1, 2, 0)),
                            np.ascontiguousarray(S.transpose(1, 2, 0)))
@@ -276,7 +274,7 @@ def test_predict_center_offset_origin():
     assert predict_search_center(pt, ref, sen) == (17, 27)
 
 
-# -- match_point / match_all -----------------------------------------------
+# -- match_all -------------------------------------------------------------
 
 
 def _pair_with_shift(dx, dy, size=256, seed=35):
@@ -292,8 +290,7 @@ def test_identical_images_match_at_zero_offset():
     pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=2, border=70))
     assert pts
     for pt in pts:
-        c = match_point(pt, ref, ref, params)
-        assert c is not None
+        (c,), _ = match_all([pt], ref, ref, params)
         assert (c.sensed_col, c.sensed_row) == (c.ref_col, c.ref_row)
 
 
@@ -303,16 +300,16 @@ def test_translated_copy_matches_exactly():
     pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=2, border=70))
     assert pts
     for pt in pts:
-        c = match_point(pt, ref, sen, params)
-        assert c is not None
+        (c,), _ = match_all([pt], ref, sen, params)
         assert (c.sensed_col - c.ref_col, c.sensed_row - c.ref_row) == (5, 3)
 
 
 def test_window_off_the_edge_is_skipped():
     ref, sen = _pair_with_shift(0, 0, size=128)
     params = MatchParams(template_size=64, search_size=128)
-    c = match_point(InterestPoint(col=10, row=64, score=1.0), ref, sen, params)
-    assert c is None
+    corrs, stats = match_all([InterestPoint(col=10, row=64, score=1.0)], ref,
+                             sen, params)
+    assert corrs == [] and stats.skipped == {"template-window": 1}
 
 
 def test_match_all_empty_input():

@@ -79,6 +79,20 @@ def test_payload_size_mismatch_rejected(tmp_path):
         load_raster(tmp_path / "g.bin")
 
 
+def test_load_holds_one_copy_of_the_payload(tmp_path):
+    grid = as_grid(np.random.default_rng(3).random((512, 512),
+                                                   dtype=np.float32))
+    save_raster(grid, tmp_path / "g.bin")
+    tracemalloc.start()
+    try:
+        back = load_raster(tmp_path / "g.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, grid.data)
+    assert peak <= 1.25 * grid.data.nbytes
+
+
 def _edit_header(tmp_path, edit):
     """Save a small grid as g.bin, then rewrite its header's lines through
     ``edit``; a None result deletes the header."""

@@ -8,6 +8,7 @@ from scipy import ndimage
 from coreg import synthgen
 from coreg.geomodels import (FittedModel, ModelSpec, Normalization,
                              model_spec_from_name)
+from coreg.raster import RasterGrid, sample_bilinear
 from coreg.synthgen import (
     NonInvertibleWarpError,
     SynthSpec,
@@ -155,6 +156,54 @@ def test_generate_temporaries_stay_within_a_fixed_bound_per_pixel():
     finally:
         tracemalloc.stop()
     assert peak / 768 ** 2 <= 64.0
+
+
+def _whole_frame_generate(spec: SynthSpec):
+    """generate's rasters in one full-frame pass: the texture stretch and
+    the DEM scale as expressions, and the sensed frame finished in float64
+    under one speckle draw of the frame's shape before its cast."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.size
+    spacings = [s for s in (2, 4, 8, 16, 32, 64, 128, 256)
+                if s <= max(4, n // 8)]
+    scene = _value_noise(n, n, rng, spacings,
+                         [1.0 / float(np.sqrt(s)) for s in spacings])
+    scene = 0.5 + 0.5 * np.tanh(6.0 * (scene - 0.5))
+    synthgen._normalize(scene)
+    reference = RasterGrid(data=scene.astype(np.float32))
+    dem_spacings = ([s for s in (64, 128, 256) if s <= n // 2]
+                    or [max(4, n // 4)])
+    relief = _value_noise(n, n, rng, dem_spacings,
+                          [float(np.sqrt(s)) for s in dem_spacings])
+    dem = (500.0 * relief).astype(np.float32)
+    sensed = np.empty((n, n))
+    for r0, r1, sx, sy, ok in invert_frame(spec.warp, n):
+        vals = sample_bilinear(reference, sx, sy)
+        sensed[r0:r1] = np.where(ok & np.isfinite(vals), vals, 0.0)
+    sensed = synthgen._apply_radiometry(sensed, spec)
+    if spec.speckle_var > 0:
+        sensed = sensed * rng.gamma(1.0 / spec.speckle_var,
+                                    scale=spec.speckle_var, size=sensed.shape)
+    return reference.data, sensed.astype(np.float32), dem
+
+
+@pytest.mark.parametrize("chunk_pixels", [1, 1000])
+@pytest.mark.parametrize("radiometry, speckle_var", [
+    ("identity", 2.0), ("gamma", 0.05), ("log", 0.005)])
+def test_streamed_sensed_frame_equals_the_whole_frame_pass(
+        monkeypatch, chunk_pixels, radiometry, speckle_var):
+    # 96 px is one inversion chunk by default, so the oracle's sensed frame
+    # is a single pass; the patched chunks are 1 and 10 rows
+    spec = SynthSpec(size=96, warp=cubic_truth(96, 0.1), radiometry=radiometry,
+                     gamma=0.7, speckle_var=speckle_var, seed=17)
+    want = _whole_frame_generate(spec)
+    monkeypatch.setattr(synthgen, "_INVERT_CHUNK_PIXELS", chunk_pixels)
+    reference, sensed, _, dem = generate(spec)
+    got = (reference.data, sensed.data, dem.data)
+    assert (sensed.data == 0.0).any() and (sensed.data > 0.0).any()
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float32
+        assert g.tobytes() == w.tobytes()
 
 
 def test_blob_texture_generates():
