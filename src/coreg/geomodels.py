@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .raster import RasterGrid, nan_filled, parse_records, sample_bilinear
+from .raster import RasterGrid, parse_records, sample_bilinear
 
 
 class InsufficientControlPointsError(ValueError):
@@ -702,7 +702,7 @@ def attach_dem_heights(cps: list, dem: RasterGrid) -> list:
     """
     c, r = dem.geotransform.geo_to_pixel([cp.ref_x for cp in cps],
                                          [cp.ref_y for cp in cps])
-    z = sample_bilinear(nan_filled(dem), c, r)
+    z = sample_bilinear(dem, c, r)
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         i = int(bad[0])

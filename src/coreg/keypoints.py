@@ -165,15 +165,13 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
 
     Only strictly positive scores qualify, so flat blocks contribute nothing
     and the result can be smaller than N*N*K. Ties break toward smaller
-    (row, col) for determinism. Samples equal to a grid's nodata sentinel
-    count as NaN: they are outside the automatic threshold's range and
-    belong to no arc. The threshold comes from the whole image, but only
+    (row, col) for determinism. NaN samples (a grid's nodata) are outside
+    the automatic threshold's range and belong to no arc; the frame is
+    never copied. The threshold comes from the whole image, but only
     the pixels at least ``border`` (and 3) px inside it are scored, from a
     crop 3 px larger on each side.
     """
     data = image.data if isinstance(image, RasterGrid) else np.asarray(image)
-    if getattr(image, "nodata", None) is not None:
-        data = np.where(image.is_nodata(data), np.float32(np.nan), data)
     h, w = data.shape
     border = max(params.border, 3)
     if 2 * border >= min(h, w):

@@ -3,7 +3,7 @@ volumes.
 
 For each reference interest point, the initial georeferencing predicts a
 search window in the sensed image. Points whose windows do not fit, touch a
-non-finite or nodata sample, or hold flat content are skipped first. The
+non-finite sample (NaN is nodata), or hold flat content are skipped first. The
 rest are sorted by search-window row. The sensed image is described through
 one rolling channel-major float32 strip, ``search_size + _STRIP_TILE`` rows
 tall over the search windows' column extent: when a window runs past the
@@ -11,9 +11,9 @@ strip, the rows still needed move to its top and ``build_cfog`` writes the
 next rows straight into its planes in tiles of ``_STRIP_TILE``, so every
 sensed row is described once and every search volume is a view into the
 strip. Each template is described on its own. Every block is described from
-a crop grown by the descriptor's reach, with nodata and non-finite samples
-set to 0, so a window's descriptor equals the whole-image descriptor
-restricted to that window whatever the tiling.
+a crop grown by the descriptor's reach, with non-finite samples set to 0,
+so a window's descriptor equals the whole-image descriptor restricted to
+that window whatever the tiling.
 
 Each pair is correlated in one pass: the template volume is zero-padded
 into the search frame, both are 3D-FFT'd as channel-major (m, h, w) planes,
@@ -233,12 +233,6 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     return x0, y0, peak
 
 
-def _touches_nodata(data: np.ndarray, grid: RasterGrid) -> bool:
-    """True when a window sample is non-finite or equals the grid's nodata
-    sentinel: such a window would correlate fill values, not content."""
-    return not np.isfinite(data).all() or bool(grid.is_nodata(data).any())
-
-
 def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
             sensed_grid: RasterGrid, params: MatchParams):
     """The point's (template window, search window), or the reason it is
@@ -257,8 +251,7 @@ def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
 
     t_data = read_window(ref_grid, t_win)
     s_data = read_window(sensed_grid, s_win)
-    if (_touches_nodata(t_data, ref_grid)
-            or _touches_nodata(s_data, sensed_grid)):
+    if not (np.isfinite(t_data).all() and np.isfinite(s_data).all()):
         return "nodata"
     if np.ptp(t_data) == 0 or np.ptp(s_data) == 0:
         return "flat"
@@ -269,14 +262,13 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
               out: np.ndarray | None = None) -> DescriptorVolume:
     """Descriptor volume of one window, written into ``out``'s (m, h, w)
     planes when given: built from the window grown by the descriptor's
-    reach and clipped to the grid, with nodata and non-finite samples set to
-    0, so it equals the whole-image descriptor of the zero-filled grid
-    there."""
+    reach and clipped to the grid, with non-finite samples set to 0, so it
+    equals the whole-image descriptor of the zero-filled grid there."""
     reach = params.cfog.reach
     r0, c0 = max(win.row0 - reach, 0), max(win.col0 - reach, 0)
     data = grid.data[r0:min(win.row0 + win.h + reach, grid.height),
                      c0:min(win.col0 + win.w + reach, grid.width)].copy()
-    data[~np.isfinite(data) | grid.is_nodata(data)] = 0.0
+    data[~np.isfinite(data)] = 0.0
     region = (slice(win.row0 - r0, win.row0 - r0 + win.h),
               slice(win.col0 - c0, win.col0 - c0 + win.w))
     if params.descriptor == "cfog":

@@ -5,7 +5,7 @@ Two self-contained file formats are supported:
 
 * Format A (``.bin`` + ``.hdr``): little-endian float32 row-major payload with
   an ASCII sidecar header carrying size, geotransform, CRS tag and optional
-  nodata sentinel.
+  nodata sentinel (in memory, nodata is NaN; see RasterGrid).
 * Format B (``.pgm`` + ``.hdr``): binary 16-bit PGM (``P5``, maxval 65535,
   big-endian samples) with the same sidecar for georeferencing.
 
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 
+_SAVE_CHUNK_PIXELS = 65536  # samples per chunk of a saved .bin payload
 # output pixels per warp chunk: the chunk's float64 coordinates, model
 # outputs and sampler buffers (2.6 MB at their peak for a poly3 model, 3.7 MB
 # for rfm3) stay in cache, and the allocator reuses their memory rather than
@@ -134,8 +135,9 @@ IDENTITY_GT = GeoTransform(0.0, 0.0, 1.0, 1.0)
 class RasterGrid:
     """Single-band image with a geotransform and CRS tag.
 
-    ``data`` is a (height, width) float32 array; it is coerced on
-    construction and treated as immutable afterwards.
+    ``data`` is a (height, width) float32 array, coerced on construction and
+    immutable afterwards. NaN marks nodata: samples equal to ``nodata``, the
+    sentinel of the grid's file, become NaN here (in a copy).
     """
 
     data: np.ndarray
@@ -149,6 +151,10 @@ class RasterGrid:
             raise ValueError(f"raster data must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"raster must be at least 1x1, got {arr.shape}")
+        if self.nodata is not None and not math.isnan(self.nodata):
+            holes = arr == np.float32(self.nodata)
+            if holes.any():
+                arr = np.where(holes, np.float32(np.nan), arr)
         self.data = arr
 
     @property
@@ -158,15 +164,6 @@ class RasterGrid:
     @property
     def height(self) -> int:
         return self.data.shape[0]
-
-    def is_nodata(self, values) -> np.ndarray:
-        """Boolean mask of samples equal to the nodata sentinel."""
-        values = np.asarray(values)
-        if self.nodata is None:
-            return np.zeros(values.shape, dtype=bool)
-        if math.isnan(self.nodata):
-            return np.isnan(values)
-        return values == np.float32(self.nodata)
 
 
 @dataclass(frozen=True)
@@ -250,30 +247,47 @@ def _read_header(path: Path) -> dict:
     return entries
 
 
-def _header_geo(entries: dict, path: Path):
+def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
+    """The grid of ``data``, a float32 array just read from ``path``; its
+    sentinel samples become NaN in place, so the grid keeps this array."""
     if "gt" not in entries:
         raise RasterFormatError(f"{path}: header lacks gt=")
     gt = GeoTransform.from_header_value(entries["gt"])
-    crs = entries.get("crs", "")
     nodata = float(entries["nodata"]) if "nodata" in entries else None
-    return gt, crs, nodata
+    if nodata is not None:
+        np.copyto(data, np.float32(np.nan), where=data == np.float32(nodata))
+    return RasterGrid(data=data, geotransform=gt,
+                      crs_tag=entries.get("crs", ""), nodata=nodata)
+
+
+def _with_sentinel(rows: np.ndarray, nodata: float | None) -> np.ndarray:
+    """``rows`` with NaN written as a numeric sentinel ``nodata``."""
+    if nodata is None or math.isnan(nodata):
+        return rows
+    return np.where(np.isnan(rows), np.float32(nodata), rows)
 
 
 def save_raster(grid: RasterGrid, path) -> None:
     """Write a grid to ``path`` (Format A for ``.bin``, Format B for ``.pgm``).
 
-    The sidecar header ``<stem>.hdr`` is written next to the payload. A saved
-    file reloads to a bitwise-equal grid; Format B additionally requires the
-    samples to be integers in [0, 65535].
+    The sidecar header ``<stem>.hdr`` is written next to the payload. NaN
+    samples are written as a numeric ``nodata`` sentinel, even those that
+    were NaN in the file. A saved file reloads to a bitwise-equal grid;
+    Format B additionally requires the samples to be integers in [0, 65535].
     """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".bin":
-        path.write_bytes(grid.data.astype("<f4", copy=False).tobytes())
+        step = max(1, _SAVE_CHUNK_PIXELS // grid.width)
+        with open(path, "wb") as f:
+            for r0 in range(0, grid.height, step):
+                rows = _with_sentinel(grid.data[r0:r0 + step], grid.nodata)
+                rows.astype("<f4", copy=False).tofile(f)
         _write_header(path.with_suffix(".hdr"), grid, "float32")
     elif suffix == ".pgm":
-        rounded = np.rint(grid.data.astype(np.float64))
-        if not np.all(np.abs(grid.data.astype(np.float64) - rounded) <= 1e-6):
+        data = _with_sentinel(grid.data, grid.nodata).astype(np.float64)
+        rounded = np.rint(data)
+        if not np.all(np.abs(data - rounded) <= 1e-6):
             raise RasterFormatError(
                 "pgm output requires integral samples; use .bin for float data")
         if rounded.min() < 0 or rounded.max() > 65535:
@@ -306,9 +320,7 @@ def _load_bin(path: Path) -> RasterGrid:
             f"{path}: payload is {size} bytes, header implies {expected}")
     # read straight into the one array the grid keeps
     data = np.fromfile(path, dtype="<f4", count=width * height)
-    gt, crs, nodata = _header_geo(entries, path)
-    return RasterGrid(data=data.reshape(height, width), geotransform=gt,
-                      crs_tag=crs, nodata=nodata)
+    return _grid_from_file(data.reshape(height, width), entries, path)
 
 
 def _tokenize_pgm(buf: bytes):
@@ -355,9 +367,7 @@ def _load_pgm(path: Path) -> RasterGrid:
         raise RasterFormatError(f"{path}: sidecar width disagrees with pgm header")
     if "height" in entries and int(entries["height"]) != height:
         raise RasterFormatError(f"{path}: sidecar height disagrees with pgm header")
-    gt, crs, nodata = _header_geo(entries, path)
-    return RasterGrid(data=data.astype(np.float32), geotransform=gt,
-                      crs_tag=crs, nodata=nodata)
+    return _grid_from_file(data.astype(np.float32), entries, path)
 
 
 def load_raster(path) -> RasterGrid:
@@ -383,14 +393,13 @@ def sample_bilinear(grid: RasterGrid, col, row):
 
     Accepts scalars or arrays (broadcast against each other); returns a float
     for scalars, else a float64 array. Positions whose 2x2 neighborhood
-    leaves the grid, or touches a nodata sample, evaluate to the grid's
-    nodata sentinel as a float64 (NaN when the grid declares none; see
-    :func:`nan_filled`). Positions within _EDGE_TOL of the grid are clipped
-    onto its edge.
+    leaves the grid evaluate to NaN, and a NaN (nodata) neighbour makes
+    the sample NaN through the arithmetic, even at zero weight. Positions
+    within _EDGE_TOL of the grid are clipped onto its edge.
 
     Every position is gathered, none compacted: positions outside the grid
-    (NaN and infinite ones too) read pixel 0, and the fill is written over
-    them at the end.
+    (NaN and infinite ones too) read pixel 0, and NaN is written over them
+    at the end.
     """
     cols, rows = np.broadcast_arrays(np.asarray(col, dtype=np.float64),
                                      np.asarray(row, dtype=np.float64))
@@ -435,29 +444,10 @@ def sample_bilinear(grid: RasterGrid, col, row):
                  np.multiply(fc, v11, out=fc), out=gc)
     out = np.add(np.multiply(1 - fr, top, out=top),
                  np.multiply(fr, bot, out=fr), out=top)
-
-    if grid.nodata is not None:
-        for v in (v00, v01, v10, v11):
-            outside |= grid.is_nodata(v)
-    np.copyto(out, _fill(grid), where=outside)
+    np.copyto(out, np.nan, where=outside)
     if not shape:
         return float(out[0])
     return out.reshape(shape)
-
-
-def _fill(grid: RasterGrid) -> float:
-    return float(grid.nodata) if grid.nodata is not None else np.nan
-
-
-def nan_filled(grid: RasterGrid) -> RasterGrid:
-    """``grid`` with its nodata samples set to NaN and no sentinel, so the
-    sampler fills with NaN and no interpolated value is mistaken for fill;
-    ``grid`` itself when its fill is NaN already."""
-    if grid.nodata is None or math.isnan(grid.nodata):
-        return grid
-    data = grid.data.copy()
-    data[grid.is_nodata(data)] = np.nan
-    return replace(grid, data=data, nodata=None)
 
 
 def crop_to_overlap(sensed: RasterGrid, reference: RasterGrid,
@@ -513,7 +503,8 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     (FittedModel.apply_lattice) from one coordinate per column and per row;
     a sheared grid evaluates every pixel's map position (FittedModel.apply).
     Pixels that fall outside the sensed extent, hit nodata, or fail model
-    evaluation become nodata in the output. Each chunk of output rows is
+    evaluation are NaN in the output, which keeps the sensed grid's
+    sentinel (NaN when it declares none). Each chunk of output rows is
     sampled straight into the float32 output; a failed model evaluation is
     marked by a NaN sensed column, which the sampler fills.
 
@@ -526,7 +517,6 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
     if needs_dem:
         if dem is None:
             raise ValueError(f"{model.spec.name} warp requires a DEM")
-        heights = nan_filled(dem)
         # a DEM on the target grid is read, not sampled, at each pixel
         on_grid = (dem.geotransform == target_gt
                    and dem.data.shape == (height, width))
@@ -548,9 +538,9 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
             x, y = target_gt.pixel_to_geo(cols, rows[r0:r1])
         z = None
         if needs_dem and on_grid:
-            z = heights.data[r0:r1].astype(np.float64)
+            z = dem.data[r0:r1].astype(np.float64)
         elif needs_dem:
-            z = sample_bilinear(heights, *dem.geotransform.geo_to_pixel(x, y))
+            z = sample_bilinear(dem, *dem.geotransform.geo_to_pixel(x, y))
         px, py = (model.apply_lattice(x, y[:, 0], z) if lattice
                   else model.apply(x, y, z))
         ok = np.isfinite(px) & np.isfinite(py)
@@ -563,6 +553,5 @@ def warp(sensed: RasterGrid, model, target_gt: GeoTransform,
         sc[~ok] = np.nan
         out[r0:r1] = sample_bilinear(sensed, sc, sr)
 
-    grid = RasterGrid(data=out, geotransform=target_gt,
-                      crs_tag=sensed.crs_tag, nodata=_fill(sensed))
-    return grid, eval_failures
+    nodata = math.nan if sensed.nodata is None else sensed.nodata
+    return RasterGrid(out, target_gt, sensed.crs_tag, nodata), eval_failures

@@ -7,7 +7,8 @@ from coreg.matcher import (CSV_HEADER, Correspondence, correspondences_from_csv,
                            correspondences_to_csv)
 from coreg.metrics import sweep, sweep_to_csv
 from coreg.raster import GeoTransform, load_raster, save_raster
-from coreg.synthgen import SynthSpec, generate, translation_warp
+from coreg.synthgen import (SynthSpec, cubic_truth, generate,
+                            translation_warp)
 
 from conftest import as_grid, texture
 
@@ -466,3 +467,51 @@ def test_register_counts_projective_pole_inside_frame(tmp_path):
                             np.arange(0, 41, 8), np.arange(2, 64, 12))
     # exactly the 64 pixels of the pole column
     assert float(rep["eval_failure_fraction"]) == 64 / (64 * 64)
+
+
+def test_sentinel_and_nan_holes_give_the_same_run(tmp_path):
+    """The same pair and DEM with -9999 holes under nodata=-9999 and with
+    NaN holes under nodata=nan: matching and an rfm register agree to the
+    byte, and the registered rasters differ only in their fill bytes."""
+    ref, sen, _, dem = generate(SynthSpec(size=384, seed=4,
+                                          warp=cubic_truth(384, 0.1)))
+    holes = {"ref": (slice(300, 320), slice(40, 60)),
+             "sen": (slice(150, 170), slice(180, 200)),
+             "dem": (slice(0, 12), slice(150, 180))}
+    runs = {}
+    for fill in (-9999.0, np.nan):
+        root = tmp_path / ("sentinel" if fill == -9999.0 else "nan")
+        root.mkdir()
+        for name, grid in (("ref", ref), ("sen", sen), ("dem", dem)):
+            data = grid.data.copy()
+            data[holes[name]] = fill
+            save_raster(as_grid(data, grid.geotransform, grid.crs_tag,
+                                nodata=fill), root / f"{name}.bin")
+        assert main(["match", "--ref", str(root / "ref.bin"),
+                     "--sensed", str(root / "sen.bin"),
+                     "--template-size", "48", "--search-size", "96",
+                     "--blocks", "8", "--out-dir", str(root / "m")]) == 0
+        assert main(["register", "--ref", str(root / "ref.bin"),
+                     "--sensed", str(root / "sen.bin"),
+                     "--corr", str(root / "m" / "correspondences.csv"),
+                     "--model", "rfm2_shared", "--dem", str(root / "dem.bin"),
+                     "--checkpoints", "8", "--out-dir", str(root / "r")]) == 0
+        runs[root.name] = root
+    a, b = runs["sentinel"], runs["nan"]
+    assert np.fromfile(a / "sen.bin", "<f4")[150 * 384 + 180] == -9999.0
+    for name in ("m/correspondences.csv", "m/correspondences_raw.csv",
+                 "m/match_stats.txt", "r/rfm2_shared.model",
+                 "r/register_report.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert int(_report(a / "m" / "match_stats.txt")["skipped_nodata"]) > 0
+
+    reg_a = load_raster(a / "r" / "registered.bin")
+    reg_b = load_raster(b / "r" / "registered.bin")
+    assert (reg_a.nodata, np.isnan(reg_b.nodata)) == (-9999.0, True)
+    assert np.array_equal(reg_a.data, reg_b.data, equal_nan=True)
+    fill = np.isnan(reg_b.data)
+    assert fill[:12, 150:180].all() and not fill.all()
+    raw_a = np.fromfile(a / "r" / "registered.bin", "<f4").reshape(fill.shape)
+    raw_b = np.fromfile(b / "r" / "registered.bin", "<f4").reshape(fill.shape)
+    assert (raw_a[fill] == -9999.0).all()
+    assert raw_a[~fill].tobytes() == raw_b[~fill].tobytes()

@@ -498,8 +498,8 @@ def test_ramp_dem_heights_exact():
 
 
 def test_dem_fill_and_holes_give_no_height():
-    # 0.1 has no exact float32 value: the sampler's fill is float(0.1), a
-    # hole's samples are float32(0.1), and neither may pass for a height
+    # 0.1 has no exact float32 value: the hole's samples are float32(0.1),
+    # and they must read as nodata, never as a height
     data = np.full((10, 10), 50.0, dtype=np.float32)
     data[4:6, 4:6] = 0.1
     dem = as_grid(data, nodata=0.1)
@@ -522,8 +522,9 @@ def test_dem_fill_and_holes_give_no_height():
     hole = np.zeros((10, 10), dtype=bool)
     hole[4:6, 4:6] = True
     hole[:, 9] = True   # column 9 maps past the sensed extent
-    assert np.all(out.data[hole] == -5.0)
-    assert np.all(out.data[~hole] != -5.0)
+    assert out.nodata == -5.0
+    assert np.isnan(out.data[hole]).all()
+    assert not np.isnan(out.data[~hole]).any()
 
 
 def _height_shift_rfm():
@@ -543,7 +544,8 @@ def test_dem_hole_neighbours_keep_their_own_heights(nodata):
     model = _height_shift_rfm()
     out, failures = warp(sensed, model, dem.geotransform, 5, 5, dem)
     assert failures == 0
-    assert out.data[2, 2] == -5.0
+    assert out.nodata == -5.0
+    assert np.isnan(out.data[2, 2])
     rr, cc = np.mgrid[0:5, 0:5].astype(np.float64)
     want = sample_bilinear(sensed, *model.apply(cc, rr, heights))
     keep = np.ones((5, 5), dtype=bool)

@@ -369,15 +369,25 @@ def reference_600():
 
 
 def test_sentinel_nodata_is_ignored_like_nan(reference_600):
-    found = []
+    images = []
     for fill in (np.nan, -9999.0):
         data = reference_600.data.copy()
         data[:, :100] = fill
-        grid = as_grid(data, reference_600.geotransform, nodata=fill)
-        found.append(detect_block_fast(grid, BlockGridParams(n_blocks=4,
-                                                             border=50)))
+        images.append(as_grid(data, reference_600.geotransform, nodata=fill))
+    images.append(images[0].data)   # the bare array, with no grid to copy
+    found, peaks = [], []
+    for image in images:
+        tracemalloc.start()
+        try:
+            found.append(detect_block_fast(image, BlockGridParams(n_blocks=4,
+                                                                  border=50)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert len(found[0]) == 16
-    assert found[1] == found[0]
+    assert found[2] == found[1] == found[0]
+    # neither grid is copied whole (1.4 MiB) for detection
+    assert max(peaks[:2]) <= peaks[2] + 2 ** 20
 
 
 def _copy_threshold(data):

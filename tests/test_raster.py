@@ -15,7 +15,6 @@ from coreg.raster import (
     Window,
     crop_to_overlap,
     load_raster,
-    nan_filled,
     read_window,
     sample_bilinear,
     save_raster,
@@ -80,17 +79,80 @@ def test_payload_size_mismatch_rejected(tmp_path):
 
 
 def test_load_holds_one_copy_of_the_payload(tmp_path):
-    grid = as_grid(np.random.default_rng(3).random((512, 512),
-                                                   dtype=np.float32))
-    save_raster(grid, tmp_path / "g.bin")
-    tracemalloc.start()
-    try:
+    data = np.random.default_rng(3).random((512, 512), dtype=np.float32)
+    holed = data.copy()
+    holed[::7, 100:300] = -9999.0
+    # a sentinel's holes become NaN in the array read, not in a copy
+    for grid, bound in ((as_grid(data), 1.25),
+                        (as_grid(holed, nodata=-9999.0), 1.5)):
+        save_raster(grid, tmp_path / "g.bin")
+        tracemalloc.start()
+        try:
+            back = load_raster(tmp_path / "g.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, grid.data, equal_nan=True)
+        assert peak <= bound * grid.data.nbytes
+
+
+def test_save_writes_the_payload_without_a_copy(tmp_path):
+    data = np.random.default_rng(4).random((1024, 1024), dtype=np.float32)
+    data[200:600, 300:700] = np.nan
+    # NaN is written as the sentinel in row chunks, not in a frame copy
+    for nodata, bound in ((None, 0.05), (-9999.0, 1.0)):
+        grid = as_grid(data, nodata=nodata)
+        peak = _traced_peak(save_raster, grid, tmp_path / "g.bin")
+        assert peak <= bound * grid.data.nbytes
         back = load_raster(tmp_path / "g.bin")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.data, grid.data)
-    assert peak <= 1.25 * grid.data.nbytes
+        assert np.array_equal(back.data, data, equal_nan=True)
+
+
+_GT_HEADER = "gt=500000.0,10.0,0.0,4000000.0,0.0,-10.0\ncrs=EPSG:32633\n"
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".pgm"])
+def test_sentinel_holes_load_as_nan_and_save_back_identical(tmp_path, suffix):
+    levels = np.random.default_rng(6).integers(1, 65536, (20, 30))
+    levels[3:6, 4:9] = 0
+    levels[17, 29] = 0
+    if suffix == ".bin":
+        sentinel = -9999.0
+        data = np.where(levels == 0, sentinel, levels / 7.0)
+        payload = data.astype("<f4").tobytes()
+        header = "width=30\nheight=20\ndtype=float32\n"
+    else:
+        sentinel = 0.0
+        data = levels
+        payload = b"P5\n30 20\n65535\n" + levels.astype(">u2").tobytes()
+        header = "width=30\nheight=20\ndtype=uint16\n"
+    original = tmp_path / f"orig{suffix}"
+    original.write_bytes(payload)
+    header += _GT_HEADER + f"nodata={sentinel!r}\n"
+    original.with_suffix(".hdr").write_text(header)
+
+    grid = load_raster(original)
+    holes = levels == 0
+    assert grid.nodata == sentinel
+    assert np.array_equal(np.isnan(grid.data), holes)
+    assert np.array_equal(grid.data[~holes],
+                          data[~holes].astype(np.float32))
+    save_raster(grid, tmp_path / f"back{suffix}")
+    assert (tmp_path / f"back{suffix}").read_bytes() == payload
+    assert (tmp_path / "back.hdr").read_text() == header
+
+
+def test_nan_in_a_grid_with_a_sentinel_is_written_as_the_sentinel(tmp_path):
+    # the one lossy case: in memory a NaN sample and a hole are the same
+    data = np.array([[1.0, np.nan], [-9999.0, 4.0]], dtype=np.float32)
+    grid = as_grid(data, nodata=-9999.0)
+    assert data[1, 0] == -9999.0     # the caller's array is not written
+    assert np.isnan(grid.data[1, 0])
+    save_raster(grid, tmp_path / "g.bin")
+    written = np.fromfile(tmp_path / "g.bin", dtype="<f4")
+    assert written.tolist() == [1.0, -9999.0, -9999.0, 4.0]
+    back = load_raster(tmp_path / "g.bin")
+    assert np.array_equal(back.data, grid.data, equal_nan=True)
 
 
 def _edit_header(tmp_path, edit):
@@ -207,7 +269,7 @@ def test_sample_midpoint_symmetry():
 
 def test_sample_out_of_bounds_is_nodata():
     grid = as_grid([[1.0, 2.0], [3.0, 4.0]], nodata=-7.0)
-    assert sample_bilinear(grid, -0.5, 0.0) == -7.0
+    assert np.isnan(sample_bilinear(grid, -0.5, 0.0))
     assert np.isnan(sample_bilinear(as_grid([[1.0]]), -0.5, 0.0))
 
 
@@ -221,13 +283,12 @@ def test_sample_one_rounding_error_outside_is_the_edge_value():
 def _compaction_sample_bilinear(grid, col, row):
     """The sampler as it was before it gathered every position: it compacts
     the in-grid positions, interpolates them and scatters them back into a
-    float64 frame of fill values. Kept as the reference."""
+    float64 frame of NaN. Kept as the reference."""
     cols = np.asarray(col, dtype=np.float64)
     rows = np.asarray(row, dtype=np.float64)
     scalar = cols.ndim == 0 and rows.ndim == 0
     cols, rows = np.broadcast_arrays(cols, rows)
-    fill = float(grid.nodata) if grid.nodata is not None else np.nan
-    out = np.full(cols.shape, fill, dtype=np.float64)
+    out = np.full(cols.shape, np.nan, dtype=np.float64)
 
     h, w = grid.data.shape
     inb = ((cols >= -_EDGE_TOL) & (cols <= w - 1 + _EDGE_TOL)
@@ -249,10 +310,9 @@ def _compaction_sample_bilinear(grid, col, row):
         v11 = data[r1, c1].astype(np.float64)
         vals = ((1 - fr) * ((1 - fc) * v00 + fc * v01)
                 + fr * ((1 - fc) * v10 + fc * v11))
-        if grid.nodata is not None:
-            bad = (grid.is_nodata(v00) | grid.is_nodata(v01)
-                   | grid.is_nodata(v10) | grid.is_nodata(v11))
-            vals[bad] = fill
+        bad = (np.isnan(v00) | np.isnan(v01)
+               | np.isnan(v10) | np.isnan(v11))
+        vals[bad] = np.nan
         out[inb] = vals
     if scalar:
         return float(out)
@@ -354,7 +414,8 @@ def test_warp_outside_extent_is_nodata():
     sensed = as_grid(texture(32, seed=6), nodata=-5.0)
     out, _ = warp(sensed, translation_warp(100.0, 0.0), sensed.geotransform,
                   32, 32)
-    assert np.all(out.data == -5.0)
+    assert np.isnan(out.data).all()
+    assert out.nodata == -5.0
 
 
 def test_warp_inverse_recovers_image():
@@ -385,7 +446,8 @@ def test_warp_counts_model_failures_not_extent_misses():
     sensed = as_grid(texture(48, seed=9), nodata=-5.0)
     out, failures = warp(sensed, model, sensed.geotransform, 48, 40)
     assert failures == 40
-    assert np.all(out.data[:, 32] == -5.0)
+    assert np.isnan(out.data[:, 32]).all()
+    assert out.nodata == -5.0
 
 
 def _cubic_field(n):
@@ -419,16 +481,15 @@ def test_warp_allocates_its_output_plus_under_4_mib(name):
 def _per_pixel_warp(sensed, model, target_gt, width, height, dem=None):
     """warp evaluating the model at every pixel's map position, as on a
     sheared target grid: the reference for the lattice evaluation."""
-    heights = nan_filled(dem) if dem is not None else None
     rr, cc = np.mgrid[0:height, 0:width].astype(np.float64)
     gx, gy = target_gt.pixel_to_geo(cc, rr)
     inputs = [gx, gy]
     if model.spec.dims == 3:
         if dem.geotransform == target_gt and dem.data.shape == (height, width):
-            inputs.append(heights.data.astype(np.float64))
+            inputs.append(dem.data.astype(np.float64))
         else:
             inputs.append(sample_bilinear(
-                heights, *dem.geotransform.geo_to_pixel(gx, gy)))
+                dem, *dem.geotransform.geo_to_pixel(gx, gy)))
     px, py = model.apply(*inputs)
     ok = np.isfinite(px) & np.isfinite(py)
     failures = 0
@@ -483,8 +544,9 @@ def test_lattice_warp_matches_the_per_pixel_warp(name, dem_kind):
     out, failures = warp(sensed, model, gt, n, n, dem)
     want, want_failures = _per_pixel_warp(sensed, model, gt, n, n, dem)
     assert failures == want_failures == 0
-    fill = out.data == -5.0
-    assert np.array_equal(fill, want == -5.0)
+    assert out.nodata == -5.0
+    fill = np.isnan(out.data)
+    assert np.array_equal(fill, np.isnan(want))
     assert 0 < fill.sum() < n * n
     if dem_kind == "hole":
         assert fill[30:36, 40:44].all()
@@ -508,4 +570,5 @@ def test_sheared_target_grid_warps_pixel_by_pixel(monkeypatch, name,
     out, failures = warp(sensed, model, sheared, n, n, dem)
     want, want_failures = _per_pixel_warp(sensed, model, sheared, n, n, dem)
     assert failures == want_failures
-    assert np.array_equal(out.data, want)
+    assert out.nodata == -5.0
+    assert np.array_equal(out.data, want, equal_nan=True)
