@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 
-_SAVE_CHUNK_PIXELS = 65536  # samples per chunk of a saved .bin payload
+_SAVE_CHUNK_PIXELS = 65536  # samples per chunk of a saved payload
 # output pixels per warp chunk: the chunk's float64 coordinates, model
 # outputs and sampler buffers (2.6 MB at their peak for a poly3 model, 3.7 MB
 # for rfm3) stay in cache, and the allocator reuses their memory rather than
@@ -260,11 +260,32 @@ def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
                       crs_tag=entries.get("crs", ""), nodata=nodata)
 
 
-def _with_sentinel(rows: np.ndarray, nodata: float | None) -> np.ndarray:
-    """``rows`` with NaN written as a numeric sentinel ``nodata``."""
-    if nodata is None or math.isnan(nodata):
-        return rows
-    return np.where(np.isnan(rows), np.float32(nodata), rows)
+def _saved_rows(grid: RasterGrid):
+    """Yield the grid's samples in chunks of whole rows of about
+    _SAVE_CHUNK_PIXELS, with NaN written as a numeric ``nodata`` sentinel."""
+    step = max(1, _SAVE_CHUNK_PIXELS // grid.width)
+    for r0 in range(0, grid.height, step):
+        rows = grid.data[r0:r0 + step]
+        if grid.nodata is not None and not math.isnan(grid.nodata):
+            rows = np.where(np.isnan(rows), np.float32(grid.nodata), rows)
+        yield rows
+
+
+def _check_pgm_samples(grid: RasterGrid) -> None:
+    lo, hi = np.inf, -np.inf
+    for rows in _saved_rows(grid):
+        if np.isnan(rows).any():
+            raise RasterFormatError("pgm output cannot hold NaN samples: give "
+                                    "the grid a numeric nodata sentinel")
+        rounded = np.rint(rows)
+        with np.errstate(invalid="ignore"):
+            if not np.all(np.abs(rows - rounded) <= 1e-6):
+                raise RasterFormatError("pgm output requires integral "
+                                        "samples; use .bin for float data")
+        lo, hi = min(lo, rounded.min()), max(hi, rounded.max())
+    if lo < 0 or hi > 65535:
+        raise RasterFormatError(
+            f"pgm samples must lie in [0, 65535], got [{lo}, {hi}]")
 
 
 def save_raster(grid: RasterGrid, path) -> None:
@@ -273,29 +294,22 @@ def save_raster(grid: RasterGrid, path) -> None:
     The sidecar header ``<stem>.hdr`` is written next to the payload. NaN
     samples are written as a numeric ``nodata`` sentinel, even those that
     were NaN in the file. A saved file reloads to a bitwise-equal grid;
-    Format B additionally requires the samples to be integers in [0, 65535].
+    Format B additionally requires the samples to be integers in [0, 65535],
+    checked before the payload is written; both write it in row chunks.
     """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".bin":
-        step = max(1, _SAVE_CHUNK_PIXELS // grid.width)
         with open(path, "wb") as f:
-            for r0 in range(0, grid.height, step):
-                rows = _with_sentinel(grid.data[r0:r0 + step], grid.nodata)
+            for rows in _saved_rows(grid):
                 rows.astype("<f4", copy=False).tofile(f)
         _write_header(path.with_suffix(".hdr"), grid, "float32")
     elif suffix == ".pgm":
-        data = _with_sentinel(grid.data, grid.nodata).astype(np.float64)
-        rounded = np.rint(data)
-        if not np.all(np.abs(data - rounded) <= 1e-6):
-            raise RasterFormatError(
-                "pgm output requires integral samples; use .bin for float data")
-        if rounded.min() < 0 or rounded.max() > 65535:
-            raise RasterFormatError(
-                f"pgm samples must lie in [0, 65535], got "
-                f"[{rounded.min()}, {rounded.max()}]")
-        header = f"P5\n{grid.width} {grid.height}\n65535\n".encode("ascii")
-        path.write_bytes(header + rounded.astype(">u2").tobytes())
+        _check_pgm_samples(grid)
+        with open(path, "wb") as f:
+            f.write(f"P5\n{grid.width} {grid.height}\n65535\n".encode("ascii"))
+            for rows in _saved_rows(grid):
+                np.rint(rows).astype(">u2").tofile(f)
         _write_header(path.with_suffix(".hdr"), grid, "uint16")
     else:
         raise RasterFormatError(f"unsupported raster extension {suffix!r} "
@@ -323,51 +337,53 @@ def _load_bin(path: Path) -> RasterGrid:
     return _grid_from_file(data.reshape(height, width), entries, path)
 
 
-def _tokenize_pgm(buf: bytes):
-    """Yield whitespace-separated PGM header tokens, skipping # comments."""
-    i = 0
+def _tokenize_pgm(f):
+    """Yield the whitespace-separated PGM header tokens of the binary file f,
+    skipping # comments, each with the offset of the byte after it."""
     while True:
-        while i < len(buf) and buf[i:i + 1].isspace():
-            i += 1
-        if i < len(buf) and buf[i:i + 1] == b"#":
-            while i < len(buf) and buf[i:i + 1] != b"\n":
-                i += 1
+        c = f.read(1)
+        while c.isspace():
+            c = f.read(1)
+        if c == b"#":
+            while c not in (b"\n", b""):
+                c = f.read(1)
             continue
-        start = i
-        while i < len(buf) and not buf[i:i + 1].isspace():
-            i += 1
-        if start == i:
+        token = b""
+        while c and not c.isspace():
+            token += c
+            c = f.read(1)
+        if not token:
             raise RasterFormatError("truncated pgm header")
-        yield buf[start:i], i
+        yield token, f.tell() - len(c)
 
 
 def _load_pgm(path: Path) -> RasterGrid:
-    buf = path.read_bytes()
-    tokens = _tokenize_pgm(buf)
-    try:
+    # the header is read a byte at a time, and the payload once, below
+    with open(path, "rb") as f:
+        tokens = _tokenize_pgm(f)
         magic, _ = next(tokens)
         if magic != b"P5":
             raise RasterFormatError(f"{path}: not a binary pgm (magic {magic!r})")
         w_tok, _ = next(tokens)
         h_tok, _ = next(tokens)
         maxval_tok, end = next(tokens)
-    except StopIteration:
-        raise RasterFormatError(f"{path}: truncated pgm header") from None
     width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     if maxval != 65535:
         raise RasterFormatError(f"{path}: unsupported sample type (maxval {maxval})")
-    payload = buf[end + 1:]
+    payload = max(path.stat().st_size - (end + 1), 0)
     expected = width * height * 2
-    if len(payload) != expected:
+    if payload != expected:
         raise RasterFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    data = np.frombuffer(payload, dtype=">u2").reshape(height, width)
+            f"{path}: payload is {payload} bytes, header implies {expected}")
     entries = _read_header(path.with_suffix(".hdr"))
     if "width" in entries and int(entries["width"]) != width:
         raise RasterFormatError(f"{path}: sidecar width disagrees with pgm header")
     if "height" in entries and int(entries["height"]) != height:
         raise RasterFormatError(f"{path}: sidecar height disagrees with pgm header")
-    return _grid_from_file(data.astype(np.float32), entries, path)
+    # the big-endian samples are freed before nodata is masked
+    data = np.fromfile(path, dtype=">u2", count=width * height,
+                       offset=end + 1).astype(np.float32)
+    return _grid_from_file(data.reshape(height, width), entries, path)
 
 
 def load_raster(path) -> RasterGrid:

@@ -9,13 +9,13 @@ reference pulled back through a known geometric warp, remapped radiometrically
 unit-mean speckle noise. The exact warp is returned as a fitted-model object
 so accuracy claims can be checked against ground truth.
 
-Value noise upsamples each octave's lattice separably, rows then columns,
-from per-axis indices and weights. The pull-back inverts the warp by a chord
-Newton iteration: steps through a frozen inverse Jacobian until each point
-stops moving. The warp is first inverted on a coarse lattice of nodes; the
-frame is then inverted in whole-row chunks, each pixel started from the
-bilinearly interpolated inverse displacement and stepped with the
-interpolated inverse Jacobian, about four warp evaluations per pixel.
+The pull-back inverts the warp by a chord Newton iteration: steps through
+a frozen inverse Jacobian until each point stops moving (one still moving
+at the step cap is not ok). The warp is first inverted at the nodes of a
+regular lattice; the frame is then inverted in whole-row chunks, each pixel
+started and stepped from the nodes' solutions and inverse Jacobians,
+bilinearly upsampled as value noise is, about four warp evaluations per
+pixel. A seeded pixel that fails is solved again unseeded.
 
 The sensed frame is streamed: it is allocated once in float32, and each
 chunk of the inversion is sampled, remapped, multiplied by its own speckle
@@ -38,7 +38,7 @@ _INVERTIBLE_SAMPLES = 25
 # invert_warp_grid: step cap, the largest per-point step that ends the
 # iteration, and the forward-difference step of its Jacobian (a power of two,
 # so r + h is exact for map coordinates below 2**42)
-_INVERT_MAX_ITERS = 80
+_INVERT_MAX_ITERS = 200
 _INVERT_TOL = 1e-12
 _JACOBIAN_STEP = 2.0 ** -10
 # generate builds noise this many pixels at a time, and inverts the warp in
@@ -47,7 +47,7 @@ _JACOBIAN_STEP = 2.0 ** -10
 _CHUNK_PIXELS = 65536
 _INVERT_CHUNK_PIXELS = 16384
 # the frame inversion's lattice: a node every this many pixels per axis,
-# plus the last row and column
+# the last at or past the frame's last row and column
 _LATTICE_STEP = 8
 
 
@@ -129,13 +129,29 @@ def _lerp_weights(n: int, spacing: int):
     return idx, pos - idx
 
 
+def _add_upsampled(out, lattice, rows, cols, weight=1.0, part=None):
+    """Add weight times lattice, bilinearly upsampled, into out: its last
+    two axes are interpolated along rows, then along columns, with the
+    _lerp_weights pairs rows and cols (the node past a pixel on the last
+    node is clipped to it). part is an optional buffer shaped like out."""
+    (r, fr), (c, fc) = rows, cols
+    fr = fr[:, None]
+    up = lattice.take(r, axis=-2, mode="clip") * (1.0 - fr)
+    up += lattice.take(r + 1, axis=-2, mode="clip") * fr
+    up *= weight
+    part = np.take(up, c, axis=-1, out=part, mode="clip")
+    part *= 1.0 - fc
+    out += part
+    np.take(up, c + 1, axis=-1, out=part, mode="clip")
+    part *= fc
+    out += part
+
+
 def _value_noise(h: int, w: int, rng, spacings, weights) -> np.ndarray:
     """Sum of bilinearly upsampled random lattices, one per octave.
 
-    Bilinear upsampling is separable: each lattice is interpolated along
-    rows, then along columns, from per-axis node indices and weights, so no
-    full-frame coordinate arrays are built. The frame is summed in blocks of
-    about _CHUNK_PIXELS, all octaves per block, so the block stays in cache.
+    The frame is summed in blocks of about _CHUNK_PIXELS, all octaves per
+    block, so the block stays in cache.
     """
     octaves = [(rng.random((h // s + 2, w // s + 2)), weight,
                 _lerp_weights(h, s), _lerp_weights(w, s))
@@ -145,19 +161,9 @@ def _value_noise(h: int, w: int, rng, spacings, weights) -> np.ndarray:
     tmp = np.empty((min(step, h), w), dtype=np.float64)
     for r0 in range(0, h, step):
         block = out[r0:r0 + step]
-        part = tmp[:len(block)]
-        for lattice, weight, (r, fr), (c, fc) in octaves:
-            r = r[r0:r0 + step]
-            fr = fr[r0:r0 + step, None]
-            rows = lattice[r] * (1.0 - fr)
-            rows += lattice[r + 1] * fr
-            rows *= weight
-            np.take(rows, c, axis=1, out=part)
-            part *= 1.0 - fc
-            block += part
-            np.take(rows, c + 1, axis=1, out=part)
-            part *= fc
-            block += part
+        for lattice, weight, (r, fr), cols in octaves:
+            _add_upsampled(block, lattice, (r[r0:r0 + step], fr[r0:r0 + step]),
+                           cols, weight, tmp[:len(block)])
     _normalize(out)
     return out
 
@@ -252,16 +258,15 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
     more, after its first step below _INVERT_TOL, or one that is not
     finite; the rest stop after _INVERT_MAX_ITERS steps, so an
     all-non-finite input stops after the first step. Returns (rx, ry, ok)
-    where ok flags points whose forward image is finite and lands within
-    1e-6 of the target. Seeded, a point still moving at the cap is not ok
-    either, whatever its residual, so that invert_frame solves it again
-    unseeded: such a point can end within 1e-6 of the target yet 2e-6 px
-    from the converged solve.
+    where ok flags points that retired on a step below _INVERT_TOL with a
+    finite forward image within 1e-6 of the target: a point still moving at
+    the cap is not ok, whatever its residual. A seeded point with a finite
+    target that is not ok is solved again unseeded.
     """
-    tx = np.asarray(tx, dtype=np.float64)
-    ty = np.asarray(ty, dtype=np.float64)
-    shape = tx.shape
-    gx, gy = tx.ravel(), ty.ravel()
+    shape = np.shape(tx)
+    tx = np.asarray(tx, dtype=np.float64).ravel()
+    ty = np.asarray(ty, dtype=np.float64).ravel()
+    gx, gy = tx, ty
     if seed is None:
         x, y, inverse = gx.copy(), gy.copy(), None
     else:
@@ -301,10 +306,14 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
                 inverse = _inverse_jacobian(warp, x, y, fx, fy)
         rx[live], ry[live] = x, y
         fx_end[live], fy_end[live] = fx, fy
-        err = np.hypot(fx_end - tx.ravel(), fy_end - ty.ravel())
+        err = np.hypot(fx_end - tx, fy_end - ty)
     ok = np.isfinite(err) & (err < 1e-6)
+    ok[live] = False
     if seed is not None:
-        ok[live] = False
+        redo = np.flatnonzero(~ok & np.isfinite(tx) & np.isfinite(ty))
+        if redo.size:
+            rx[redo], ry[redo], ok[redo] = invert_warp_grid(warp, tx[redo],
+                                                            ty[redo])
     return rx.reshape(shape), ry.reshape(shape), ok.reshape(shape)
 
 
@@ -323,55 +332,26 @@ def _inverse_jacobian(warp: FittedModel, rx, ry, fx, fy):
     return vy * scale, -uy * scale, -vx * scale, ux * scale
 
 
-def _node_weights(nodes: np.ndarray, n: int):
-    """Index of the lower bracketing node, and the weight of the upper one,
-    for each of n pixels along an axis whose lattice nodes are ``nodes``."""
-    pos = np.arange(n, dtype=np.float64)
-    idx = np.minimum(np.searchsorted(nodes, pos, side="right") - 1,
-                     len(nodes) - 2)
-    return idx, (pos - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-
-
 def _lattice_seed(warp: FittedModel, n: int):
-    """The seed of invert_warp_grid over an n x n frame, from the warp
-    inverted at lattice nodes every _LATTICE_STEP pixels plus the last row
-    and column; None when any node is not ok.
-
-    The returned seed(r0, r1) gives the six planes of frame rows r0..r1:
-    the inverse displacement and the inverse Jacobian at the nodes of the
-    lattice rows that bracket them are interpolated along columns, and each
-    frame row then mixes its two bracketing lattice rows. Only those lattice
-    rows are interpolated, so no frame-sized array is built.
-    """
-    nodes = np.unique(np.r_[np.arange(0, n, _LATTICE_STEP), n - 1])
-    nodes = nodes.astype(np.float64)
+    """The seed of invert_warp_grid over an n x n frame: seed(r0, r1) gives
+    the six planes of frame rows r0..r1, the inverse displacement and
+    inverse Jacobian of the warp at lattice nodes every _LATTICE_STEP
+    pixels, upsampled. A node that is not ok has NaN planes, so the pixels
+    seeded from it retire after one step and are solved again unseeded."""
+    nodes = np.arange(0.0, n - 1 + _LATTICE_STEP, _LATTICE_STEP)
     ny, nx = np.meshgrid(nodes, nodes, indexing="ij")
     lx, ly, ok = invert_warp_grid(warp, nx, ny)
-    if not ok.all():
-        return None
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         fx, fy = warp.apply(lx, ly)
         planes = np.stack([lx - nx, ly - ny,
                            *_inverse_jacobian(warp, lx, ly, fx, fy)])
-    idx, w = _node_weights(nodes, n)
+    planes[:, ~ok] = np.nan
+    idx, w = _lerp_weights(n, _LATTICE_STEP)
 
     def seed(r0: int, r1: int) -> np.ndarray:
-        lo, hi = idx[r0], idx[r1 - 1] + 2
-        # lo + w * (hi - lo), exact where lo == hi: along columns here,
-        # along rows from the differences of consecutive lattice rows
-        lattice = planes[:, lo:hi].take(idx, axis=2)
-        diff = planes[:, lo:hi].take(idx + 1, axis=2)
-        diff -= lattice
-        diff *= w
-        lattice += diff
-        diff = np.subtract(lattice[:, 1:], lattice[:, :-1], out=diff[:, :-1])
-        out = np.empty((len(lattice), r1 - r0, n))
-        for i in range(lo, hi - 1):
-            # the rows between lattice rows i and i + 1
-            at = np.flatnonzero(idx[r0:r1] == i)
-            part = out[:, at[0]:at[-1] + 1]
-            np.multiply(w[r0 + at, None], diff[:, i - lo, None], out=part)
-            part += lattice[:, i - lo, None]
+        out = np.zeros((len(planes), r1 - r0, n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            _add_upsampled(out, planes, (idx[r0:r1], w[r0:r1]), (idx, w))
         return out
 
     return seed
@@ -379,12 +359,8 @@ def _lattice_seed(warp: FittedModel, n: int):
 
 def invert_frame(warp: FittedModel, n: int):
     """Invert warp over the n x n frame whose map coordinates are its pixel
-    indices, yielding (r0, r1, rx, ry, ok) for chunks of whole rows.
-
-    Each chunk is seeded from the lattice (see _lattice_seed), and a seeded
-    pixel that is not ok is solved again unseeded. If any lattice node is
-    not ok, the whole frame is inverted unseeded.
-    """
+    indices, yielding (r0, r1, rx, ry, ok) for chunks of whole rows, each
+    seeded from the lattice (see _lattice_seed)."""
     seed = _lattice_seed(warp, n)
     step = max(1, _INVERT_CHUNK_PIXELS // n)
     cols = np.arange(n, dtype=np.float64)
@@ -392,15 +368,7 @@ def invert_frame(warp: FittedModel, n: int):
         r1 = min(r0 + step, n)
         ty, tx = np.meshgrid(np.arange(r0, r1, dtype=np.float64), cols,
                              indexing="ij")
-        if seed is None:
-            yield (r0, r1, *invert_warp_grid(warp, tx, ty))
-            continue
-        rx, ry, ok = invert_warp_grid(warp, tx, ty, seed(r0, r1))
-        if not ok.all():
-            redo = ~ok
-            rx[redo], ry[redo], ok[redo] = invert_warp_grid(warp, tx[redo],
-                                                            ty[redo])
-        yield r0, r1, rx, ry, ok
+        yield (r0, r1, *invert_warp_grid(warp, tx, ty, seed(r0, r1)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,38 @@ def test_save_writes_the_payload_without_a_copy(tmp_path):
         assert np.array_equal(back.data, data, equal_nan=True)
 
 
+def test_pgm_save_and_load_hold_bounded_memory(tmp_path):
+    data = np.random.default_rng(5).integers(1, 65536, (1024, 1024))
+    data = data.astype(np.float32)
+    data[200:600, 300:700] = np.nan
+    grid = as_grid(data, nodata=0.0)
+    # the samples are checked, then rounded and written, in row chunks
+    peak = _traced_peak(save_raster, grid, tmp_path / "g.pgm")
+    assert peak <= 0.5 * grid.data.nbytes
+    # the big-endian samples are read once, then converted
+    peak = _traced_peak(load_raster, tmp_path / "g.pgm")
+    assert peak <= 1.6 * grid.data.nbytes
+    back = load_raster(tmp_path / "g.pgm")
+    assert np.array_equal(back.data, data, equal_nan=True)
+
+
+@pytest.mark.parametrize("value, named", [
+    (np.nan, "NaN samples.*numeric nodata"),
+    (0.5, "integral samples"),
+    (70000.0, r"\[0, 65535\], got \[1.0, 70000.0\]"),
+    (-1.0, r"\[0, 65535\], got \[-1.0, 1.0\]"),
+])
+def test_invalid_pgm_grid_raises_and_writes_no_payload(tmp_path, value, named):
+    from coreg.raster import RasterFormatError
+
+    data = np.ones((300, 300), dtype=np.float32)
+    # in the second row chunk of the save, after the first has passed
+    data[250, 7] = value
+    with pytest.raises(RasterFormatError, match=named):
+        save_raster(as_grid(data), tmp_path / "g.pgm")
+    assert not (tmp_path / "g.pgm").exists()
+
+
 _GT_HEADER = "gt=500000.0,10.0,0.0,4000000.0,0.0,-10.0\ncrs=EPSG:32633\n"
 
 

@@ -339,57 +339,79 @@ def _inverted_frame(warp, n):
     return [np.concatenate([p[k] for p in parts]) for k in (2, 3, 4)]
 
 
+def _lattice_nodes_ok(warp, n):
+    """Whether the warp inverts at every node of invert_frame's lattice."""
+    nodes = np.arange(0.0, n - 1 + synthgen._LATTICE_STEP,
+                      synthgen._LATTICE_STEP)
+    ny, nx = np.meshgrid(nodes, nodes, indexing="ij")
+    return invert_warp_grid(warp, nx, ny)[2].all()
+
+
 def test_seeded_frame_inversion_agrees_with_the_unseeded_solve():
     size = 96
     rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
-    fallbacks = 0
+    bad_lattices = 0
     for warp in _invertible_draws(size):
         ux, uy, uok = invert_warp_grid(warp, cc, rr)
         sx, sy, ok = _inverted_frame(warp, size)
         assert np.array_equal(ok, uok)
         assert float(np.max(np.abs(sx[ok] - ux[ok]), initial=0.0)) <= 1e-9
         assert float(np.max(np.abs(sy[ok] - uy[ok]), initial=0.0)) <= 1e-9
-        if _lattice_seed(warp, size) is None:
-            # a lattice node is not ok: the frame is the unseeded solve
-            fallbacks += 1
-            np.testing.assert_array_equal(sx, ux)
-            np.testing.assert_array_equal(sy, uy)
-    assert fallbacks == 4
+        # a node that is not ok seeds NaN, and its pixels are solved again
+        bad_lattices += not _lattice_nodes_ok(warp, size)
+    assert bad_lattices == 4
 
 
-def test_seeded_pixels_that_fail_are_solved_again_unseeded():
+def test_seeded_pixels_that_fail_are_solved_again_unseeded(monkeypatch):
     # this poly3 draw distorts most near its bottom-left corner, where the
     # interpolated inverse Jacobian is too poor and the seeded iteration
     # diverges for a few dozen pixels that the unseeded solve inverts
     size = 96
     *_, warp = _invertible_draws(size, count=14, seed=12)
     rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
-    seed = _lattice_seed(warp, size)
-    _, _, seeded_ok = invert_warp_grid(warp, cc, rr, seed(0, size))
-    redo = ~seeded_ok
+    seed = _lattice_seed(warp, size)(0, size)
+    # the seeded solve calls itself, unseeded, on the points that failed
+    resolved = []
+    solve = synthgen.invert_warp_grid
+
+    def spy(warp, tx, ty, seed=None):
+        resolved.append((np.array(tx), np.array(ty), seed))
+        return solve(warp, tx, ty, seed)
+
+    monkeypatch.setattr(synthgen, "invert_warp_grid", spy)
+    sx, sy, ok = invert_warp_grid(warp, cc, rr, seed)
+    monkeypatch.undo()
+    [(tx, ty, no_seed)] = resolved
+    assert no_seed is None
+    redo = np.zeros((size, size), dtype=bool)
+    redo[ty.astype(int), tx.astype(int)] = True
+    assert np.array_equal(cc[redo], tx) and np.array_equal(rr[redo], ty)
     assert 0 < np.count_nonzero(redo) < 100
     ux, uy, uok = invert_warp_grid(warp, cc, rr)
-    sx, sy, ok = _inverted_frame(warp, size)
     assert uok.all() and ok.all()
     np.testing.assert_array_equal(sx[redo], ux[redo])
     np.testing.assert_array_equal(sy[redo], uy[redo])
 
 
 def test_points_still_moving_at_the_step_cap_are_solved_again(monkeypatch):
-    # on this draw some seeded pixels run all the steps and end within 1e-6
-    # of the target but 1.8e-6 px from the converged solve
+    # on this draw, with a cap of 80 steps, some seeded pixels ended within
+    # 1e-6 of the target but 1.8e-6 px from the converged solve, and
+    # unseeded, pixel (95, 0) ended 7.5e-7 px from it yet counted as ok
     size = 96
     *_, warp = _invertible_draws(size, count=14, seed=12)
     rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
-    sx, sy, ok = _inverted_frame(warp, size)
+    solves = [_inverted_frame(warp, size), invert_warp_grid(warp, cc, rr)]
     monkeypatch.setattr(synthgen, "_INVERT_MAX_ITERS", 2000)
     cx, cy, converged = invert_warp_grid(warp, cc, rr)
-    assert ok.all() and converged.all()
-    assert float(np.max(np.abs(sx - cx))) <= 1e-9
-    assert float(np.max(np.abs(sy - cy))) <= 1e-9
+    assert converged.all()
+    for sx, sy, ok in solves:
+        assert ok.all()
+        assert float(np.max(np.abs(sx - cx))) <= 1e-9
+        assert float(np.max(np.abs(sy - cy))) <= 1e-9
 
 
 def test_a_seeded_point_moving_at_the_step_cap_is_not_ok(monkeypatch):
+    # seeded or not, a point still moving at the cap is not ok
     monkeypatch.setattr(synthgen, "_INVERT_MAX_ITERS", 1)
     tx, ty = np.meshgrid(np.arange(5.0), np.arange(4.0))
     warp = translation_warp(0.5, -2.0)
@@ -399,28 +421,53 @@ def test_a_seeded_point_moving_at_the_step_cap_is_not_ok(monkeypatch):
                                                  zero, one))
     assert np.array_equal(rx, tx - 0.5) and np.array_equal(ry, ty + 2.0)
     assert not ok.any()
-    # unseeded, the residual decides
-    assert invert_warp_grid(warp, tx, ty)[2].all()
+    # unseeded too: the first step is a fixed-point step of 0.5 px
+    rx, ry, ok = invert_warp_grid(warp, tx, ty)
+    assert np.array_equal(rx, tx - 0.5) and np.array_equal(ry, ty + 2.0)
+    assert not ok.any()
     # a point that starts at its solution retires on its first step
     _, _, ok = invert_warp_grid(warp, tx, ty, (-0.5 * one, 2.0 * one, one,
                                                zero, zero, one))
     assert ok.all()
 
 
+def _fold_past_the_frame(n):
+    """x' = x - x^2 / (4n - 2): increasing over the frame, with no inverse
+    for targets past x' = n - 1/2, such as the last lattice node when it
+    lies past the frame."""
+    return _poly2(num_x=[0.0, 1.0, 0.0, -1.0 / (4 * n - 2), 0.0, 0.0],
+                  num_y=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 24, 25, 97])
+@pytest.mark.parametrize("make_warp", [lambda n: cubic_truth(n, 0.2),
+                                       _fold_past_the_frame])
+def test_frame_inversion_on_the_lattice_edge(n, make_warp):
+    # the last lattice node lies on the frame's last row and column (17, 25,
+    # 97), 1 px past them (16, 24) or 7 px past them (18)
+    warp = make_warp(n)
+    rr, cc = np.mgrid[0:n, 0:n].astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ux, uy, uok = invert_warp_grid(warp, cc, rr)
+        sx, sy, ok = _inverted_frame(warp, n)
+    assert np.array_equal(ok, uok)
+    assert float(np.max(np.abs(sx[ok] - ux[ok]), initial=0.0)) <= 1e-9
+    assert float(np.max(np.abs(sy[ok] - uy[ok]), initial=0.0)) <= 1e-9
+
+
 def test_retired_points_bound_the_work_of_a_stray_point():
-    # the draws whose lattice has a node that is not ok hold pixels whose
-    # inverse leaves the probed frame and never converges; the points that
-    # converged stop being evaluated
+    # a few draws hold pixels whose inverse leaves the probed frame and
+    # never converges; the points that converged stop being evaluated
     size = 96
     rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
     strays = 0
     for warp in _invertible_draws(size):
-        if _lattice_seed(warp, size) is not None:
-            continue
-        strays += 1
         counted = _CountingWarp(warp)
         _, _, ok = invert_warp_grid(counted, cc, rr)
-        assert not ok.all()
+        if ok.all():
+            continue
+        strays += 1
         assert counted.points <= 12 * size * size
     assert strays == 4
 
