@@ -15,7 +15,7 @@ anything else is described in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -56,7 +56,7 @@ class CfogParams:
 
 @dataclass
 class DescriptorVolume:
-    """(height, width, m) stack of nonnegative channel responses, float32 or
+    """(m, height, width) stack of nonnegative channel planes, float32 or
     float64; a float array is kept as given, not copied."""
 
     values: np.ndarray
@@ -82,7 +82,7 @@ def gradient_xy(image) -> tuple[np.ndarray, np.ndarray]:
     borders the missing neighbor is replicated, halving the one-sided
     difference there.
     """
-    data = _as_float(getattr(image, "data", image))
+    data = _as_float(image)
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise ValueError(f"image must be at least 3x3 for gradients, "
                          f"got {data.shape}")
@@ -97,8 +97,7 @@ def orientation_channels(gx: np.ndarray, gy: np.ndarray, m: int) -> np.ndarray:
 
     The absolute value folds opposite gradient directions together, which is
     what makes the descriptor insensitive to contrast inversions between
-    modalities. The (h, w, m) result is a view of channel-major memory, so
-    each channel plane is contiguous.
+    modalities. Returns (m, h, w) planes.
     """
     if gx.shape != gy.shape:
         raise ValueError(f"gradient shapes differ: {gx.shape} vs {gy.shape}")
@@ -108,7 +107,7 @@ def orientation_channels(gx: np.ndarray, gy: np.ndarray, m: int) -> np.ndarray:
     vol = np.empty((m,) + gx.shape, dtype=np.result_type(gx, gy))
     for i, th in enumerate(thetas):
         np.abs(math.cos(th) * gx + math.sin(th) * gy, out=vol[i])
-    return vol.transpose(1, 2, 0)
+    return vol
 
 
 def _gaussian_radius(sigma: float) -> int:
@@ -122,26 +121,23 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def smooth_3d(raw: np.ndarray, params: CfogParams) -> DescriptorVolume:
-    """Separable spatial Gaussian (replicate borders) followed by circular
-    convolution along the orientation axis.
+def smooth_3d(raw: np.ndarray, params: CfogParams) -> np.ndarray:
+    """Separable spatial Gaussian (replicate borders) over (m, h, w) planes,
+    followed by circular convolution along the orientation axis.
 
     Orientation is periodic over 180 degrees, so channel 0 and channel m-1
     are neighbors; the wrap mode encodes that adjacency. The second pass
     writes into ``raw``'s buffer, so ``raw`` is overwritten. The result
-    keeps the float dtype of ``raw`` and is a view of channel-major memory.
+    keeps the float dtype of ``raw``.
     """
     kernel = _gaussian_kernel(params.sigma_spatial)
-    # (m, h, w) planes: contiguous for orientation_channels' output, whose
-    # lines ndimage then walks in memory order
-    planes = raw.transpose(2, 0, 1)
-    out = np.empty(planes.shape, planes.dtype)
+    out = np.empty(raw.shape, raw.dtype)
     convolve1d = scipy.ndimage.convolve1d
-    convolve1d(planes, kernel, axis=1, mode="nearest", output=out)
-    convolve1d(out, kernel, axis=2, mode="nearest", output=planes)
-    convolve1d(planes, np.asarray(params.z_kernel, dtype=np.float64),
+    convolve1d(raw, kernel, axis=1, mode="nearest", output=out)
+    convolve1d(out, kernel, axis=2, mode="nearest", output=raw)
+    convolve1d(raw, np.asarray(params.z_kernel, dtype=np.float64),
                axis=0, mode="wrap", output=out)
-    return DescriptorVolume(values=out.transpose(1, 2, 0))
+    return out
 
 
 def _normalize(planes: np.ndarray):
@@ -165,12 +161,11 @@ def build_cfog(image, params: CfogParams | None = None,
     the image's float dtype, receives the planes in place of a new array.
     Rows are described in tiles of ``_TILE_ROWS``, each from a crop grown by
     the descriptor's reach, so the temporaries stay tile-sized and every
-    tile equals the whole-image descriptor bitwise. The result is a view of
-    channel-major memory.
+    tile equals the whole-image descriptor bitwise.
     """
     if params is None:
         params = CfogParams()
-    data = _as_float(getattr(image, "data", image))
+    data = _as_float(image)
     h, w = data.shape
     rows, cols = region or (slice(None), slice(None))
     r_lo, r_hi, _ = rows.indices(h)
@@ -189,8 +184,7 @@ def build_cfog(image, params: CfogParams | None = None,
         gx, gy = gradient_xy(data[top:min(r1 + reach, h), left:right])
         tile = smooth_3d(orientation_channels(gx, gy, params.m), params)
         planes = out[:, r0 - r_lo:r1 - r_lo]
-        planes[...] = tile.values.transpose(2, 0, 1)[
-            :, r0 - top:r1 - top, c_lo - left:c_hi - left]
+        planes[...] = tile[:, r0 - top:r1 - top, c_lo - left:c_hi - left]
         if normalize:
             _normalize(planes)
-    return DescriptorVolume(values=out.transpose(1, 2, 0))
+    return DescriptorVolume(values=out)

@@ -213,12 +213,12 @@ def run_sweep(args) -> int:
 
     # stdout only: sweep.csv stays the one artifact
     ranking = sorted((math.inf if res.rmse[-1] is None else res.rmse[-1],
-                      res.spec.name) for res in results)
+                      res.spec.name, res.warning[-1]) for res in results)
     print(f"checkpoint rmse at {max(cfg.cp_counts)} control points "
           "(best first):")
-    for rmse, name in ranking:
+    for rmse, name, warning in ranking:
         shown = "fit failed" if rmse == math.inf else f"{rmse:.4g} px"
-        print(f"  {name} {shown}")
+        print(f"  {name} {shown}" + (f" warning={warning}" if warning else ""))
     return 0
 
 

@@ -5,7 +5,7 @@ For each reference interest point, the initial georeferencing predicts a
 search window in the sensed image. Points whose windows do not fit, touch a
 non-finite sample (NaN is nodata), or hold flat content are skipped first. The
 rest are sorted by search-window row. The sensed image is described through
-one rolling channel-major float32 strip, ``search_size + _STRIP_TILE`` rows
+one rolling (m, h, w) float32 strip, ``search_size + _STRIP_TILE`` rows
 tall over the search windows' column extent: when a window runs past the
 strip, the rows still needed move to its top and ``build_cfog`` writes the
 next rows straight into its planes in tiles of ``_STRIP_TILE``, so every
@@ -16,17 +16,14 @@ so a window's descriptor equals the whole-image descriptor restricted to
 that window whatever the tiling.
 
 Each pair is correlated in one pass: the template volume is zero-padded
-into the search frame, both are 3D-FFT'd as channel-major (m, h, w) planes,
-and the normalized cross-power spectrum's inverse transform concentrates
-into a sharp peak at the true offset. Each bin is normalized by one multiply
-with its reciprocal magnitude, and the planes are summed in numpy's own
-pairwise order, so the spectrum is bitwise what a divide and a channel-last
-sum give. Matching content shifts only spatially, so the peak is searched in
-the channel-0 slice of the correlation volume alone, which is a 2D inverse
-of the spectrum summed over the channel axis; no match is rejected for
-where its energy falls along the channel axis. A point is skipped as
-``unreliable-peak`` when a descriptor volume is all zero or the cross-power
-spectrum is all zero or not finite.
+into the search frame, both (m, h, w) volumes are 3D-FFT'd, and the
+normalized cross-power spectrum's inverse transform concentrates into a
+sharp peak at the true offset. Matching content shifts only spatially, so
+the peak is searched in the channel-0 slice of the correlation volume
+alone, which is a 2D inverse of the spectrum summed over the channel axis;
+no match is rejected for where its energy falls along the channel axis. A
+point is skipped as ``unreliable-peak`` when a descriptor volume is all zero
+or the cross-power spectrum is all zero or not finite.
 """
 
 from __future__ import annotations
@@ -130,44 +127,12 @@ def _padded_spectrum(t: np.ndarray, h: int, w: int) -> np.ndarray:
                    n=h, axis=1)
 
 
-def _channel_sum(planes: np.ndarray) -> np.ndarray:
-    """``planes.sum(axis=0)`` of complex (m, ...) planes, bitwise as numpy
-    sums a contiguous axis of length m: pairwise, from four accumulators
-    that take every fourth plane, then the leftover planes in turn, plus
-    numpy's initial +0.0; more than 64 planes are split near the middle, at
-    a multiple of 4, and the halves summed apart. The planes are
-    overwritten."""
-    m = len(planes)
-    if m > 64:
-        half = m // 8 * 4
-        return _channel_sum(planes[:half]) + _channel_sum(planes[half:])
-    first = 1
-    if m >= 4:
-        first = m - m % 4
-        for i in range(4, first, 4):
-            planes[:4] += planes[i:i + 4]
-        planes[0:4:2] += planes[1:4:2]
-        planes[0] += planes[2]
-    total = planes[0]
-    for plane in planes[first:]:
-        total += plane
-    total += 0.0
-    return total
-
-
 def _summed_cross_power(t: np.ndarray, s: np.ndarray):
     """The normalized cross-power spectrum of (m, rows, cols) template
     planes zero-padded into the (m, h, w) search planes, summed over the
     channels: an (h, w // 2 + 1) array, or None when it is all zero or not
-    finite.
-
-    Each bin is normalized by one multiply with 1/|c|, which rounds every
-    nonzero part as numpy's division by |c| does; only the sign of a zero
-    part may differ, and no sum that starts from +0.0 can show it. Bins
-    weaker than ``SPECTRUM_GUARD`` times the strongest are zeroed after the
-    multiply, and the planes are summed in numpy's pairwise order
-    (``_channel_sum``), so the result is bitwise the channel-last
-    divide-and-sum.
+    finite. Each bin is normalized by one multiply with 1/|c|; bins weaker
+    than ``SPECTRUM_GUARD`` times the strongest are zeroed instead.
     """
     _, h, w = s.shape
     S = scipy.fft.rfftn(s, axes=(0, 1, 2))
@@ -183,13 +148,13 @@ def _summed_cross_power(t: np.ndarray, s: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         cross *= np.reciprocal(mag, out=mag)
     cross[weak] = 0.0
-    return _channel_sum(cross)
+    return cross.sum(axis=0)
 
 
 def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
                        subpixel: bool = False):
-    """Translation between two descriptor volumes via the normalized
-    cross-power spectrum.
+    """Translation between two (m, h, w) descriptor volumes via the
+    normalized cross-power spectrum.
 
     The template volume is zero-padded into the search volume's spatial
     frame (top-left corner), so a template matching content displaced by d
@@ -199,23 +164,20 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
     model instead of letting channel-axis noise wobble the argmax. That
     slice is the 2D inverse of the spectrum summed over the channel axis
     (divided by m), so the columns carry the halved real-FFT axis and the
-    channel axis is collapsed before the inverse. Both volumes are
-    transformed as channel-major (m, h, w) planes, so the spectra are planes
-    too and the normalization and the channel sum run over whole planes
-    (see ``_summed_cross_power``). Returns (x0, y0, peak) with x0/y0
-    unwrapped to signed offsets (indices beyond half the frame wrap
-    negative), or None when an input volume is all zero or the cross-power
-    spectrum is all zero or not finite.
+    channel axis is collapsed before the inverse. Returns (x0, y0, peak)
+    with x0/y0 unwrapped to signed offsets (indices beyond half the frame
+    wrap negative), or None when an input volume is all zero or the
+    cross-power spectrum is all zero or not finite.
     """
     t = t_vol.values
     s = s_vol.values
-    if t.shape[2] != s.shape[2]:
-        raise ValueError(f"channel counts differ: {t.shape[2]} vs {s.shape[2]}")
-    if t.shape[0] > s.shape[0] or t.shape[1] > s.shape[1]:
+    if t.shape[0] != s.shape[0]:
+        raise ValueError(f"channel counts differ: {t.shape[0]} vs {s.shape[0]}")
+    if t.shape[1] > s.shape[1] or t.shape[2] > s.shape[2]:
         raise ValueError(f"template {t.shape} exceeds search frame {s.shape}")
 
-    h, w, m = s.shape
-    total = _summed_cross_power(t.transpose(2, 0, 1), s.transpose(2, 0, 1))
+    m, h, w = s.shape
+    total = _summed_cross_power(t, s)
     if total is None:
         return None
     corr = scipy.fft.irfftn(total, s=(h, w)) / m
@@ -275,14 +237,14 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
         return build_cfog(data, params.cfog, normalize=params.normalize,
                           region=region, out=out)
     if out is None:
-        return DescriptorVolume(values=data[region][:, :, None])
+        return DescriptorVolume(values=data[region][None])
     out[0] = data[region]
-    return DescriptorVolume(values=out.transpose(1, 2, 0))
+    return DescriptorVolume(values=out)
 
 
 def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
     """Yield the descriptor volume of each search window in ``wins`` (sorted
-    by top row), as a (h, w, m) view into one rolling channel-major strip of
+    by top row), as an (m, h, w) view into one rolling strip of
     ``search_size + _STRIP_TILE`` sensed rows (fewer if the windows span
     fewer) over the windows' column extent; a view is valid until the next
     one is drawn.
@@ -311,7 +273,7 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
                 bottom += n
         yield DescriptorVolume(values=strip[
             :, win.row0 - top:win.row0 - top + win.h,
-            win.col0 - c0:win.col0 - c0 + win.w].transpose(1, 2, 0))
+            win.col0 - c0:win.col0 - c0 + win.w])
 
 
 def _locate(ref_point: InterestPoint, s_win: Window, result,

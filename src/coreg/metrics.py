@@ -195,14 +195,16 @@ def holdout(corrs: list, n_checkpoints: int, seed,
 
 @dataclass
 class SweepResult:
-    """Checkpoint scores of one model across control point counts; None
-    entries mark counts where the fit failed."""
+    """Checkpoint scores and fit warnings of one model across control point
+    counts; None scores mark counts where the fit failed, None warnings
+    counts with no warning or a failed fit."""
 
     spec: ModelSpec
     cp_counts: list
     rmse: list
     max_residual: list
     mean_distance: list
+    warning: list
     n_checkpoints: int
 
 
@@ -242,32 +244,32 @@ def sweep(specs: list, corrs: list, n_checkpoints: int, cp_counts,
 
     results = []
     for spec in specs:
-        rmses, maxes, means = [], [], []
+        rmses, maxes, means, warnings = [], [], [], []
         for count in cp_counts:
             try:
                 model = fit(spec, shuffled[:count])
                 score = checkpoint_rmse(model, checkpoints, pixel_size)
             except (DegenerateFitError, InsufficientControlPointsError,
                     ValueError):
-                rmses.append(None)
-                maxes.append(None)
-                means.append(None)
-                continue
-            rmses.append(score.rmse)
-            maxes.append(score.max_residual)
-            means.append(score.mean_distance)
+                model = score = None
+            rmses.append(score and score.rmse)
+            maxes.append(score and score.max_residual)
+            means.append(score and score.mean_distance)
+            warnings.append(score and model.warning)
         results.append(SweepResult(spec=spec, cp_counts=list(cp_counts),
                                    rmse=rmses, max_residual=maxes,
-                                   mean_distance=means,
+                                   mean_distance=means, warning=warnings,
                                    n_checkpoints=n_checkpoints))
     return results
 
 
 def sweep_to_csv(results: list) -> str:
-    lines = ["model,cp_count,rmse_px,max_residual_px,mean_distance_px"]
+    lines = ["model,cp_count,rmse_px,max_residual_px,mean_distance_px,"
+             "warning"]
     for res in results:
         for i, count in enumerate(res.cp_counts):
             vals = (res.rmse[i], res.max_residual[i], res.mean_distance[i])
             cells = ["" if v is None else repr(v) for v in vals]
+            cells.append(res.warning[i] or "")
             lines.append(f"{res.spec.name},{count}," + ",".join(cells))
     return "\n".join(lines) + "\n"

@@ -337,9 +337,10 @@ def _load_bin(path: Path) -> RasterGrid:
     return _grid_from_file(data.reshape(height, width), entries, path)
 
 
-def _tokenize_pgm(f):
+def _tokenize_pgm(f, path: Path):
     """Yield the whitespace-separated PGM header tokens of the binary file f,
-    skipping # comments, each with the offset of the byte after it."""
+    read from ``path``, skipping # comments, each with the offset of the
+    byte after it."""
     while True:
         c = f.read(1)
         while c.isspace():
@@ -353,21 +354,26 @@ def _tokenize_pgm(f):
             token += c
             c = f.read(1)
         if not token:
-            raise RasterFormatError("truncated pgm header")
+            raise RasterFormatError(f"{path}: truncated pgm header")
         yield token, f.tell() - len(c)
 
 
 def _load_pgm(path: Path) -> RasterGrid:
     # the header is read a byte at a time, and the payload once, below
     with open(path, "rb") as f:
-        tokens = _tokenize_pgm(f)
+        tokens = _tokenize_pgm(f, path)
         magic, _ = next(tokens)
         if magic != b"P5":
             raise RasterFormatError(f"{path}: not a binary pgm (magic {magic!r})")
         w_tok, _ = next(tokens)
         h_tok, _ = next(tokens)
         maxval_tok, end = next(tokens)
-    width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    try:
+        width, height, maxval = map(int, (w_tok, h_tok, maxval_tok))
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: bad pgm header: {exc}") from None
+    if width < 1 or height < 1:
+        raise RasterFormatError(f"{path}: bad size {width}x{height}")
     if maxval != 65535:
         raise RasterFormatError(f"{path}: unsupported sample type (maxval {maxval})")
     payload = max(path.stat().st_size - (end + 1), 0)

@@ -37,8 +37,19 @@ def test_integer_images_are_described_in_float64():
 
 
 def test_volume_keeps_a_float32_array_without_copying():
-    values = np.zeros((4, 5, 3), dtype=np.float32)
+    values = np.zeros((3, 4, 5), dtype=np.float32)
     assert DescriptorVolume(values=values).values is values
+
+
+def test_every_stage_keeps_channel_major_planes():
+    img = texture(21, 13, seed=30)
+    gx, gy = gradient_xy(img)
+    raw = orientation_channels(gx, gy, m=5)
+    assert raw.shape == (5,) + img.shape
+    assert smooth_3d(raw, CfogParams(m=5)).shape == (5,) + img.shape
+    assert build_cfog(img).values.shape == (9,) + img.shape
+    region = (slice(3, 20), slice(2, 9))
+    assert build_cfog(img, region=region).values.shape == (9, 17, 7)
 
 
 def test_gradient_rejects_tiny_images():
@@ -60,14 +71,14 @@ def test_diagonal_gradient_projects_to_sqrt2():
     gy = np.ones((5, 5))
     channels = orientation_channels(gx, gy, m=4)
     # m=4 puts a channel exactly at 45 degrees
-    assert np.allclose(channels[:, :, 1], math.sqrt(2.0))
+    assert np.allclose(channels[1], math.sqrt(2.0))
 
 
 def test_impulse_smoothing_matches_separable_oracle():
     params = CfogParams(m=4)
-    raw = np.zeros((9, 9, 4))
-    raw[4, 4, 2] = 1.0
-    out = smooth_3d(raw, params).values
+    raw = np.zeros((4, 9, 9))
+    raw[2, 4, 4] = 1.0
+    out = smooth_3d(raw, params)
 
     radius = math.ceil(3 * params.sigma_spatial)
     i = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -78,28 +89,28 @@ def test_impulse_smoothing_matches_separable_oracle():
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             for dz, wz in ((-1, zk[0]), (0, zk[1]), (1, zk[2])):
-                expected[4 + dy, 4 + dx, (2 + dz) % 4] = (
+                expected[(2 + dz) % 4, 4 + dy, 4 + dx] = (
                     g[dy + radius] * g[dx + radius] * wz)
     assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_smoothing_preserves_total_mass_on_padded_volume():
     rng = np.random.default_rng(21)
-    raw = np.zeros((16, 16, 9))
-    raw[5:11, 5:11, :] = rng.random((6, 6, 9))
+    raw = np.zeros((9, 16, 16))
+    raw[:, 5:11, 5:11] = rng.random((9, 6, 6))
     mass = raw.sum()  # smooth_3d overwrites raw
     out = smooth_3d(raw, CfogParams())
-    assert np.isclose(out.values.sum(), mass, rtol=1e-6)
+    assert np.isclose(out.sum(), mass, rtol=1e-6)
 
 
 def test_gamma_remap_keeps_descriptor_direction():
     img = texture(160, seed=22).astype(np.float64)
     v1 = build_cfog(img).values
     v2 = build_cfog(np.sqrt(img)).values
-    n1 = np.linalg.norm(v1, axis=2)
-    n2 = np.linalg.norm(v2, axis=2)
+    n1 = np.linalg.norm(v1, axis=0)
+    n2 = np.linalg.norm(v2, axis=0)
     ok = (n1 > 0) & (n2 > 0)
-    cos = np.einsum("ijk,ijk->ij", v1, v2)[ok]
+    cos = np.einsum("kij,kij->ij", v1, v2)[ok]
     assert float(np.mean(cos)) > 0.9
 
 
@@ -131,10 +142,10 @@ def test_global_scaling_behaviour():
 
 def test_channel_rotation_commutes_with_smoothing():
     rng = np.random.default_rng(25)
-    raw = rng.random((10, 10, 9))
+    raw = rng.random((9, 10, 10))
     params = CfogParams()
-    a = smooth_3d(np.roll(raw, 1, axis=2), params).values
-    b = np.roll(smooth_3d(raw, params).values, 1, axis=2)
+    a = smooth_3d(np.roll(raw, 1, axis=0), params)
+    b = np.roll(smooth_3d(raw, params), 1, axis=0)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -145,10 +156,10 @@ def _oracle_cfog(img, m, sigma, z_kernel, normalize):
     gx = 0.5 * (pad[1:-1, 2:] - pad[1:-1, :-2])
     gy = 0.5 * (pad[2:, 1:-1] - pad[:-2, 1:-1])
 
-    vol = np.zeros((h, w, m))
+    vol = np.zeros((m, h, w))
     for i in range(m):
         theta = i * math.pi / m
-        vol[:, :, i] = np.abs(math.cos(theta) * gx + math.sin(theta) * gy)
+        vol[i] = np.abs(math.cos(theta) * gx + math.sin(theta) * gy)
 
     radius = math.ceil(3 * sigma)
     idx = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -163,12 +174,12 @@ def _oracle_cfog(img, m, sigma, z_kernel, normalize):
             out += g[k] * np.take(arr, pos, axis=axis)
         return out
 
-    vol = conv_nearest(conv_nearest(vol, 0), 1)
+    vol = conv_nearest(conv_nearest(vol, 1), 2)
     zout = np.zeros_like(vol)
     for k, off in enumerate((-1, 0, 1)):
-        zout += z_kernel[k] * np.take(vol, (np.arange(m) - off) % m, axis=2)
+        zout += z_kernel[k] * np.take(vol, (np.arange(m) - off) % m, axis=0)
     if normalize:
-        norms = np.linalg.norm(zout, axis=2, keepdims=True)
+        norms = np.linalg.norm(zout, axis=0, keepdims=True)
         zout = np.divide(zout, norms, out=np.zeros_like(zout),
                          where=norms > 0)
     return zout

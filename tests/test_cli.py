@@ -144,7 +144,8 @@ def test_sweep_writes_expected_grid(scene, tmp_path):
                "--checkpoints", "8", "--out-dir", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "model,cp_count,rmse_px,max_residual_px,mean_distance_px"
+    assert lines[0] == ("model,cp_count,rmse_px,max_residual_px,"
+                        "mean_distance_px,warning")
     assert [ln.split(",")[:2] for ln in lines[1:]] == [
         ["poly1", "10"], ["poly1", "15"], ["poly2", "10"], ["poly2", "15"]]
     for ln in lines[1:]:
@@ -177,6 +178,31 @@ def test_sweep_prints_the_ranking_and_writes_the_same_grid(scene, tmp_path,
         "  proj22 fit failed",
     ]
     assert rmse["poly1"] < rmse["poly3"]
+
+
+def test_sweep_ranking_marks_fits_that_warn(tmp_path, capsys):
+    # a noisy cubic field, which the 38-term projective fit bends through
+    # a near-zero denominator
+    rng = np.random.default_rng(0)
+    xs, ys = rng.uniform(0, 900, (2, 120))
+    u, v = xs / 450 - 1, ys / 450 - 1
+    sx = xs + 30 * u * v + 10 * u ** 3 + rng.normal(0, 0.5, 120)
+    sy = ys - 18 * u ** 2 + 10 * v ** 3 + rng.normal(0, 0.5, 120)
+    corrs = [Correspondence(*p, *p, peak=1.0) for p in zip(xs, ys, sx, sy)]
+    (tmp_path / "c.csv").write_text(correspondences_to_csv(corrs))
+    rc = main(["sweep", "--corr", str(tmp_path / "c.csv"),
+               "--models", "poly3,proj38", "--cp-counts", "40,60",
+               "--checkpoints", "40", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    results = sweep([model_spec_from_name(n) for n in ("poly3", "proj38")],
+                    corrs, 40, [40, 60], seed=0)
+    poly3, proj38 = results
+    assert poly3.warning == [None, None]
+    assert proj38.warning[-1] == "denominator-near-zero"
+    out = capsys.readouterr().out.splitlines()
+    assert f"  poly3 {poly3.rmse[-1]:.4g} px" in out
+    assert (f"  proj38 {proj38.rmse[-1]:.4g} px "
+            "warning=denominator-near-zero") in out
 
 
 def test_rfm_fit_needs_dem(scene, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreg.geomodels import ControlPoint, ModelSpec, fit
+from coreg.geomodels import ControlPoint, ModelSpec, fit, model_spec_from_name
 from coreg.matcher import Correspondence
 from coreg.metrics import (
     checkpoint_rmse,
@@ -267,7 +267,25 @@ def test_sweep_csv_layout():
     corrs = _grid_corrs(80, seed=10, fn=_cubic_field, jitter=0.1)
     results = sweep([ModelSpec("polynomial", 1)], corrs, 20, [25, 50], seed=0)
     lines = sweep_to_csv(results).strip().splitlines()
-    assert lines[0] == "model,cp_count,rmse_px,max_residual_px,mean_distance_px"
+    assert lines[0] == ("model,cp_count,rmse_px,max_residual_px,"
+                        "mean_distance_px,warning")
     assert len(lines) == 3
     assert lines[1].startswith("poly1,25,")
     assert lines[2].startswith("poly1,50,")
+
+
+def test_sweep_carries_each_fit_warning_to_its_csv_cell():
+    corrs = _grid_corrs(143, seed=6, fn=_cubic_field, jitter=0.5)
+    specs = [model_spec_from_name(n) for n in ("poly1", "proj22", "proj38")]
+    counts = [40, 60, 95]
+    results = sweep(specs, corrs, 48, counts, seed=0)
+    # the control points of each cell, drawn as sweep draws them
+    rng = np.random.default_rng(0)
+    _, rest = holdout(corrs, 48, rng)
+    shuffled = [rest[i] for i in rng.permutation(len(rest))]
+    rows = iter(sweep_to_csv(results).strip().splitlines()[1:])
+    for res in results:
+        for count, warning in zip(counts, res.warning):
+            assert warning == fit(res.spec, shuffled[:count]).warning
+            assert next(rows).split(",")[5] == (warning or "")
+    assert any(w for res in results for w in res.warning)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,26 @@ def test_invalid_pgm_grid_raises_and_writes_no_payload(tmp_path, value, named):
 
 
 _GT_HEADER = "gt=500000.0,10.0,0.0,4000000.0,0.0,-10.0\ncrs=EPSG:32633\n"
+
+
+@pytest.mark.parametrize("content,named", [
+    (b"", "truncated pgm header"),
+    (b"P5\n4 ", "truncated pgm header"),
+    (b"P5\nx 2 65535\n", "bad pgm header: .*b'x'"),
+    (b"P5\n4 2 65535.0\n", "bad pgm header: .*b'65535.0'"),
+    # -2 x -2 samples would pass the 8-byte payload check
+    (b"P5\n-2 -2\n65535\n" + bytes(8), "bad size -2x-2"),
+    (b"P5\n0 4\n65535\n", "bad size 0x4"),
+], ids=["empty", "truncated", "non-integer-size", "non-integer-maxval",
+        "negative-size", "zero-size"])
+def test_bad_pgm_header_raises_naming_the_file(tmp_path, content, named):
+    from coreg.raster import RasterFormatError
+
+    path = tmp_path / "g.pgm"
+    path.write_bytes(content)
+    with pytest.raises(RasterFormatError,
+                       match="^" + re.escape(f"{path}: ") + named):
+        load_raster(path)
 
 
 @pytest.mark.parametrize("suffix", [".bin", ".pgm"])
