@@ -14,7 +14,8 @@ Three families are provided:
 All fits normalize coordinates per axis into [-1, 1] before solving; raw
 high-order monomials of map coordinates (~1e6 m) would destroy conditioning.
 Rational fits are linearized, solved, then refined by Gauss-Newton iterations
-on the true residual; one solver serves every denominator mode.
+on the true residual, each step solved from R of one QR of the augmented
+system [J | r]; one solver serves every denominator mode.
 
 A fitted model is evaluated at scattered points (``FittedModel.apply``) or on
 a lattice of column and row coordinates (``FittedModel.apply_lattice``), where
@@ -201,9 +202,11 @@ def _exponents(order: int, dims: int) -> tuple:
 
 def _basis(axes, order: int) -> np.ndarray:
     """The monomials of _exponents(order, len(axes)), stacked along the last
-    axis; each is the left-to-right product of its axes' powers."""
-    axes = [np.asarray(a, dtype=np.float64) for a in axes]
-    return np.stack([math.prod(a ** e for a, e in zip(axes, exps))
+    axis; each is the left-to-right product of its axes' powers, and each
+    power of an axis is taken once."""
+    powers = [[np.asarray(a, dtype=np.float64) ** e for e in range(order + 1)]
+              for a in axes]
+    return np.stack([math.prod(p[e] for p, e in zip(powers, exps))
                      for exps in _exponents(order, len(axes))], axis=-1)
 
 
@@ -538,16 +541,18 @@ def _solve_lsq(A: np.ndarray, *rhs: np.ndarray) -> list:
     return [Vt.T @ ((U.T @ b) / s) for b in rhs]
 
 
-def _rational_score(A, nums, den_free, obs):
+def _rational_score(A, params, obs):
     """Root of the summed squared per-coordinate RMSEs of the rationals
-    nums[i] / (1 + den_free) against obs[i]; inf when the denominator
-    vanishes at a control point. With one coordinate this is its RMSE.
-    Returns (score, den, preds): the denominator at the control points and
-    each coordinate's prediction (None when the denominator vanishes)."""
-    den = 1.0 + A[:, 1:] @ den_free
+    over the design ``A`` with the parameter vector ``params`` (see
+    _fit_rational) against obs[i]; inf when the denominator vanishes at a
+    control point. With one coordinate this is its RMSE. Returns (score,
+    den, preds): the denominator at the control points and each
+    coordinate's prediction (None when the denominator vanishes)."""
+    b = A.shape[1]
+    den = 1.0 + A[:, 1:] @ params[len(obs) * b:]
     if np.any(np.abs(den) < DENOM_EPS):
         return np.inf, den, None
-    preds = [(A @ num) / den for num in nums]
+    preds = [(A @ params[i * b:(i + 1) * b]) / den for i in range(len(obs))]
     rmses = []
     for p, o in zip(preds, obs):
         r = p - o
@@ -555,15 +560,27 @@ def _rational_score(A, nums, den_free, obs):
     return math.hypot(*rmses), den, preds
 
 
-def _block_system(diag, den_blocks):
-    """Stack one row block per coordinate: ``diag`` on that coordinate's
-    numerator columns, explicit zeros on the others, then its own
-    denominator block."""
-    zeros = np.zeros_like(diag)
-    k = len(den_blocks)
-    return np.vstack([np.hstack([zeros] * i + [diag] + [zeros] * (k - 1 - i)
-                                + [block])
-                      for i, block in enumerate(den_blocks)])
+def _fill_system(system, A, den, weights, rhs):
+    """Write in place the stacked system whose row block i holds A / den on
+    coordinate i's numerator columns, -weights[i] times A's non-constant
+    columns on the denominator columns, and rhs[i] in the last column. The
+    other coordinates' numerator columns keep their zeros."""
+    n, b = A.shape
+    for i, (w, r) in enumerate(zip(weights, rhs)):
+        rows = system[i * n:(i + 1) * n]
+        np.divide(A, den[:, None], out=rows[:, i * b:(i + 1) * b])
+        np.multiply(-w[:, None], A[:, 1:], out=rows[:, -b:-1])
+        rows[:, -1] = r
+
+
+def _gn_step(system: np.ndarray) -> np.ndarray:
+    """The least-squares solution delta of J delta = r, where ``system`` is
+    the augmented [J | r] with J of full column rank p: R of one QR of the
+    system, Q never formed, gives R[:p, :p] delta = R[:p, p]. Raises
+    LinAlgError when R[:p, :p] is singular."""
+    p = system.shape[1] - 1
+    R = np.linalg.qr(system, mode="r")
+    return np.linalg.solve(R[:p, :p], R[:p, p])
 
 
 def _fit_rational(A: np.ndarray, obs: list):
@@ -574,35 +591,37 @@ def _fit_rational(A: np.ndarray, obs: list):
     then runs Gauss-Newton on the true rational residual, rejecting any
     step that does not lower the score. Returns (nums, den_free).
     """
-    # parameter vector: numerator blocks in obs order, then den_free
-    splits = A.shape[1] * np.arange(1, len(obs) + 1)
-    design = _block_system(A, [-o[:, None] * A[:, 1:] for o in obs])
-    (solution,) = _solve_lsq(design, np.concatenate(obs))
-    *nums, den_free = np.split(solution, splits)
+    n, b = A.shape
+    k = len(obs)
+    # columns: the numerator of each observation vector in obs order, the
+    # free denominator terms, then the right-hand side; every solve and
+    # step rewrites this one array
+    system = np.zeros((k * n, (k + 1) * b))
+    _fill_system(system, A, np.ones(n), obs, obs)
+    # a contiguous right-hand side: U.T @ b rounds differently on a strided b
+    (params,) = _solve_lsq(system[:, :-1], system[:, -1].copy())
 
-    best, den, preds = _rational_score(A, nums, den_free, obs)
+    best, den, preds = _rational_score(A, params, obs)
     for _ in range(_GN_MAX_ITERS):
         if preds is None:
             break
-        r = np.concatenate([p - o for p, o in zip(preds, obs)])
-        J = _block_system(A / den[:, None],
-                          [-(p / den)[:, None] * A[:, 1:] for p in preds])
+        # the Jacobian of the predictions, and the residual o - p
+        _fill_system(system, A, den, [p / den for p in preds],
+                     [o - p for p, o in zip(preds, obs)])
         try:
-            delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
+            delta = _gn_step(system)
         except np.linalg.LinAlgError:
             break
-        *num_steps, den_step = np.split(delta, splits)
-        cand_nums = [num + step for num, step in zip(nums, num_steps)]
-        cand_den = den_free + den_step
-        score, *cand = _rational_score(A, cand_nums, cand_den, obs)
+        cand = params + delta
+        score, *scored = _rational_score(A, cand, obs)
         if not math.isfinite(score) or score >= best:
             break
         improvement = best - score
-        nums, den_free, best = cand_nums, cand_den, score
-        den, preds = cand
+        params, best = cand, score
+        den, preds = scored
         if improvement < _GN_TOL:
             break
-    return nums, den_free
+    return [params[i * b:(i + 1) * b] for i in range(k)], params[k * b:]
 
 
 def _with_unit_constant(den_free: np.ndarray) -> np.ndarray:
@@ -629,34 +648,58 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
     return None
 
 
-def control_point_arrays(cps: list, spec: ModelSpec):
-    """The control points as float64 arrays (X, Y, u, v, Z): reference and
-    sensed map coordinates, and the reference heights that ``spec`` takes
-    (None for a model over (X, Y)). Raises ValueError when ``spec`` takes
+class ControlPointArrays(NamedTuple):
+    """Control points as float64 arrays: reference map coordinates X, Y,
+    sensed map coordinates u, v, and reference heights Z (None for a model
+    over (X, Y))."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    Z: np.ndarray | None
+
+    def prefix(self, count: int) -> "ControlPointArrays":
+        """The record of the first ``count`` points."""
+        return ControlPointArrays(*(a if a is None else a[:count]
+                                    for a in self))
+
+
+def control_point_arrays(cps, spec: ModelSpec) -> ControlPointArrays:
+    """The control points ``cps``, a list of ControlPoint or a
+    ControlPointArrays record, as the record that ``spec`` takes: heights
+    only for a model over (X, Y, Z). Raises ValueError when ``spec`` takes
     heights and a point has no ``ref_z``."""
-    X, Y, u, v = (np.array([getattr(cp, key) for cp in cps], dtype=np.float64)
-                  for key in ("ref_x", "ref_y", "sensed_x", "sensed_y"))
+    if isinstance(cps, ControlPointArrays):
+        X, Y, u, v, Z = cps
+    else:
+        X, Y, u, v = (np.array([getattr(cp, key) for cp in cps],
+                               dtype=np.float64)
+                      for key in ("ref_x", "ref_y", "sensed_x", "sensed_y"))
+        Z = None
+        if spec.dims == 3 and all(cp.ref_z is not None for cp in cps):
+            Z = np.array([cp.ref_z for cp in cps], dtype=np.float64)
     if spec.dims == 2:
-        return X, Y, u, v, None
-    if any(cp.ref_z is None for cp in cps):
+        return ControlPointArrays(X, Y, u, v, None)
+    if Z is None:
         raise ValueError(f"{spec.name} requires ref_z on every control point")
-    return X, Y, u, v, np.array([cp.ref_z for cp in cps], dtype=np.float64)
+    return ControlPointArrays(X, Y, u, v, Z)
 
 
-def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
-    """Least-squares fit of ``spec`` to control points.
+def fit(spec: ModelSpec, cps, normalize: bool = True) -> FittedModel:
+    """Least-squares fit of ``spec`` to control points: a list of
+    ControlPoint or a ControlPointArrays record.
 
     Raises:
         InsufficientControlPointsError: fewer points than min_cp_count.
         DegenerateFitError: rank-deficient configuration.
         ValueError: non-finite coordinates, or rfm without elevations.
     """
-    need = min_cp_count(spec)
-    if len(cps) < need:
-        raise InsufficientControlPointsError(
-            f"{spec.name} needs at least {need} control points, got {len(cps)}")
-
     X, Y, u, v, Z = control_point_arrays(cps, spec)
+    need = min_cp_count(spec)
+    if X.size < need:
+        raise InsufficientControlPointsError(
+            f"{spec.name} needs at least {need} control points, got {X.size}")
     stacked = [X, Y, u, v] + ([Z] if Z is not None else [])
     if not all(np.all(np.isfinite(a)) for a in stacked):
         raise ValueError("control points contain non-finite coordinates")
@@ -689,7 +732,8 @@ def fit(spec: ModelSpec, cps: list, normalize: bool = True) -> FittedModel:
     has_z = Z is not None and float(Z.max() - Z.min()) > 0.0
     model.warning = _denominator_warning(model, has_z)
 
-    px, py = model.apply(X, Y, Z)
+    # the model at the control points, from the design matrix of the fit
+    px, py = model._map_out([A @ c for c in model._coefficient_vectors()])
     model.cp_residuals = np.hypot(px - u, py - v)
     return model
 

@@ -99,12 +99,13 @@ class CheckpointScore:
     n_excluded: int
 
 
-def checkpoint_rmse(model: FittedModel, checkpoints: list,
+def checkpoint_rmse(model: FittedModel, checkpoints,
                     pixel_size: float = 1.0) -> CheckpointScore:
-    """Euclidean prediction residuals at held-out points."""
-    if not checkpoints:
-        raise ValueError("no checkpoints to evaluate")
+    """Euclidean prediction residuals at held-out points: a list of
+    ControlPoint or a ControlPointArrays record."""
     X, Y, u, v, Z = control_point_arrays(checkpoints, model.spec)
+    if X.size == 0:
+        raise ValueError("no checkpoints to evaluate")
     px, py = model.apply(X, Y, Z)
     d = np.hypot(px - u, py - v) / pixel_size
     ok = np.isfinite(d)
@@ -241,14 +242,19 @@ def sweep(specs: list, corrs: list, n_checkpoints: int, cp_counts,
                                 dem if needs_dem else None)
     perm = rng.permutation(len(rest))
     shuffled = [rest[i] for i in perm]
+    # converted once, with heights if any model takes them (the others
+    # drop them); each count fits a prefix
+    widest = max(specs, key=lambda spec: spec.dims)
+    cps, checks = (control_point_arrays(points, widest)
+                   for points in (shuffled, checkpoints))
 
     results = []
     for spec in specs:
         rmses, maxes, means, warnings = [], [], [], []
         for count in cp_counts:
             try:
-                model = fit(spec, shuffled[:count])
-                score = checkpoint_rmse(model, checkpoints, pixel_size)
+                model = fit(spec, cps.prefix(count))
+                score = checkpoint_rmse(model, checks, pixel_size)
             except (DegenerateFitError, InsufficientControlPointsError,
                     ValueError):
                 model = score = None

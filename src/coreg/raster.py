@@ -122,7 +122,7 @@ class GeoTransform:
     def from_header_value(cls, value: str) -> "GeoTransform":
         parts = value.split(",")
         if len(parts) != 6:
-            raise RasterFormatError(f"gt= needs 6 comma-separated terms, got {value!r}")
+            raise ValueError(f"needs 6 comma-separated terms, got {value!r}")
         ox, pw, rr, oy, cr, ph = (float(p) for p in parts)
         return cls(origin_x=ox, origin_y=oy, pixel_w=pw, pixel_h=ph,
                    row_rot=rr, col_rot=cr)
@@ -247,13 +247,25 @@ def _read_header(path: Path) -> dict:
     return entries
 
 
+def _header_value(entries: dict, key: str, parse, path: Path):
+    """``parse`` of the header value of ``key``, None when the header has no
+    ``key``; a value that does not parse raises RasterFormatError naming
+    ``path``."""
+    if key not in entries:
+        return None
+    try:
+        return parse(entries[key])
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: bad {key}= value: {exc}") from None
+
+
 def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
     """The grid of ``data``, a float32 array just read from ``path``; its
     sentinel samples become NaN in place, so the grid keeps this array."""
     if "gt" not in entries:
         raise RasterFormatError(f"{path}: header lacks gt=")
-    gt = GeoTransform.from_header_value(entries["gt"])
-    nodata = float(entries["nodata"]) if "nodata" in entries else None
+    gt = _header_value(entries, "gt", GeoTransform.from_header_value, path)
+    nodata = _header_value(entries, "nodata", float, path)
     if nodata is not None:
         np.copyto(data, np.float32(np.nan), where=data == np.float32(nodata))
     return RasterGrid(data=data, geotransform=gt,
@@ -324,7 +336,8 @@ def _load_bin(path: Path) -> RasterGrid:
     if entries["dtype"] != "float32":
         raise RasterFormatError(
             f"{path}: unsupported sample type {entries['dtype']!r}")
-    width, height = int(entries["width"]), int(entries["height"])
+    width, height = (_header_value(entries, key, int, path)
+                     for key in ("width", "height"))
     if width < 1 or height < 1:
         raise RasterFormatError(f"{path}: bad size {width}x{height}")
     size = path.stat().st_size
@@ -382,10 +395,10 @@ def _load_pgm(path: Path) -> RasterGrid:
         raise RasterFormatError(
             f"{path}: payload is {payload} bytes, header implies {expected}")
     entries = _read_header(path.with_suffix(".hdr"))
-    if "width" in entries and int(entries["width"]) != width:
-        raise RasterFormatError(f"{path}: sidecar width disagrees with pgm header")
-    if "height" in entries and int(entries["height"]) != height:
-        raise RasterFormatError(f"{path}: sidecar height disagrees with pgm header")
+    for key, size in (("width", width), ("height", height)):
+        if _header_value(entries, key, int, path) not in (None, size):
+            raise RasterFormatError(
+                f"{path}: sidecar {key} disagrees with pgm header")
     # the big-endian samples are freed before nodata is masked
     data = np.fromfile(path, dtype=">u2", count=width * height,
                        offset=end + 1).astype(np.float32)

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from coreg import geomodels
 from coreg.geomodels import (
     DENOM_EPS,
+    _basis,
     _denominator_warning,
+    _exponents,
+    _gn_step,
     ControlPoint,
     DegenerateFitError,
     FittedModel,
@@ -122,6 +128,16 @@ def test_poly_basis_order5_term_count():
 def test_poly_basis_3d_order3_term_count():
     b = poly_basis_3d(np.zeros(1), np.zeros(1), np.zeros(1), 3)
     assert b.shape == (1, 20)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_basis_is_bitwise_the_product_of_axis_powers(order, dims):
+    axes = list(np.random.default_rng(order * dims).uniform(-1, 1, (dims, 97)))
+    # each monomial as the left-to-right product of freshly raised powers
+    expected = np.stack([math.prod(a ** e for a, e in zip(axes, exps))
+                         for exps in _exponents(order, dims)], axis=-1)
+    assert _basis(axes, order).tobytes() == expected.tobytes()
 
 
 # -- evaluation --------------------------------------------------------------
@@ -377,6 +393,53 @@ def test_projective_recovery_from_exact_data(name):
     px, py = model.apply(xs, ys, zs)
     tx, ty = truth.apply(xs, ys, zs)
     assert float(np.max(np.hypot(px - tx, py - ty))) < 1e-8
+
+
+def _rational_system_shapes():
+    """(rows, columns) of the augmented Gauss-Newton system of each rational
+    model at its minimum count and at 40 and 95 control points."""
+    for spec in all_model_specs():
+        k = {"shared": 2, "distinct": 1}.get(spec.denominators)
+        if k is None:
+            continue
+        b = spec.basis_size
+        for n in (min_cp_count(spec), 40, 95):
+            yield pytest.param(k * n, (k + 1) * b, id=f"{spec.name}-{n}")
+
+
+@pytest.mark.parametrize("rows,cols", _rational_system_shapes())
+def test_gauss_newton_step_equals_lstsq(rows, cols):
+    system = np.random.default_rng(rows * cols).standard_normal((rows, cols))
+    want, *_ = np.linalg.lstsq(system[:, :-1], system[:, -1], rcond=None)
+    got = _gn_step(system)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["proj22", "rfm2_shared"])
+def test_zero_jacobian_column_ends_the_refinement(monkeypatch, name):
+    spec = model_spec_from_name(name)
+    cps = _cps_2d(60, seed=9, z=spec.dims == 3,
+                  fn=lambda x, y, z=0.0: (x + 0.001 * x * y + 0.1 * z,
+                                          y - 0.002 * x * x))
+    monkeypatch.setattr(geomodels, "_GN_MAX_ITERS", 0)
+    start = fit(spec, cps)
+    monkeypatch.undo()
+
+    calls = []
+
+    def zero_column_step(system):
+        calls.append(system.shape)
+        system = system.copy()
+        system[:, 1] = 0.0
+        return _gn_step(system)
+
+    monkeypatch.setattr(geomodels, "_gn_step", zero_column_step)
+    model = fit(spec, cps)
+    # one step per rational solve, each rejected or stopped by LinAlgError:
+    # the model is the linearized start
+    assert len(calls) == {"shared": 1, "distinct": 2}[spec.denominators]
+    for key in ("num_x", "den_x", "num_y", "den_y"):
+        assert np.array_equal(getattr(model, key), getattr(start, key))
 
 
 def test_rfm_unit_equals_3d_polynomial():

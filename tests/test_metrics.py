@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreg.geomodels import ControlPoint, ModelSpec, fit, model_spec_from_name
+from coreg import metrics
+from coreg.geomodels import (ControlPoint, DegenerateFitError, ModelSpec,
+                             all_model_specs, fit, model_spec_from_name)
 from coreg.matcher import Correspondence
 from coreg.metrics import (
     checkpoint_rmse,
@@ -18,7 +20,10 @@ from coreg.metrics import (
     sweep_to_csv,
     to_control_points,
 )
+from coreg.raster import GeoTransform
 from coreg.synthgen import translation_warp
+
+from conftest import as_grid
 
 
 def _corr(rx, ry, sx, sy):
@@ -289,3 +294,58 @@ def test_sweep_carries_each_fit_warning_to_its_csv_cell():
             assert warning == fit(res.spec, shuffled[:count]).warning
             assert next(rows).split(",")[5] == (warning or "")
     assert any(w for res in results for w in res.warning)
+
+
+# the fit-warp sweep in miniature: 143 noisy points on the cubic field, a
+# height field under them, 48 checkpoints and six control point counts
+_FIT_WARP_COUNTS = [40, 50, 60, 70, 80, 95]
+
+
+def _fit_warp_corpus():
+    corrs = _grid_corrs(143, seed=6, fn=_cubic_field, jitter=0.15)
+    rows, cols = np.mgrid[0:96, 0:96]
+    heights = 250 + 200 * np.sin(rows / 17.0) * np.cos(cols / 23.0)
+    dem = as_grid(heights, gt=GeoTransform(-20.0, -20.0, 10.0, 10.0))
+    return corrs, dem
+
+
+def test_sweep_cells_equal_fits_of_control_point_lists():
+    corrs, dem = _fit_warp_corpus()
+    specs = all_model_specs()
+    results = sweep(specs, corrs, 48, _FIT_WARP_COUNTS, seed=0, dem=dem)
+    # the control points of each cell, drawn as sweep draws them
+    rng = np.random.default_rng(0)
+    checkpoints, rest = holdout(corrs, 48, rng, dem)
+    shuffled = [rest[i] for i in rng.permutation(len(rest))]
+    for res in results:
+        for i, count in enumerate(_FIT_WARP_COUNTS):
+            try:
+                model = fit(res.spec, shuffled[:count])
+                score = checkpoint_rmse(model, checkpoints)
+            except (DegenerateFitError, ValueError):
+                assert res.rmse[i] is None
+                continue
+            assert res.rmse[i] == score.rmse
+            assert res.max_residual[i] == score.max_residual
+            assert res.mean_distance[i] == score.mean_distance
+            assert res.warning[i] == model.warning
+    # rational fits that divide by ~0 are among the cells
+    assert any(w for res in results for w in res.warning)
+
+
+def test_sweep_calls_fit_and_scoring_once_per_cell(monkeypatch):
+    corrs, dem = _fit_warp_corpus()
+    specs = all_model_specs()
+    calls = {"fit": 0, "checkpoint_rmse": 0}
+    for name in calls:
+        real = getattr(metrics, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, spy)
+    results = sweep(specs, corrs, 48, _FIT_WARP_COUNTS, seed=0, dem=dem)
+    scored = sum(r is not None for res in results for r in res.rmse)
+    assert calls == {"fit": len(specs) * len(_FIT_WARP_COUNTS),
+                     "checkpoint_rmse": scored}

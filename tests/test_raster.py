@@ -239,6 +239,42 @@ def test_bad_header_raises_naming_the_file(tmp_path, edit, named):
         load_raster(tmp_path / "g.bin")
 
 
+def _replace_line(key, value):
+    return lambda lines: [ln for ln in lines if not ln.startswith(key + "=")] \
+        + [f"{key}={value}"]
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("width", "x", "invalid literal for int.*'x'"),
+    ("height", "4.0", "invalid literal for int.*'4.0'"),
+    ("nodata", "abc", "could not convert string to float: 'abc'"),
+    ("gt", "0.0,1.0,0.0,0.0,0.0", "needs 6 comma-separated terms"),
+    ("gt", "0.0,1.0,0.0,0.0,0.0,y", "could not convert string to float: 'y'"),
+], ids=["width", "height", "nodata", "gt-terms", "gt-number"])
+def test_bad_header_value_raises_naming_the_file(tmp_path, key, value, named):
+    from coreg.raster import RasterFormatError
+
+    _edit_header(tmp_path, _replace_line(key, value))
+    path = tmp_path / "g.bin"
+    with pytest.raises(RasterFormatError, match="^" + re.escape(
+            f"{path}: bad {key}= value: ") + named):
+        load_raster(path)
+
+
+@pytest.mark.parametrize("key", ["width", "height"])
+def test_bad_pgm_sidecar_size_raises_naming_the_file(tmp_path, key):
+    from coreg.raster import RasterFormatError
+
+    path = tmp_path / "g.pgm"
+    save_raster(as_grid(np.ones((4, 10), dtype=np.float32)), path)
+    hdr = path.with_suffix(".hdr")
+    hdr.write_text("".join(line + "\n" for line in _replace_line(key, "ten")(
+        hdr.read_text().splitlines())))
+    with pytest.raises(RasterFormatError, match="^" + re.escape(
+            f"{path}: bad {key}= value: ") + "invalid literal for int"):
+        load_raster(path)
+
+
 # -- geotransform ----------------------------------------------------------
 
 
