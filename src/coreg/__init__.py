@@ -21,9 +21,9 @@ from .matcher import (Correspondence, MatchParams, MatchStats,
 from .metrics import (CheckpointScore, MisregReport, SweepResult,
                       checkpoint_rmse, misregistration, split_checkpoints,
                       sweep, sweep_to_csv, to_control_points)
-from .raster import (CrsMismatchError, EmptyOverlapError, GeoTransform,
-                     RasterFormatError, RasterGrid, crop_to_overlap,
-                     load_raster, sample_bilinear, save_raster, warp)
+from .raster import (CrsMismatchError, GeoTransform, RasterFormatError,
+                     RasterGrid, load_raster, sample_bilinear, save_raster,
+                     warp)
 from .robustfit import (RansacDegeneracyError, RansacParams,
                         fit_global_affine, ransac_filter, select_top_k)
 from .synthgen import NonInvertibleWarpError, SynthSpec, generate
@@ -37,7 +37,6 @@ __all__ = [
     'CrsMismatchError',
     'DegenerateFitError',
     'DescriptorVolume',
-    'EmptyOverlapError',
     'FittedModel',
     'GeoTransform',
     'InsufficientControlPointsError',
@@ -59,7 +58,6 @@ __all__ = [
     'checkpoint_rmse',
     'correspondences_from_csv',
     'correspondences_to_csv',
-    'crop_to_overlap',
     'detect_block_fast',
     'fit',
     'fit_global_affine',

@@ -25,8 +25,7 @@ from .matcher import (correspondences_from_csv, correspondences_to_csv,
 from .metrics import (checkpoint_rmse, holdout, misreg_to_csv,
                       misregistration, sweep, sweep_to_csv, to_control_points)
 from .keypoints import detect_block_fast
-from .raster import (RasterError, crop_to_overlap, load_raster, save_raster,
-                     warp)
+from .raster import RasterError, load_raster, save_raster, warp
 from .robustfit import RansacDegeneracyError, ransac_filter, select_top_k
 from .synthgen import (NonInvertibleWarpError, generate, spec_from_manifest,
                        spec_to_manifest)
@@ -105,15 +104,16 @@ def run_match(args) -> int:
     sensed = load_raster(args.sensed)
     out = _out_dir(args)
 
-    with _Timer("crop"):
-        cropped = crop_to_overlap(sensed, ref, cfg.margin)
     with _Timer("detect"):
         points = detect_block_fast(ref, cfg.block_params())
     with _Timer("match"), scipy.fft.set_workers(cfg.threads):
-        corrs, stats = match_all(points, ref, cropped, cfg.match_params())
+        corrs, stats = match_all(points, ref, sensed, cfg.match_params())
 
     if len(corrs) < 3:
-        raise ValueError(f"only {len(corrs)} correspondences found; "
+        skipped = " ".join(f"{reason}={n}"
+                           for reason, n in sorted(stats.skipped.items()))
+        raise ValueError(f"only {len(corrs)} correspondences found "
+                         f"(skipped: {skipped or 'none'}); "
                          "cannot filter mismatches")
     with _Timer("filter"):
         inliers, outliers = ransac_filter(corrs, cfg.ransac_params())
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-size", type=int, default=None)
     p.add_argument("--blocks", type=int, default=None, dest="n_blocks")
     p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--margin", type=int, default=None)
     p.set_defaults(func=run_match)
 
     p = subs.add_parser("measure", help="misregistration statistics of "

@@ -39,7 +39,6 @@ class PipelineConfig:
     n_checkpoints: int = 48
     cp_counts: tuple = (25, 35, 45, 55, 65, 75, 85, 95)
     models: str = "all"
-    margin: int = 100
     seed: int = 0
     threads: int = 1
 
@@ -81,8 +80,6 @@ class PipelineConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.n_checkpoints < 1:
             raise ValueError(f"n_checkpoints must be >= 1, got {self.n_checkpoints}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not self.cp_counts:

@@ -686,7 +686,7 @@ def control_point_arrays(cps, spec: ModelSpec) -> ControlPointArrays:
     return ControlPointArrays(X, Y, u, v, Z)
 
 
-def fit(spec: ModelSpec, cps, normalize: bool = True) -> FittedModel:
+def fit(spec: ModelSpec, cps) -> FittedModel:
     """Least-squares fit of ``spec`` to control points: a list of
     ControlPoint or a ControlPointArrays record.
 
@@ -704,10 +704,7 @@ def fit(spec: ModelSpec, cps, normalize: bool = True) -> FittedModel:
     if not all(np.all(np.isfinite(a)) for a in stacked):
         raise ValueError("control points contain non-finite coordinates")
 
-    if normalize:
-        norm = Normalization.from_points(X, Y, u, v, Z)
-    else:
-        norm = Normalization()
+    norm = Normalization.from_points(X, Y, u, v, Z)
     un, vn = norm.fwd_out(u, v)
     A = _basis([a for a in norm.fwd_in(X, Y, Z) if a is not None],
                spec.basis_order)

@@ -35,7 +35,7 @@ import scipy
 
 from .cfog import CfogParams, DescriptorVolume, build_cfog
 from .keypoints import InterestPoint
-from .raster import CrsMismatchError, RasterGrid, Window, read_window
+from .raster import CrsMismatchError, RasterGrid, Window
 
 # spectral bins weaker than this fraction of the strongest are zeroed
 # instead of phase-normalized
@@ -98,10 +98,8 @@ class MatchStats:
 def predict_search_center(ref_point: InterestPoint, ref: RasterGrid,
                           sensed: RasterGrid) -> tuple[int, int]:
     """Sensed-image pixel predicted to correspond to the reference point,
-    from georeferencing alone (rounded to the nearest integer pixel)."""
-    if ref.crs_tag != sensed.crs_tag:
-        raise CrsMismatchError(
-            f"crs mismatch: ref={ref.crs_tag!r} sensed={sensed.crs_tag!r}")
+    from georeferencing alone (rounded to the nearest integer pixel); the
+    two grids share a CRS tag."""
     gx, gy = ref.geotransform.pixel_to_geo(float(ref_point.col),
                                            float(ref_point.row))
     col, row = sensed.geotransform.geo_to_pixel(gx, gy)
@@ -211,8 +209,9 @@ def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
     if not s_win.fits_in(sensed_grid):
         return "search-window"
 
-    t_data = read_window(ref_grid, t_win)
-    s_data = read_window(sensed_grid, s_win)
+    t_data = ref_grid.data[t_win.row0:t_win.row0 + T, t_win.col0:t_win.col0 + T]
+    s_data = sensed_grid.data[s_win.row0:s_win.row0 + S,
+                              s_win.col0:s_win.col0 + S]
     if not (np.isfinite(t_data).all() and np.isfinite(s_data).all()):
         return "nodata"
     if np.ptp(t_data) == 0 or np.ptp(s_data) == 0:
@@ -309,7 +308,12 @@ def _locate(ref_point: InterestPoint, s_win: Window, result,
 def match_all(points: list, ref_grid: RasterGrid, sensed_grid: RasterGrid,
               params: MatchParams) -> tuple[list, MatchStats]:
     """Match every interest point, preserving input order; skipped points are
-    omitted from the list and tallied by reason in the stats."""
+    omitted from the list and tallied by reason in the stats. Sensed pixel
+    coordinates index ``sensed_grid``; grids whose CRS tags differ raise
+    CrsMismatchError before any point is screened."""
+    if ref_grid.crs_tag != sensed_grid.crs_tag:
+        raise CrsMismatchError(f"crs mismatch: ref={ref_grid.crs_tag!r} "
+                               f"sensed={sensed_grid.crs_tag!r}")
     outcomes = [_screen(pt, ref_grid, sensed_grid, params) for pt in points]
     order = sorted((k for k, wins in enumerate(outcomes)
                     if not isinstance(wins, str)),

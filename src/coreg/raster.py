@@ -1,4 +1,4 @@
-"""Raster data model: grids with affine georeferencing, file I/O, cropping,
+"""Raster data model: grids with affine georeferencing, file I/O, windows,
 bilinear sampling, and model-driven warping.
 
 Two self-contained file formats are supported:
@@ -17,7 +17,7 @@ and the geotransform origin is the map position of sample ``(0, 0)``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,6 @@ class RasterFormatError(RasterError):
 
 class CrsMismatchError(RasterError):
     """Two grids do not share a coordinate reference system tag."""
-
-
-class EmptyOverlapError(RasterError):
-    """Requested geographic overlap is empty."""
 
 
 class SingularTransformError(RasterError):
@@ -183,13 +179,6 @@ class Window:
         return (self.col0 >= 0 and self.row0 >= 0
                 and self.col0 + self.w <= grid.width
                 and self.row0 + self.h <= grid.height)
-
-
-def read_window(grid: RasterGrid, win: Window) -> np.ndarray:
-    """Extract a window as a copied float32 array."""
-    if not win.fits_in(grid):
-        raise ValueError(f"window {win} does not fit in {grid.width}x{grid.height} grid")
-    return grid.data[win.row0:win.row0 + win.h, win.col0:win.col0 + win.w].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +409,7 @@ def load_raster(path) -> RasterGrid:
 
 
 # ---------------------------------------------------------------------------
-# Sampling, cropping, warping
+# Sampling, warping
 
 
 def sample_bilinear(grid: RasterGrid, col, row):
@@ -483,44 +472,6 @@ def sample_bilinear(grid: RasterGrid, col, row):
     if not shape:
         return float(out[0])
     return out.reshape(shape)
-
-
-def crop_to_overlap(sensed: RasterGrid, reference: RasterGrid,
-                    margin: int = 0) -> RasterGrid:
-    """Restrict ``sensed`` to the reference's geographic bounding box plus a
-    margin (in sensed pixels), clamped to the sensed extent.
-
-    Pure slicing: retained samples are bitwise-identical to the originals and
-    the geotransform is shifted so map positions are preserved.
-    """
-    if sensed.crs_tag != reference.crs_tag:
-        raise CrsMismatchError(
-            f"crs mismatch: sensed={sensed.crs_tag!r} reference={reference.crs_tag!r}")
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-
-    rw, rh = reference.width, reference.height
-    corners_c = np.array([0.0, rw - 1.0, 0.0, rw - 1.0])
-    corners_r = np.array([0.0, 0.0, rh - 1.0, rh - 1.0])
-    gx, gy = reference.geotransform.pixel_to_geo(corners_c, corners_r)
-    sc, sr = sensed.geotransform.geo_to_pixel(gx, gy)
-
-    col0 = int(np.floor(sc.min())) - margin
-    col1 = int(np.ceil(sc.max())) + margin
-    row0 = int(np.floor(sr.min())) - margin
-    row1 = int(np.ceil(sr.max())) + margin
-    col0 = max(col0, 0)
-    row0 = max(row0, 0)
-    col1 = min(col1, sensed.width - 1)
-    row1 = min(row1, sensed.height - 1)
-    if col0 > col1 or row0 > row1:
-        raise EmptyOverlapError("sensed and reference extents do not overlap")
-
-    data = sensed.data[row0:row1 + 1, col0:col1 + 1].copy()
-    ox, oy = sensed.geotransform.pixel_to_geo(float(col0), float(row0))
-    gt = replace(sensed.geotransform, origin_x=ox, origin_y=oy)
-    return RasterGrid(data=data, geotransform=gt, crs_tag=sensed.crs_tag,
-                      nodata=sensed.nodata)
 
 
 def warp(sensed: RasterGrid, model, target_gt: GeoTransform,

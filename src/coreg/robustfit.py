@@ -194,15 +194,12 @@ def fit_global_affine(corrs: list) -> np.ndarray:
     return _fit_affine(*_pixel_arrays(corrs))
 
 
-def select_top_k(corrs: list, k: int, affine: np.ndarray | None = None) -> list:
+def select_top_k(corrs: list, k: int) -> list:
     """The k correspondences with the smallest residuals against a global
-    affine fit (computed over all of them unless one is supplied). Ties keep
-    input order."""
+    affine fit over all of them. Ties keep input order."""
     if k > len(corrs):
         raise ValueError(f"cannot select {k} of {len(corrs)} correspondences")
-    if affine is None:
-        affine = fit_global_affine(corrs)
-    rc, rr, sc, sr = _pixel_arrays(corrs)
-    res = _residuals(affine, rc, rr, sc, sr)
+    px = _pixel_arrays(corrs)
+    res = _residuals(_fit_affine(*px), *px)
     order = np.argsort(res, kind="stable")
     return [corrs[i] for i in order[:k]]

@@ -338,7 +338,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         corr = str(base / "m" / "correspondences.csv")
         assert main(["match", "--ref", ref, "--sensed", sen,
                      "--template-size", "48", "--search-size", "96",
-                     "--blocks", "10", "--margin", "20",
+                     "--blocks", "10",
                      "--out-dir", str(base / "m")]) == 0
         assert main(["measure", "--corr", corr,
                      "--out-dir", str(base / "e")]) == 0

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coreg.cli import main
+from coreg.config import PipelineConfig
 from coreg.geomodels import model_spec_from_name
+from coreg.keypoints import detect_block_fast
 from coreg.matcher import (CSV_HEADER, Correspondence, correspondences_from_csv,
-                           correspondences_to_csv)
+                           correspondences_to_csv, match_all)
 from coreg.metrics import sweep, sweep_to_csv
 from coreg.raster import GeoTransform, load_raster, save_raster
 from coreg.synthgen import (SynthSpec, cubic_truth, generate,
@@ -271,7 +275,7 @@ def test_dem_gap_names_the_row_of_the_correspondence_file(tmp_path, capsys):
     assert main(["match", "--ref", str(tmp_path / "s" / "reference.bin"),
                  "--sensed", str(tmp_path / "s" / "sensed.bin"),
                  "--template-size", "48", "--search-size", "96",
-                 "--blocks", "10", "--margin", "20",
+                 "--blocks", "10",
                  "--out-dir", str(tmp_path / "m")]) == 0
     corr = tmp_path / "m" / "correspondences.csv"
     row = correspondences_from_csv(corr.read_text())[30]
@@ -325,7 +329,70 @@ def test_crs_mismatch_fails_cleanly(tmp_path, capsys):
                "--sensed", str(tmp_path / "b.bin"),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert "error kind=" in capsys.readouterr().err
+    assert "error kind=CrsMismatchError" in capsys.readouterr().err
+
+
+def test_disjoint_extents_fail_naming_the_skips(tmp_path, capsys):
+    save_raster(as_grid(texture(128, seed=1)), tmp_path / "a.bin")
+    save_raster(as_grid(texture(128, seed=2),
+                        GeoTransform(1000.0, 1000.0, 1.0, 1.0)),
+                tmp_path / "b.bin")
+    rc = main(["match", "--ref", str(tmp_path / "a.bin"),
+               "--sensed", str(tmp_path / "b.bin"),
+               "--template-size", "48", "--search-size", "96",
+               "--blocks", "2", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error kind=ValueError" in err and "search-window=" in err
+
+
+@pytest.fixture(scope="module")
+def framed(tmp_path_factory):
+    """A 640 px sensed frame on disk around a reference cut to its central
+    400 px and georeferenced where it was cut."""
+    root = tmp_path_factory.mktemp("framed")
+    ref, sen, _, _ = generate(SynthSpec(size=640, seed=6,
+                                        warp=translation_warp(3.0, -2.0)))
+    ox, oy = ref.geotransform.pixel_to_geo(120.0, 120.0)
+    ref = as_grid(ref.data[120:520, 120:520],
+                  replace(ref.geotransform, origin_x=ox, origin_y=oy),
+                  crs_tag=ref.crs_tag)
+    save_raster(ref, root / "ref.bin")
+    save_raster(sen, root / "sen.bin")
+    return root, ref, sen
+
+
+def test_sensed_pixels_index_the_sensed_file(framed, tmp_path):
+    root, _, _ = framed
+    assert main(["match", "--ref", str(root / "ref.bin"),
+                 "--sensed", str(root / "sen.bin"), "--blocks", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    sensed_gt = load_raster(root / "sen.bin").geotransform
+    corrs = correspondences_from_csv(
+        (tmp_path / "correspondences.csv").read_text())
+    assert len(corrs) >= 10
+    for c in corrs:
+        assert sensed_gt.pixel_to_geo(c.sensed_col, c.sensed_row) == (
+            c.sensed_x, c.sensed_y)
+
+
+def test_matching_the_whole_frame_equals_matching_its_footprint(framed):
+    _, ref, sen = framed
+    cfg = PipelineConfig(n_blocks=4)
+    points = detect_block_fast(ref, cfg.block_params())
+    # the reference footprint in the sensed frame plus 100 px on each side
+    ox, oy = sen.geotransform.pixel_to_geo(20.0, 20.0)
+    part = as_grid(sen.data[20:620, 20:620],
+                   replace(sen.geotransform, origin_x=ox, origin_y=oy),
+                   crs_tag=sen.crs_tag)
+    whole, whole_stats = match_all(points, ref, sen, cfg.match_params())
+    cut, cut_stats = match_all(points, ref, part, cfg.match_params())
+    assert whole_stats == cut_stats and whole_stats.matched == len(points)
+    assert ([(c.ref_x, c.ref_y, c.sensed_x, c.sensed_y, c.peak) for c in whole]
+            == [(c.ref_x, c.ref_y, c.sensed_x, c.sensed_y, c.peak)
+                for c in cut])
+    assert [(c.sensed_col, c.sensed_row) for c in whole] == [
+        (c.sensed_col + 20, c.sensed_row + 20) for c in cut]
 
 
 def test_header_only_corr_file_fails_cleanly(tmp_path, capsys):
@@ -359,7 +426,7 @@ def test_artifacts_are_deterministic(tmp_path):
         assert main(["match", "--ref", str(base / "s" / "reference.bin"),
                      "--sensed", str(base / "s" / "sensed.bin"),
                      "--template-size", "48", "--search-size", "96",
-                     "--blocks", "6", "--margin", "20",
+                     "--blocks", "6",
                      "--out-dir", str(base / "m")]) == 0
         assert main(["measure", "--corr", str(base / "m" / "correspondences.csv"),
                      "--out-dir", str(base / "m")]) == 0
@@ -411,7 +478,7 @@ def test_registration_repairs_translation(tmp_path):
     assert main(["match", "--ref", str(tmp_path / "ref.bin"),
                  "--sensed", str(tmp_path / "sen.bin"),
                  "--template-size", "48", "--search-size", "96",
-                 "--blocks", "6", "--margin", "20",
+                 "--blocks", "6",
                  "--out-dir", str(tmp_path / "m")]) == 0
     corrs = correspondences_from_csv(
         (tmp_path / "m" / "correspondences.csv").read_text())

@@ -51,6 +51,11 @@ def test_unknown_key_rejected_naming_the_file(tmp_path):
         _load(tmp_path, "inlier_tolerance = 3\n")
 
 
+def test_margin_key_is_unknown(tmp_path):
+    with pytest.raises(ValueError, match=r"unknown configuration key 'margin'"):
+        _load(tmp_path, "margin = 100\n")
+
+
 def test_malformed_line_rejected_naming_the_file(tmp_path):
     with pytest.raises(ValueError, match=r"pipeline\.cfg.*'top_k 50'"):
         _load(tmp_path, "seed = 1\ntop_k 50\n")

@@ -485,22 +485,6 @@ def test_poly_capacity_never_hurts_fit_rmse():
         assert lo <= hi + 1e-10
 
 
-def test_normalization_only_conditions_the_solve():
-    def quad(x, y):
-        u, v = x / 300.0, y / 300.0
-        return (2 + u - v + 0.3 * u * v, -1 + 0.5 * u + v - 0.2 * u ** 2)
-
-    cps = _cps_2d(30, seed=13, fn=quad)
-    a = fit(ModelSpec("polynomial", 2), cps, normalize=True)
-    b = fit(ModelSpec("polynomial", 2), cps, normalize=False)
-    rng = np.random.default_rng(14)
-    xs = rng.uniform(-100, 400, 200)
-    ys = rng.uniform(50, 600, 200)
-    ax, ay = a.apply(xs, ys)
-    bx, by = b.apply(xs, ys)
-    assert float(np.max(np.hypot(ax - bx, ay - by))) < 1e-6
-
-
 # -- serialization -----------------------------------------------------------
 
 

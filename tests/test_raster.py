@@ -9,14 +9,10 @@ from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
                              attach_dem_heights, fit, model_spec_from_name)
 from coreg.raster import (
     _EDGE_TOL,
-    EmptyOverlapError,
     GeoTransform,
     RasterGrid,
     SingularTransformError,
-    Window,
-    crop_to_overlap,
     load_raster,
-    read_window,
     sample_bilinear,
     save_raster,
     warp,
@@ -302,43 +298,6 @@ def test_singular_geotransform_rejected():
     gt = GeoTransform(0.0, 0.0, 0.0, 1.0, row_rot=0.0)
     with pytest.raises(SingularTransformError):
         gt.geo_to_pixel(1.0, 1.0)
-
-
-# -- crop_to_overlap -------------------------------------------------------
-
-
-def test_crop_identity_when_extents_match():
-    ref = as_grid(texture(64, seed=1))
-    sensed = as_grid(texture(64, seed=2))
-    out = crop_to_overlap(sensed, ref, margin=0)
-    assert np.array_equal(out.data, sensed.data)
-    assert out.geotransform == sensed.geotransform
-
-
-def test_crop_centered_with_margin():
-    sensed = as_grid(texture(400, seed=3))
-    ref_gt = GeoTransform(100.0, 100.0, 1.0, 1.0)
-    ref = as_grid(np.zeros((200, 200), dtype=np.float32), ref_gt)
-    out = crop_to_overlap(sensed, ref, margin=10)
-    assert (out.data.shape[1], out.data.shape[0]) == (220, 220)
-    assert out.geotransform.origin_x == 90.0
-    assert out.geotransform.origin_y == 90.0
-    # retained samples are copies, never resampled
-    assert np.array_equal(out.data, sensed.data[90:310, 90:310])
-
-
-def test_crop_disjoint_extents():
-    sensed = as_grid(np.zeros((50, 50), dtype=np.float32))
-    ref = as_grid(np.zeros((50, 50), dtype=np.float32),
-                  GeoTransform(1000.0, 1000.0, 1.0, 1.0))
-    with pytest.raises(EmptyOverlapError):
-        crop_to_overlap(sensed, ref, margin=0)
-
-
-def test_read_window_exact_block():
-    grid = as_grid(np.arange(36, dtype=np.float32).reshape(6, 6))
-    block = read_window(grid, Window(col0=2, row0=1, w=3, h=2))
-    assert np.array_equal(block, grid.data[1:3, 2:5])
 
 
 # -- sampling --------------------------------------------------------------

@@ -144,19 +144,6 @@ def test_select_all_orders_by_residual():
     assert res == sorted(res)
 
 
-def test_select_by_a_given_affine_ranks_its_exact_residuals():
-    corrs = _affine_corrs(40, seed=31, noise=1.0)
-    M = fit_global_affine(corrs)
-    assert M.shape == (2, 3)
-    M = M + np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.25]])
-    res = [float(np.hypot(M[0, 0] * c.ref_col + M[0, 1] * c.ref_row + M[0, 2]
-                          - c.sensed_col,
-                          M[1, 0] * c.ref_col + M[1, 1] * c.ref_row + M[1, 2]
-                          - c.sensed_row)) for c in corrs]
-    order = sorted(range(len(corrs)), key=res.__getitem__)
-    assert select_top_k(corrs, 10, affine=M) == [corrs[i] for i in order[:10]]
-
-
 def test_select_143_of_318():
     corrs = _affine_corrs(318, seed=23, noise=1.0)
     assert len(select_top_k(corrs, 143)) == 143
