@@ -22,6 +22,8 @@ import scipy
 
 # image rows per build_cfog tile, bounding its temporaries on large images
 _TILE_ROWS = 128
+# weights convolved circularly along the orientation axis
+_Z_KERNEL = (0.25, 0.5, 0.25)
 
 
 @dataclass(frozen=True)
@@ -30,20 +32,16 @@ class CfogParams:
 
     m: orientation channel count over [0, 180).
     sigma_spatial: Gaussian std in pixels for spatial pooling.
-    z_kernel: weights convolved circularly along the orientation axis.
     """
 
     m: int = 9
     sigma_spatial: float = 0.8
-    z_kernel: tuple = (0.25, 0.5, 0.25)
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"need at least 2 orientation channels, got {self.m}")
         if self.sigma_spatial <= 0:
             raise ValueError(f"sigma_spatial must be > 0, got {self.sigma_spatial}")
-        if abs(sum(self.z_kernel) - 1.0) > 1e-9:
-            raise ValueError(f"z_kernel must sum to 1, got {self.z_kernel}")
 
     @property
     def reach(self) -> int:
@@ -135,7 +133,7 @@ def smooth_3d(raw: np.ndarray, params: CfogParams) -> np.ndarray:
     convolve1d = scipy.ndimage.convolve1d
     convolve1d(raw, kernel, axis=1, mode="nearest", output=out)
     convolve1d(out, kernel, axis=2, mode="nearest", output=raw)
-    convolve1d(raw, np.asarray(params.z_kernel, dtype=np.float64),
+    convolve1d(raw, np.asarray(_Z_KERNEL, dtype=np.float64),
                axis=0, mode="wrap", output=out)
     return out
 

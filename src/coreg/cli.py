@@ -83,7 +83,10 @@ def _load_corrs(path):
 
 
 def run_synth(args) -> int:
-    spec = spec_from_manifest(Path(args.spec).read_text(encoding="utf-8"))
+    try:
+        spec = spec_from_manifest(Path(args.spec).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     out = _out_dir(args)
@@ -168,6 +171,7 @@ def _fit_with_optional_holdout(cfg, corrs, spec, dem, n_holdout, pixel_size):
 def _score_lines(score) -> list:
     """A checkpoint score as report lines."""
     return [f"checkpoints={score.n_used}",
+            f"checkpoints_excluded={score.n_excluded}",
             f"checkpoint_rmse_px={score.rmse!r}",
             f"checkpoint_max_px={score.max_residual!r}",
             f"checkpoint_mean_px={score.mean_distance!r}"]
@@ -266,11 +270,11 @@ def run_register(args) -> int:
 # Argument parsing
 
 
-def _add_common(sub, out_required=True):
+def _add_common(sub):
     sub.add_argument("--config", help="key = value configuration file")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--out-dir", required=out_required, default=".")
+    sub.add_argument("--out-dir", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .cfog import CfogParams
 from .geomodels import all_model_specs, model_spec_from_name
 from .keypoints import BlockGridParams
 from .matcher import MatchParams
@@ -26,15 +25,9 @@ class PipelineConfig:
     fast_threshold: float | None = None
     template_size: int = 100
     search_size: int = 200
-    m_orientations: int = 9
-    sigma_spatial: float = 0.8
-    normalize_descriptor: bool = True
     subpixel: bool = False
     descriptor: str = "cfog"
-    ransac_model: str = "affine"
     inlier_tol: float = 3.0
-    ransac_max_iters: int = 5000
-    ransac_confidence: float = 0.999
     top_k: int = 143
     n_checkpoints: int = 48
     cp_counts: tuple = (25, 35, 45, 55, 65, 75, 85, 95)
@@ -51,18 +44,11 @@ class PipelineConfig:
     def match_params(self) -> MatchParams:
         return MatchParams(template_size=self.template_size,
                            search_size=self.search_size,
-                           cfog=CfogParams(m=self.m_orientations,
-                                           sigma_spatial=self.sigma_spatial),
-                           normalize=self.normalize_descriptor,
                            subpixel=self.subpixel,
                            descriptor=self.descriptor)
 
     def ransac_params(self) -> RansacParams:
-        return RansacParams(model=self.ransac_model,
-                            inlier_tol=self.inlier_tol,
-                            max_iters=self.ransac_max_iters,
-                            confidence=self.ransac_confidence,
-                            seed=self.seed)
+        return RansacParams(inlier_tol=self.inlier_tol, seed=self.seed)
 
     def model_specs(self) -> list:
         if self.models.strip() == "all":

@@ -43,6 +43,8 @@ SPECTRUM_GUARD = 1e-12
 # sensed rows described per tile of the rolling strip, which holds one
 # search window plus one tile
 _STRIP_TILE = 64
+# the descriptor of every cfog window, built normalized
+_CFOG = CfogParams()
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,6 @@ class MatchParams:
 
     template_size: int = 100
     search_size: int = 200
-    cfog: CfogParams = field(default_factory=CfogParams)
-    normalize: bool = True
     subpixel: bool = False
     descriptor: str = "cfog"
 
@@ -225,7 +225,7 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
     planes when given: built from the window grown by the descriptor's
     reach and clipped to the grid, with non-finite samples set to 0, so it
     equals the whole-image descriptor of the zero-filled grid there."""
-    reach = params.cfog.reach
+    reach = _CFOG.reach
     r0, c0 = max(win.row0 - reach, 0), max(win.col0 - reach, 0)
     data = grid.data[r0:min(win.row0 + win.h + reach, grid.height),
                      c0:min(win.col0 + win.w + reach, grid.width)].copy()
@@ -233,8 +233,7 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
     region = (slice(win.row0 - r0, win.row0 - r0 + win.h),
               slice(win.col0 - c0, win.col0 - c0 + win.w))
     if params.descriptor == "cfog":
-        return build_cfog(data, params.cfog, normalize=params.normalize,
-                          region=region, out=out)
+        return build_cfog(data, _CFOG, region=region, out=out)
     if out is None:
         return DescriptorVolume(values=data[region][None])
     out[0] = data[region]
@@ -255,7 +254,7 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
     c0 = min(win.col0 for win in wins)
     c1 = max(win.col0 + win.w for win in wins)
     end = max(win.row0 + win.h for win in wins)
-    m = 1 if params.descriptor == "raw" else params.cfog.m
+    m = 1 if params.descriptor == "raw" else _CFOG.m
     rows = min(params.search_size + _STRIP_TILE, end - wins[0].row0)
     strip = np.empty((m, rows, c1 - c0), dtype=np.float32)
     top = bottom = 0  # strip[:, :bottom - top] holds sensed rows top:bottom

@@ -249,16 +249,18 @@ def _header_value(entries: dict, key: str, parse, path: Path):
 
 
 def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
-    """The grid of ``data``, a float32 array just read from ``path``; its
-    sentinel samples become NaN in place, so the grid keeps this array."""
+    """The grid of ``data``, a float32 array just read from ``path``, which
+    the grid keeps. The grid gets its sentinel after construction, so the
+    frame is compared with it once, here, and masked in place."""
     if "gt" not in entries:
         raise RasterFormatError(f"{path}: header lacks gt=")
     gt = _header_value(entries, "gt", GeoTransform.from_header_value, path)
-    nodata = _header_value(entries, "nodata", float, path)
+    grid = RasterGrid(data, gt, crs_tag=entries.get("crs", ""))
+    nodata = grid.nodata = _header_value(entries, "nodata", float, path)
     if nodata is not None:
-        np.copyto(data, np.float32(np.nan), where=data == np.float32(nodata))
-    return RasterGrid(data=data, geotransform=gt,
-                      crs_tag=entries.get("crs", ""), nodata=nodata)
+        np.copyto(grid.data, np.float32(np.nan),
+                  where=grid.data == np.float32(nodata))
+    return grid
 
 
 def _saved_rows(grid: RasterGrid):
@@ -272,21 +274,23 @@ def _saved_rows(grid: RasterGrid):
         yield rows
 
 
-def _check_pgm_samples(grid: RasterGrid) -> None:
+def _check_pgm_samples(grid: RasterGrid, path: Path) -> None:
     lo, hi = np.inf, -np.inf
     for rows in _saved_rows(grid):
         if np.isnan(rows).any():
-            raise RasterFormatError("pgm output cannot hold NaN samples: give "
-                                    "the grid a numeric nodata sentinel")
+            raise RasterFormatError(f"{path}: pgm output cannot hold NaN "
+                                    "samples: give the grid a numeric "
+                                    "nodata sentinel")
         rounded = np.rint(rows)
         with np.errstate(invalid="ignore"):
             if not np.all(np.abs(rows - rounded) <= 1e-6):
-                raise RasterFormatError("pgm output requires integral "
-                                        "samples; use .bin for float data")
+                raise RasterFormatError(f"{path}: pgm output requires "
+                                        "integral samples; use .bin for "
+                                        "float data")
         lo, hi = min(lo, rounded.min()), max(hi, rounded.max())
     if lo < 0 or hi > 65535:
         raise RasterFormatError(
-            f"pgm samples must lie in [0, 65535], got [{lo}, {hi}]")
+            f"{path}: pgm samples must lie in [0, 65535], got [{lo}, {hi}]")
 
 
 def save_raster(grid: RasterGrid, path) -> None:
@@ -306,15 +310,15 @@ def save_raster(grid: RasterGrid, path) -> None:
                 rows.astype("<f4", copy=False).tofile(f)
         _write_header(path.with_suffix(".hdr"), grid, "float32")
     elif suffix == ".pgm":
-        _check_pgm_samples(grid)
+        _check_pgm_samples(grid, path)
         with open(path, "wb") as f:
             f.write(f"P5\n{grid.width} {grid.height}\n65535\n".encode("ascii"))
             for rows in _saved_rows(grid):
                 np.rint(rows).astype(">u2").tofile(f)
         _write_header(path.with_suffix(".hdr"), grid, "uint16")
     else:
-        raise RasterFormatError(f"unsupported raster extension {suffix!r} "
-                                "(expected .bin or .pgm)")
+        raise RasterFormatError(f"{path}: unsupported raster extension "
+                                f"{suffix!r} (expected .bin or .pgm)")
 
 
 def _load_bin(path: Path) -> RasterGrid:
@@ -404,7 +408,7 @@ def load_raster(path) -> RasterGrid:
         return _load_bin(path)
     if suffix == ".pgm":
         return _load_pgm(path)
-    raise RasterFormatError(f"unsupported raster extension {suffix!r} "
+    raise RasterFormatError(f"{path}: unsupported raster extension {suffix!r} "
                             "(expected .bin or .pgm)")
 
 

@@ -456,18 +456,22 @@ def spec_from_manifest(text: str) -> SynthSpec:
     """Read a recipe written by spec_to_manifest, or by hand: keys left out
     take SynthSpec's defaults, no warp_* keys mean no warp, and a warp
     without warp_norm has the identity normalization. Raises ValueError
-    naming a malformed line or an unknown key."""
+    naming a malformed line, an unknown key or the key of a bad value."""
     try:
         entries = parse_records(text)
     except ValueError as exc:
         raise ValueError(f"manifest {exc}") from None
     warp_keys = {f"warp_{key}" for key in MODEL_FIELDS}
-    for key in entries:
-        if key not in _MANIFEST_KEYS and key not in warp_keys:
+    values = {}
+    for key, value in entries.items():
+        if key in _MANIFEST_KEYS:
+            try:
+                values[key] = _MANIFEST_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"manifest: bad {key}= value: {exc}") from None
+        elif key not in warp_keys:
             raise ValueError(f"manifest: unknown key {key!r}")
     fields = {key.removeprefix("warp_"): value
               for key, value in entries.items() if key in warp_keys}
     return SynthSpec(
-        warp=FittedModel.from_fields(fields) if fields else None,
-        **{key: parse(entries[key]) for key, parse in _MANIFEST_KEYS.items()
-           if key in entries})
+        warp=FittedModel.from_fields(fields) if fields else None, **values)

@@ -208,7 +208,7 @@ def test_criterion_5_ransac_exact_outlier_recovery():
         corrs = [Correspondence(x, y, u, v, x, y, u, v, 1.0)
                  for x, y, u, v in zip(xs, ys, sx, sy)]
         inliers, outliers = ransac_filter(
-            corrs, RansacParams("affine", inlier_tol=3.0, seed=seed))
+            corrs, RansacParams(inlier_tol=3.0, seed=seed))
         wins += {id(c) for c in outliers} == {id(corrs[i]) for i in bad}
     record_criterion("criterion-5 ransac-recovery", wins >= 99,
                      f"exact outlier sets {wins}/100")

@@ -84,7 +84,7 @@ def test_impulse_smoothing_matches_separable_oracle():
     i = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(i ** 2) / (2 * params.sigma_spatial ** 2))
     g /= g.sum()
-    zk = np.asarray(params.z_kernel)
+    zk = np.asarray(cfog._Z_KERNEL)
     expected = np.zeros_like(raw)
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
@@ -191,7 +191,7 @@ def test_matches_brute_force_oracle(normalize):
     params = CfogParams()
     got = build_cfog(img, params, normalize=normalize).values
     want = _oracle_cfog(img, params.m, params.sigma_spatial,
-                        params.z_kernel, normalize)
+                        cfog._Z_KERNEL, normalize)
     assert np.allclose(got, want, atol=1e-9)
 
 

@@ -66,6 +66,23 @@ def test_synth_seed_flag_overrides_manifest(tmp_path):
     assert "seed=9" in (tmp_path / "out" / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("line, named", [
+    ("size=abc", "bad size= value: invalid literal for int() with base 10: "
+                 "'abc'"),
+    ("gamma=1,5", "bad gamma= value: could not convert string to float: "
+                  "'1,5'"),
+])
+def test_bad_recipe_value_names_the_key_and_the_file(tmp_path, capsys, line,
+                                                     named):
+    spec_file = tmp_path / "bad.txt"
+    spec_file.write_text(f"seed=5\n{line}\n")
+    rc = main(["synth", "--spec", str(spec_file),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error kind=ValueError msg={spec_file}: manifest: {named}\n")
+
+
 def test_match_on_identity_pair_reports_zero_offsets(scene):
     root, run = scene
     corrs = correspondences_from_csv((run / "correspondences.csv").read_text())
@@ -530,6 +547,26 @@ def _register_planted(tmp_path, model, field, xs, ys, dem=None):
                "--out-dir", str(tmp_path / "r")])
     assert rc == 0
     return _report(tmp_path / "r" / "register_report.txt")
+
+
+def test_score_lines_count_the_checkpoints_a_model_cannot_evaluate():
+    from coreg.cli import _score_lines
+    from coreg.geomodels import ControlPoint, FittedModel
+    from coreg.metrics import checkpoint_rmse
+
+    spec = model_spec_from_name("rfm1_distinct")
+    num = np.zeros(spec.basis_size)
+    num[1] = 1.0
+    den = np.zeros(spec.basis_size)
+    den[0] = den[1] = 1.0
+    # both coordinates evaluate X / (1 + X), whose denominator vanishes at
+    # the first checkpoint; the other two are exact
+    model = FittedModel.from_coefficients(spec, num, num, den_x=den, den_y=den)
+    checks = [ControlPoint(-1.0, 0.0, 0.0, 0.0, ref_z=0.0),
+              ControlPoint(0.5, 0.0, 1.0 / 3.0, 1.0 / 3.0, ref_z=0.0),
+              ControlPoint(3.0, 0.0, 0.75, 0.75, ref_z=0.0)]
+    lines = _score_lines(checkpoint_rmse(model, checks))
+    assert lines[:2] == ["checkpoints=2", "checkpoints_excluded=1"]
 
 
 @pytest.mark.parametrize("nodata", [-9999.0, float("nan")])

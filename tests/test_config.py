@@ -20,9 +20,8 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
 @pytest.mark.parametrize("text,want", [("yes", True), ("off", False),
                                        ("1", True), ("0", False)])
 def test_booleans(tmp_path, text, want):
-    cfg = _load(tmp_path, f"subpixel = {text}\nnormalize_descriptor = {text}\n")
+    cfg = _load(tmp_path, f"subpixel = {text}\n")
     assert cfg.subpixel is want
-    assert cfg.normalize_descriptor is want
 
 
 def test_bad_boolean_rejected(tmp_path):
@@ -51,9 +50,14 @@ def test_unknown_key_rejected_naming_the_file(tmp_path):
         _load(tmp_path, "inlier_tolerance = 3\n")
 
 
-def test_margin_key_is_unknown(tmp_path):
-    with pytest.raises(ValueError, match=r"unknown configuration key 'margin'"):
-        _load(tmp_path, "margin = 100\n")
+@pytest.mark.parametrize("key", [
+    "margin", "ransac_model", "ransac_max_iters", "ransac_confidence",
+    "m_orientations", "sigma_spatial", "normalize_descriptor"])
+def test_retired_key_is_unknown(tmp_path, key):
+    # settings the pipeline no longer has fail like a typo, not silently
+    with pytest.raises(ValueError, match=r"pipeline\.cfg: unknown "
+                                         f"configuration key '{key}'"):
+        _load(tmp_path, f"{key} = 1\n")
 
 
 def test_malformed_line_rejected_naming_the_file(tmp_path):

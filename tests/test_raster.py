@@ -132,9 +132,25 @@ def test_invalid_pgm_grid_raises_and_writes_no_payload(tmp_path, value, named):
     data = np.ones((300, 300), dtype=np.float32)
     # in the second row chunk of the save, after the first has passed
     data[250, 7] = value
-    with pytest.raises(RasterFormatError, match=named):
-        save_raster(as_grid(data), tmp_path / "g.pgm")
-    assert not (tmp_path / "g.pgm").exists()
+    path = tmp_path / "g.pgm"
+    with pytest.raises(RasterFormatError,
+                       match="^" + re.escape(f"{path}: ") + ".*" + named):
+        save_raster(as_grid(data), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("io", ["save", "load"])
+def test_unsupported_extension_raises_naming_the_file(tmp_path, io):
+    from coreg.raster import RasterFormatError
+
+    path = tmp_path / "g.tif"
+    path.write_bytes(b"")
+    with pytest.raises(RasterFormatError, match="^" + re.escape(
+            f"{path}: unsupported raster extension '.tif'")):
+        if io == "save":
+            save_raster(as_grid(np.ones((2, 2), dtype=np.float32)), path)
+        else:
+            load_raster(path)
 
 
 _GT_HEADER = "gt=500000.0,10.0,0.0,4000000.0,0.0,-10.0\ncrs=EPSG:32633\n"

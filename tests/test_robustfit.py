@@ -95,21 +95,6 @@ def test_loosening_tolerance_never_shrinks_inliers():
     assert len(loose) >= len(tight)
 
 
-def test_projective_model_handles_perspective_data():
-    rng = np.random.default_rng(17)
-    H = np.array([[1.02, 0.03, 4.0], [-0.01, 0.98, -2.0], [1e-4, -5e-5, 1.0]])
-    corrs = []
-    for _ in range(60):
-        rc, rr = rng.uniform(0, 400, 2)
-        w = H[2, 0] * rc + H[2, 1] * rr + 1.0
-        corrs.append(_corr(rc, rr,
-                           (H[0, 0] * rc + H[0, 1] * rr + H[0, 2]) / w,
-                           (H[1, 0] * rc + H[1, 1] * rr + H[1, 2]) / w))
-    inl, out = ransac_filter(corrs, RansacParams(model="projective",
-                                                 inlier_tol=1.0, seed=0))
-    assert out == []
-
-
 def test_collinear_points_raise_degeneracy():
     corrs = [_corr(float(i), 2.0 * i, float(i), 2.0 * i) for i in range(20)]
     with pytest.raises(RansacDegeneracyError):
@@ -122,8 +107,6 @@ def test_too_few_correspondences_rejected():
 
 
 def test_bad_params_rejected():
-    with pytest.raises(ValueError):
-        RansacParams(model="rigid")
     with pytest.raises(ValueError):
         RansacParams(inlier_tol=0.0)
 
