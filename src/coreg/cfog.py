@@ -40,7 +40,7 @@ class CfogParams:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"need at least 2 orientation channels, got {self.m}")
-        if self.sigma_spatial <= 0:
+        if not self.sigma_spatial > 0:
             raise ValueError(f"sigma_spatial must be > 0, got {self.sigma_spatial}")
 
     @property

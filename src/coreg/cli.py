@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -35,21 +36,13 @@ _KNOWN_ERRORS = (RasterError, ValueError, RansacDegeneracyError,
                  NonInvertibleWarpError, OSError)
 
 
-class _Timer:
-    """Prints stage wall times to stdout; output files never carry them."""
-
-    def __init__(self, stage: str):
-        self.stage = stage
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if exc[0] is None:
-            dt = time.perf_counter() - self.t0
-            print(f"stage={self.stage} wall_s={dt:.3f}")
-        return False
+@contextlib.contextmanager
+def _timer(stage: str):
+    """Prints a stage's wall time to stdout, unless the stage fails; output
+    files never carry it."""
+    t0 = time.perf_counter()
+    yield
+    print(f"stage={stage} wall_s={time.perf_counter() - t0:.3f}")
 
 
 def _out_dir(args) -> Path:
@@ -74,8 +67,13 @@ def _base_config(args) -> PipelineConfig:
     return replace(cfg, **overrides).validate()
 
 
-def _load_corrs(path):
-    return correspondences_from_csv(Path(path).read_text(encoding="utf-8"))
+def _parse_file(path, parse):
+    """``parse`` of the text of the file at ``path``; a ValueError it raises
+    is raised again with the path in front."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +81,11 @@ def _load_corrs(path):
 
 
 def run_synth(args) -> int:
-    try:
-        spec = spec_from_manifest(Path(args.spec).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{args.spec}: {exc}") from None
+    spec = _parse_file(args.spec, spec_from_manifest)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     out = _out_dir(args)
-    with _Timer("synth"):
+    with _timer("synth"):
         reference, sensed, truth, dem = generate(spec)
     for grid, name in ((reference, "reference.bin"), (sensed, "sensed.bin"),
                        (dem, "dem.bin")):
@@ -107,9 +102,9 @@ def run_match(args) -> int:
     sensed = load_raster(args.sensed)
     out = _out_dir(args)
 
-    with _Timer("detect"):
+    with _timer("detect"):
         points = detect_block_fast(ref, cfg.block_params())
-    with _Timer("match"), scipy.fft.set_workers(cfg.threads):
+    with _timer("match"), scipy.fft.set_workers(cfg.threads):
         corrs, stats = match_all(points, ref, sensed, cfg.match_params())
 
     if len(corrs) < 3:
@@ -118,7 +113,7 @@ def run_match(args) -> int:
         raise ValueError(f"only {len(corrs)} correspondences found "
                          f"(skipped: {skipped or 'none'}); "
                          "cannot filter mismatches")
-    with _Timer("filter"):
+    with _timer("filter"):
         inliers, outliers = ransac_filter(corrs, cfg.ransac_params())
         k = min(cfg.top_k, len(inliers))
         selected = select_top_k(inliers, k) if k else []
@@ -148,8 +143,8 @@ def run_match(args) -> int:
 
 
 def run_measure(args) -> int:
-    corrs = _load_corrs(args.corr)
-    with _Timer("measure"):
+    corrs = _parse_file(args.corr, correspondences_from_csv)
+    with _timer("measure"):
         report = misregistration(corrs, pixel_size=args.pixel_size)
     _write(_out_dir(args) / "misreg.csv", misreg_to_csv(report))
     return 0
@@ -179,12 +174,12 @@ def _score_lines(score) -> list:
 
 def run_fit(args) -> int:
     cfg = _base_config(args)
-    corrs = _load_corrs(args.corr)
+    corrs = _parse_file(args.corr, correspondences_from_csv)
     spec = model_spec_from_name(args.model)
     dem = load_raster(args.dem) if args.dem else None
     out = _out_dir(args)
 
-    with _Timer("fit"):
+    with _timer("fit"):
         # nothing is held out unless --checkpoints is given
         model, score, n_cps = _fit_with_optional_holdout(
             cfg, corrs, spec, dem, args.n_checkpoints, args.pixel_size)
@@ -207,10 +202,10 @@ def run_fit(args) -> int:
 
 def run_sweep(args) -> int:
     cfg = _base_config(args)
-    corrs = _load_corrs(args.corr)
+    corrs = _parse_file(args.corr, correspondences_from_csv)
     dem = load_raster(args.dem) if args.dem else None
     specs = cfg.model_specs()
-    with _Timer("sweep"):
+    with _timer("sweep"):
         results = sweep(specs, corrs, cfg.n_checkpoints, cfg.cp_counts,
                         cfg.seed, pixel_size=args.pixel_size, dem=dem)
     _write(_out_dir(args) / "sweep.csv", sweep_to_csv(results))
@@ -230,7 +225,7 @@ def run_register(args) -> int:
     cfg = _base_config(args)
     ref = load_raster(args.ref)
     sensed = load_raster(args.sensed)
-    corrs = _load_corrs(args.corr)
+    corrs = _parse_file(args.corr, correspondences_from_csv)
     spec = model_spec_from_name(args.model)
     dem = load_raster(args.dem) if args.dem else None
     pixel_size = args.pixel_size
@@ -238,10 +233,10 @@ def run_register(args) -> int:
         pixel_size = abs(ref.geotransform.pixel_w)
     out = _out_dir(args)
 
-    with _Timer("fit"):
+    with _timer("fit"):
         model, score, n_cps = _fit_with_optional_holdout(
             cfg, corrs, spec, dem, cfg.n_checkpoints, pixel_size)
-    with _Timer("warp"):
+    with _timer("warp"):
         registered, eval_failures = warp(
             sensed, model, ref.geotransform, ref.width, ref.height, dem=dem)
     save_raster(registered, out / "registered.bin")

@@ -105,13 +105,9 @@ def load_config(path) -> PipelineConfig:
     """Read a flat ``key = value`` configuration file; unknown keys are
     errors so typos do not silently fall back to defaults. Every error
     message starts with the path."""
-    text = Path(path).read_text(encoding="utf-8")
-    overrides = {}
     try:
-        for key, value in parse_records(text).items():
-            if key not in _FIELD_PARSERS:
-                raise ValueError(f"unknown configuration key {key!r}")
-            overrides[key] = _FIELD_PARSERS[key](value)
+        overrides = parse_records(Path(path).read_text(encoding="utf-8"),
+                                  _FIELD_PARSERS)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return replace(PipelineConfig(), **overrides).validate()

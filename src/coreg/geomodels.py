@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +45,7 @@ class DegenerateFitError(RuntimeError):
     """Control point configuration leaves the design matrix rank-deficient."""
 
 
-# the fields of a model's text form, in file order
 _COEFF_VECTORS = ("num_x", "den_x", "num_y", "den_y")
-MODEL_FIELDS = ("family", "order", "denom_mode", "norm") + _COEFF_VECTORS
 
 # |denominator| below this (normalized units) marks an evaluation failure
 DENOM_EPS = 1e-12
@@ -349,10 +347,21 @@ class Normalization:
     def inv_out(self, un, vn):
         return un * self.u_scale + self.u_off, vn * self.v_scale + self.v_off
 
-    def as_tuple(self) -> tuple:
-        return (self.x_off, self.x_scale, self.y_off, self.y_scale,
-                self.z_off, self.z_scale, self.u_off, self.u_scale,
-                self.v_off, self.v_scale)
+
+def _numbers(value: str) -> np.ndarray:
+    return np.array([float(t) for t in value.split()])
+
+
+def _norm(value: str) -> Normalization:
+    terms = value.split()
+    if len(terms) != 10:
+        raise ValueError(f"needs 10 numbers, got {len(terms)}")
+    return Normalization(*map(float, terms))
+
+
+# the fields of a model's text form, in file order, each with its parser
+MODEL_FIELDS = {"family": str, "order": int, "denom_mode": str, "norm": _norm,
+                **dict.fromkeys(_COEFF_VECTORS, _numbers)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +401,12 @@ class FittedModel:
     def from_coefficients(cls, spec: ModelSpec, num_x, num_y,
                           den_x=None, den_y=None,
                           norm: Normalization | None = None) -> "FittedModel":
-        """Build a model from explicit coefficients (ground-truth warps)."""
-        b = spec.basis_size
-        unit = np.zeros(b)
-        unit[0] = 1.0
-        return cls(spec=spec,
-                   num_x=np.asarray(num_x, float),
-                   den_x=unit.copy() if den_x is None else np.asarray(den_x, float),
-                   num_y=np.asarray(num_y, float),
-                   den_y=unit.copy() if den_y is None else np.asarray(den_y, float),
+        """Build a model from explicit coefficients (ground-truth warps); a
+        denominator left out is 1."""
+        unit = np.eye(1, spec.basis_size)[0]
+        return cls(spec=spec, num_x=num_x, num_y=num_y,
+                   den_x=unit if den_x is None else den_x,
+                   den_y=unit.copy() if den_y is None else den_y,
                    norm=norm if norm is not None else Normalization())
 
     @property
@@ -485,7 +491,7 @@ class FittedModel:
         fields = {"family": self.spec.family, "order": str(self.spec.order)}
         if self.spec.denom_mode is not None:
             fields["denom_mode"] = self.spec.denom_mode
-        numbers = {"norm": self.norm.as_tuple(),
+        numbers = {"norm": astuple(self.norm),
                    **{key: getattr(self, key) for key in _COEFF_VECTORS}}
         for key, vec in numbers.items():
             fields[key] = " ".join(f"{c:.17e}" for c in vec)
@@ -493,21 +499,16 @@ class FittedModel:
 
     @classmethod
     def from_fields(cls, fields: dict) -> "FittedModel":
-        """Inverse of to_fields; a missing ``norm`` is the identity. Raises
-        ValueError naming a missing field."""
+        """Inverse of to_fields on values parsed by MODEL_FIELDS: a missing
+        ``norm`` is the identity and ``warning`` None; others are required."""
         for key in ("family", "order") + _COEFF_VECTORS:
             if key not in fields:
                 raise ValueError(f"model lacks the {key!r} field")
-
-        def numbers(key):
-            return [float(t) for t in fields[key].split()]
-
-        spec = ModelSpec(fields["family"], int(fields["order"]),
+        spec = ModelSpec(fields["family"], fields["order"],
                          fields.get("denom_mode"))
-        norm = Normalization(*numbers("norm")) if "norm" in fields \
-            else Normalization()
-        vecs = {key: np.array(numbers(key)) for key in _COEFF_VECTORS}
-        return cls(spec=spec, norm=norm, **vecs)
+        return cls(spec=spec, norm=fields.get("norm", Normalization()),
+                   warning=fields.get("warning"),
+                   **{key: fields[key] for key in _COEFF_VECTORS})
 
     def to_text(self) -> str:
         lines = [f"model {self.spec.name}"]
@@ -518,12 +519,11 @@ class FittedModel:
 
     @classmethod
     def from_text(cls, text: str) -> "FittedModel":
-        fields = parse_records(text, sep=" ")
+        fields = parse_records(
+            text, {"model": str, **MODEL_FIELDS, "warning": str}, sep=" ")
         if "norm" not in fields:
             raise ValueError("model text lacks 'norm' line")
-        model = cls.from_fields(fields)
-        model.warning = fields.get("warning")
-        return model
+        return cls.from_fields(fields)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class BlockGridParams:
         if self.border < 0:
             raise ValueError(f"border must be >= 0, got {self.border}")
         # a negative threshold would let a pixel be brighter and darker at once
-        if self.fast_threshold is not None and self.fast_threshold < 0:
+        if self.fast_threshold is not None and not self.fast_threshold >= 0:
             raise ValueError(f"fast_threshold must be >= 0, got "
                              f"{self.fast_threshold}")
 

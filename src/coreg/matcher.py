@@ -35,7 +35,7 @@ import scipy
 
 from .cfog import CfogParams, DescriptorVolume, build_cfog
 from .keypoints import InterestPoint
-from .raster import CrsMismatchError, RasterGrid, Window
+from .raster import CrsMismatchError, RasterGrid, Window, finite_float
 
 # spectral bins weaker than this fraction of the strongest are zeroed
 # instead of phase-normalized
@@ -355,15 +355,22 @@ def correspondences_to_csv(corrs: list) -> str:
 
 
 def correspondences_from_csv(text: str) -> list:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(lineno, line) for lineno, line
+             in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError("correspondence CSV must start with the header "
                          f"{CSV_HEADER!r}")
     corrs = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) < 9:
             raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
-        vals = [float(p) for p in parts[:9]]
+        vals = []
+        for column, part in zip(CSV_HEADER.split(","), parts):
+            try:
+                vals.append(finite_float(part))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad {column} value: "
+                                 f"{exc}") from None
         corrs.append(Correspondence(*vals))
     return corrs

@@ -47,7 +47,7 @@ def misregistration(corrs: list, pixel_size: float = 1.0) -> MisregReport:
     """
     if not corrs:
         raise ValueError("no correspondences to measure")
-    if pixel_size <= 0:
+    if not pixel_size > 0:
         raise ValueError(f"pixel_size must be > 0, got {pixel_size}")
     dx = np.array([(c.sensed_x - c.ref_x) / pixel_size for c in corrs])
     dy = np.array([(c.sensed_y - c.ref_y) / pixel_size for c in corrs])

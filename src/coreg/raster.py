@@ -119,7 +119,7 @@ class GeoTransform:
         parts = value.split(",")
         if len(parts) != 6:
             raise ValueError(f"needs 6 comma-separated terms, got {value!r}")
-        ox, pw, rr, oy, cr, ph = (float(p) for p in parts)
+        ox, pw, rr, oy, cr, ph = map(finite_float, parts)
         return cls(origin_x=ox, origin_y=oy, pixel_w=pw, pixel_h=ph,
                    row_rot=rr, col_rot=cr)
 
@@ -185,9 +185,6 @@ class Window:
 # File I/O
 
 
-_HEADER_KEYS = ("width", "height", "dtype", "gt", "crs", "nodata")
-
-
 def _write_header(path: Path, grid: RasterGrid, dtype: str) -> None:
     lines = [
         f"width={grid.width}",
@@ -201,15 +198,23 @@ def _write_header(path: Path, grid: RasterGrid, dtype: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def parse_records(text: str, sep: str = "=") -> dict:
-    """The ``key<sep>value`` lines of a text file as a dict of stripped
-    strings; blank lines and ``#`` comments are skipped, and a later line
-    overrides an earlier one with the same key.
+def finite_float(value: str) -> float:
+    """``float(value)``, rejecting NaN and infinities with ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
 
-    Headers, synthetic-scene manifests and configuration files use ``=``,
-    model files a space. Raises ValueError naming the first line that has
-    no separator.
-    """
+
+def parse_records(text: str, parsers: dict, sep: str = "=") -> dict:
+    """The ``key<sep>value`` lines of a text file as a dict of values, each
+    parsed by ``parsers[key]``: the table holds every key the file may have
+    and raises ValueError from a parser that rejects its stripped string.
+    Blank lines and ``#`` comments are skipped; a later line overrides an
+    earlier one. Raises ValueError naming a line with no separator, a key
+    not in the table (``unknown key 'k'``) or the key of a value that does
+    not parse (``bad k= value: <the parser's reason>``). Headers, recipes
+    and configuration files use ``=``, model files a space."""
     records = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -218,34 +223,28 @@ def parse_records(text: str, sep: str = "=") -> dict:
         key, found, value = line.partition(sep)
         if not found:
             raise ValueError(f"line {lineno}: expected key{sep}value, got {line!r}")
-        records[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in parsers:
+            raise ValueError(f"unknown key {key!r}")
+        try:
+            records[key] = parsers[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"bad {key}= value: {exc}") from None
     return records
+
+
+# a misspelt key (say no_data=) fails rather than being dropped silently
+_HEADER_PARSERS = {"width": int, "height": int, "dtype": str, "crs": str,
+                   "gt": GeoTransform.from_header_value, "nodata": float}
 
 
 def _read_header(path: Path) -> dict:
     if not path.exists():
         raise RasterFormatError(f"missing sidecar header {path}")
     try:
-        entries = parse_records(path.read_text(encoding="ascii"))
+        return parse_records(path.read_text(encoding="ascii"), _HEADER_PARSERS)
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from None
-    for key in entries:
-        # a misspelt key (say no_data=) would otherwise be dropped silently
-        if key not in _HEADER_KEYS:
-            raise RasterFormatError(f"{path}: unknown header key {key!r}")
-    return entries
-
-
-def _header_value(entries: dict, key: str, parse, path: Path):
-    """``parse`` of the header value of ``key``, None when the header has no
-    ``key``; a value that does not parse raises RasterFormatError naming
-    ``path``."""
-    if key not in entries:
-        return None
-    try:
-        return parse(entries[key])
-    except ValueError as exc:
-        raise RasterFormatError(f"{path}: bad {key}= value: {exc}") from None
 
 
 def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
@@ -254,9 +253,8 @@ def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
     frame is compared with it once, here, and masked in place."""
     if "gt" not in entries:
         raise RasterFormatError(f"{path}: header lacks gt=")
-    gt = _header_value(entries, "gt", GeoTransform.from_header_value, path)
-    grid = RasterGrid(data, gt, crs_tag=entries.get("crs", ""))
-    nodata = grid.nodata = _header_value(entries, "nodata", float, path)
+    grid = RasterGrid(data, entries["gt"], crs_tag=entries.get("crs", ""))
+    nodata = grid.nodata = entries.get("nodata")
     if nodata is not None:
         np.copyto(grid.data, np.float32(np.nan),
                   where=grid.data == np.float32(nodata))
@@ -329,8 +327,7 @@ def _load_bin(path: Path) -> RasterGrid:
     if entries["dtype"] != "float32":
         raise RasterFormatError(
             f"{path}: unsupported sample type {entries['dtype']!r}")
-    width, height = (_header_value(entries, key, int, path)
-                     for key in ("width", "height"))
+    width, height = entries["width"], entries["height"]
     if width < 1 or height < 1:
         raise RasterFormatError(f"{path}: bad size {width}x{height}")
     size = path.stat().st_size
@@ -389,7 +386,7 @@ def _load_pgm(path: Path) -> RasterGrid:
             f"{path}: payload is {payload} bytes, header implies {expected}")
     entries = _read_header(path.with_suffix(".hdr"))
     for key, size in (("width", width), ("height", height)):
-        if _header_value(entries, key, int, path) not in (None, size):
+        if entries.get(key, size) != size:
             raise RasterFormatError(
                 f"{path}: sidecar {key} disagrees with pgm header")
     # the big-endian samples are freed before nodata is masked

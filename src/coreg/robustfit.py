@@ -34,7 +34,7 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_tol <= 0:
+        if not self.inlier_tol > 0:
             raise ValueError(f"inlier_tol must be > 0, got {self.inlier_tol}")
 
 

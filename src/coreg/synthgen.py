@@ -114,8 +114,11 @@ class SynthSpec:
         if self.radiometry not in ("identity", "gamma", "log"):
             raise ValueError(f"radiometry must be identity, gamma or log, "
                              f"got {self.radiometry!r}")
-        if self.speckle_var < 0:
-            raise ValueError(f"speckle_var must be >= 0, got {self.speckle_var}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 <= self.speckle_var < np.inf:
+            raise ValueError(f"speckle_var must be finite and >= 0, got "
+                             f"{self.speckle_var}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +444,8 @@ def generate(spec: SynthSpec):
 # the warp's are its model fields prefixed with warp_
 _MANIFEST_KEYS = {"size": int, "texture": str, "radiometry": str,
                   "gamma": float, "speckle_var": float, "seed": int}
+_RECIPE_PARSERS = {**_MANIFEST_KEYS,
+                   **{f"warp_{key}": parse for key, parse in MODEL_FIELDS.items()}}
 
 
 def spec_to_manifest(spec: SynthSpec) -> str:
@@ -458,20 +463,10 @@ def spec_from_manifest(text: str) -> SynthSpec:
     without warp_norm has the identity normalization. Raises ValueError
     naming a malformed line, an unknown key or the key of a bad value."""
     try:
-        entries = parse_records(text)
+        values = parse_records(text, _RECIPE_PARSERS)
     except ValueError as exc:
-        raise ValueError(f"manifest {exc}") from None
-    warp_keys = {f"warp_{key}" for key in MODEL_FIELDS}
-    values = {}
-    for key, value in entries.items():
-        if key in _MANIFEST_KEYS:
-            try:
-                values[key] = _MANIFEST_KEYS[key](value)
-            except ValueError as exc:
-                raise ValueError(f"manifest: bad {key}= value: {exc}") from None
-        elif key not in warp_keys:
-            raise ValueError(f"manifest: unknown key {key!r}")
-    fields = {key.removeprefix("warp_"): value
-              for key, value in entries.items() if key in warp_keys}
+        raise ValueError(f"manifest: {exc}") from None
+    fields = {key.removeprefix("warp_"): values.pop(key)
+              for key in list(values) if key.startswith("warp_")}
     return SynthSpec(
         warp=FittedModel.from_fields(fields) if fields else None, **values)

@@ -52,6 +52,13 @@ def test_every_stage_keeps_channel_major_planes():
     assert build_cfog(img, region=region).values.shape == (9, 17, 7)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(m=1), dict(sigma_spatial=0.0), dict(sigma_spatial=float("nan"))])
+def test_bad_params_rejected(kwargs):
+    with pytest.raises(ValueError):
+        CfogParams(**kwargs)
+
+
 def test_gradient_rejects_tiny_images():
     with pytest.raises(ValueError):
         gradient_xy(np.zeros((2, 2)))

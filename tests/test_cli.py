@@ -71,6 +71,11 @@ def test_synth_seed_flag_overrides_manifest(tmp_path):
                  "'abc'"),
     ("gamma=1,5", "bad gamma= value: could not convert string to float: "
                   "'1,5'"),
+    ("warp_order=x", "bad warp_order= value: invalid literal for int() with "
+                     "base 10: 'x'"),
+    ("warp_norm=" + " ".join(["0.0"] * 11),
+     "bad warp_norm= value: needs 10 numbers, got 11"),
+    ("warp_norm=0.0", "bad warp_norm= value: needs 10 numbers, got 1"),
 ])
 def test_bad_recipe_value_names_the_key_and_the_file(tmp_path, capsys, line,
                                                      named):
@@ -335,6 +340,35 @@ def test_bad_cp_counts_fail_cleanly(scene, tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "error kind=ValueError" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_the_key_and_the_file(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("top_k = abc\n")
+    rc = main(["match", "--config", str(cfg), "--ref", "r.bin",
+               "--sensed", "s.bin", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error kind=ValueError msg={cfg}: bad top_k= value: invalid literal "
+        "for int() with base 10: 'abc'\n")
+
+
+@pytest.mark.parametrize("row, named", [
+    ("abc,0,0,0,0,0,0,0,1", "bad ref_col value: could not convert string to "
+                            "float: 'abc'"),
+    ("0,0,0,0,0,0,0,0,nan", "bad peak value: not a finite number: 'nan'"),
+    ("0,0,0,0,0,inf,0,0,1", "bad ref_y value: not a finite number: 'inf'"),
+])
+def test_bad_correspondence_value_names_file_line_and_column(tmp_path, capsys,
+                                                             row, named):
+    # the blank line counts: the bad row is line 4 of the file
+    corr = tmp_path / "bad.csv"
+    corr.write_text(f"{CSV_HEADER}\n1,1,1,1,1,1,1,1,1\n\n{row}\n")
+    rc = main(["measure", "--corr", str(corr), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error kind=ValueError msg={corr}: line 4: {named}\n")
+    assert not (tmp_path / "misreg.csv").exists()
 
 
 def test_crs_mismatch_fails_cleanly(tmp_path, capsys):

@@ -29,6 +29,24 @@ def test_bad_boolean_rejected(tmp_path):
         _load(tmp_path, "subpixel = maybe\n")
 
 
+@pytest.mark.parametrize("line, named", [
+    ("top_k = abc", "bad top_k= value: invalid literal for int() with base 10: "
+                    "'abc'"),
+    ("inlier_tol = 1,5", "bad inlier_tol= value: could not convert string to "
+                         "float: '1,5'"),
+])
+def test_bad_value_names_the_key_and_the_file(tmp_path, line, named):
+    with pytest.raises(ValueError) as info:
+        _load(tmp_path, f"seed = 1\n{line}\n")
+    assert str(info.value) == f"{tmp_path / 'pipeline.cfg'}: {named}"
+
+
+@pytest.mark.parametrize("line", ["inlier_tol = nan", "fast_threshold = nan"])
+def test_nan_bound_rejected(tmp_path, line):
+    with pytest.raises(ValueError, match=line.split()[0] + " must be"):
+        _load(tmp_path, line + "\n")
+
+
 def test_fast_threshold_auto_and_number(tmp_path):
     assert _load(tmp_path, "fast_threshold = auto\n").fast_threshold is None
     assert _load(tmp_path, "fast_threshold = 0.25\n").fast_threshold == 0.25
@@ -56,7 +74,7 @@ def test_unknown_key_rejected_naming_the_file(tmp_path):
 def test_retired_key_is_unknown(tmp_path, key):
     # settings the pipeline no longer has fail like a typo, not silently
     with pytest.raises(ValueError, match=r"pipeline\.cfg: unknown "
-                                         f"configuration key '{key}'"):
+                                         f"key '{key}'"):
         _load(tmp_path, f"{key} = 1\n")
 
 

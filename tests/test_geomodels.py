@@ -509,6 +509,22 @@ def test_model_text_without_norm_rejected():
         FittedModel.from_text(stripped)
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text + "scale 2.0\n", "unknown key 'scale'"),
+    (lambda text: text.replace("order 1\n", "order 3.5\n"),
+     "bad order= value: invalid literal for int() with base 10: '3.5'"),
+    (lambda text: text.replace("\nnorm ", "\nnorm 0.0 "),
+     "bad norm= value: needs 10 numbers, got 11"),
+    (lambda text: text.replace("\nnum_x ", "\nnum_x 1.0 x "),
+     "bad num_x= value: could not convert string to float: 'x'"),
+], ids=["unknown-line", "order", "norm-count", "coefficient"])
+def test_bad_model_text_names_the_key(edit, named):
+    text = fit(model_spec_from_name("poly1"), _cps_2d(10, seed=15)).to_text()
+    with pytest.raises(ValueError) as info:
+        FittedModel.from_text(edit(text))
+    assert str(info.value) == named
+
+
 def test_model_text_with_warning_and_comment_round_trips():
     model = fit(model_spec_from_name("rfm1_distinct"),
                 _cps_2d(40, seed=16, z=True))

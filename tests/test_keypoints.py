@@ -347,8 +347,9 @@ def test_interior_detection_of_a_sentinel_image(flat_scene_reference):
 
 
 def test_negative_threshold_is_rejected():
-    with pytest.raises(ValueError, match="fast_threshold"):
-        BlockGridParams(fast_threshold=-0.1)
+    for threshold in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="fast_threshold"):
+            BlockGridParams(fast_threshold=threshold)
 
 
 def test_score_map_temporaries_stay_within_a_fixed_bound_per_pixel():

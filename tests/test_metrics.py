@@ -80,6 +80,12 @@ def test_no_pairs_rejected():
         misregistration([])
 
 
+@pytest.mark.parametrize("pixel_size", [0.0, -2.5, float("nan")])
+def test_bad_pixel_size_rejected(pixel_size):
+    with pytest.raises(ValueError, match="pixel_size"):
+        misregistration([_corr(0, 0, 1, 1)], pixel_size=pixel_size)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
                 min_size=1, max_size=20))

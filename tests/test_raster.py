@@ -262,15 +262,15 @@ def _replace_line(key, value):
     ("nodata", "abc", "could not convert string to float: 'abc'"),
     ("gt", "0.0,1.0,0.0,0.0,0.0", "needs 6 comma-separated terms"),
     ("gt", "0.0,1.0,0.0,0.0,0.0,y", "could not convert string to float: 'y'"),
-], ids=["width", "height", "nodata", "gt-terms", "gt-number"])
+    ("gt", "nan,1.0,0.0,0.0,0.0,1.0", "not a finite number: 'nan'"),
+], ids=["width", "height", "nodata", "gt-terms", "gt-number", "gt-finite"])
 def test_bad_header_value_raises_naming_the_file(tmp_path, key, value, named):
     from coreg.raster import RasterFormatError
 
     _edit_header(tmp_path, _replace_line(key, value))
-    path = tmp_path / "g.bin"
     with pytest.raises(RasterFormatError, match="^" + re.escape(
-            f"{path}: bad {key}= value: ") + named):
-        load_raster(path)
+            f"{tmp_path / 'g.hdr'}: bad {key}= value: ") + named):
+        load_raster(tmp_path / "g.bin")
 
 
 @pytest.mark.parametrize("key", ["width", "height"])
@@ -283,7 +283,7 @@ def test_bad_pgm_sidecar_size_raises_naming_the_file(tmp_path, key):
     hdr.write_text("".join(line + "\n" for line in _replace_line(key, "ten")(
         hdr.read_text().splitlines())))
     with pytest.raises(RasterFormatError, match="^" + re.escape(
-            f"{path}: bad {key}= value: ") + "invalid literal for int"):
+            f"{hdr}: bad {key}= value: ") + "invalid literal for int"):
         load_raster(path)
 
 

@@ -107,8 +107,9 @@ def test_too_few_correspondences_rejected():
 
 
 def test_bad_params_rejected():
-    with pytest.raises(ValueError):
-        RansacParams(inlier_tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            RansacParams(inlier_tol=tol)
 
 
 # -- selection ---------------------------------------------------------------

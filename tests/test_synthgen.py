@@ -39,6 +39,11 @@ def _poly2(num_x, num_y):
     dict(texture="speckles"),
     dict(radiometry="exp"),
     dict(speckle_var=-0.1),
+    dict(speckle_var=float("nan")),
+    dict(speckle_var=float("inf")),
+    dict(radiometry="gamma", gamma=-1.0),
+    dict(gamma=0.0),
+    dict(gamma=float("nan")),
 ])
 def test_bad_spec_rejected(kwargs):
     with pytest.raises(ValueError):
