@@ -8,6 +8,13 @@ strong nonlinear radiometric differences between sensors: it depends on
 gradients only, so additive offsets vanish and (after per-pixel
 normalization) global gain does too.
 
+A described region is smoothed from a crop grown by the descriptor's
+reach, and no pass smooths what is thrown away: the Gaussian runs down the
+columns of the whole crop, then along the rows of the kept rows only, and
+the orientation kernel runs over the kept pixels only, straight into the
+output planes. Every pass does the arithmetic of smoothing the whole crop,
+so the result is bitwise the same.
+
 Volumes keep the float precision of the image: float32 in, float32 out;
 anything else is described in float64.
 """
@@ -119,33 +126,57 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def smooth_3d(raw: np.ndarray, params: CfogParams) -> np.ndarray:
+def smooth_3d(raw: np.ndarray, params: CfogParams, keep=None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Separable spatial Gaussian (replicate borders) over (m, h, w) planes,
     followed by circular convolution along the orientation axis.
 
     Orientation is periodic over 180 degrees, so channel 0 and channel m-1
-    are neighbors; the wrap mode encodes that adjacency. The second pass
-    writes into ``raw``'s buffer, so ``raw`` is overwritten. The result
-    keeps the float dtype of ``raw``.
+    are neighbors: the orientation pass wraps around. ``keep``, a
+    (rows, cols) pair of slices, returns only that part of the planes
+    (default: all of them): the Gaussian runs down the columns (axis 1) of
+    every row, then along the rows (axis 2) of the kept rows only, and the
+    orientation pass covers the kept rows and columns only, so no pass
+    smooths what is thrown away. The axis-2 pass writes into ``raw``'s
+    buffer, so ``raw`` is overwritten. The result, written into ``out``
+    when given, keeps the float dtype of ``raw``.
     """
+    rows, cols = keep or (slice(None), slice(None))
     kernel = _gaussian_kernel(params.sigma_spatial)
-    out = np.empty(raw.shape, raw.dtype)
     convolve1d = scipy.ndimage.convolve1d
-    convolve1d(raw, kernel, axis=1, mode="nearest", output=out)
-    convolve1d(out, kernel, axis=2, mode="nearest", output=raw)
-    convolve1d(raw, np.asarray(_Z_KERNEL, dtype=np.float64),
-               axis=0, mode="wrap", output=out)
+    smoothed = np.empty(raw.shape, raw.dtype)
+    convolve1d(raw, kernel, axis=1, mode="nearest", output=smoothed)
+    convolve1d(smoothed[:, rows], kernel, axis=2, mode="nearest",
+               output=raw[:, rows])
+    s = raw[:, rows, cols]
+    if out is None:
+        out = np.empty(s.shape, raw.dtype)
+    # ndimage's arithmetic for a symmetric 3-tap kernel, one plane at a
+    # time: s[i] * w1 + (s[i-1] + s[i+1]) * w0 in float64, rounded once to
+    # the volume's dtype, so the planes equal convolve1d(mode="wrap") bitwise
+    w0, w1, _ = _Z_KERNEL
+    acc = np.empty(s.shape[1:])
+    centre = np.empty(s.shape[1:])
+    m = len(s)
+    for i in range(m):
+        np.add(s[i - 1], s[(i + 1) % m], out=acc, dtype=np.float64)
+        acc *= w0
+        acc += np.multiply(s[i], w1, out=centre, dtype=np.float64)
+        out[i] = acc
     return out
 
 
 def _normalize(planes: np.ndarray):
     """Divide (m, h, w) planes in place by their per-pixel L2 norm, which is
-    accumulated one plane at a time; zero vectors stay zero."""
+    accumulated one plane at a time. A pixel whose norm is not positive (a
+    zero vector, or one whose squares underflow) is divided by 1 instead,
+    so it stays as it is."""
     norms = planes[0] * planes[0]
     for plane in planes[1:]:
         norms += plane * plane
     np.sqrt(norms, out=norms)
-    np.divide(planes, norms, out=planes, where=norms > 0)
+    norms[~(norms > 0)] = 1.0
+    planes /= norms
 
 
 def build_cfog(image, params: CfogParams | None = None,
@@ -158,8 +189,9 @@ def build_cfog(image, params: CfogParams | None = None,
     image alone (default: all of it); ``out``, an (m, rows, cols) array of
     the image's float dtype, receives the planes in place of a new array.
     Rows are described in tiles of ``_TILE_ROWS``, each from a crop grown by
-    the descriptor's reach, so the temporaries stay tile-sized and every
-    tile equals the whole-image descriptor bitwise.
+    the descriptor's reach and smoothed over the kept pixels only (see
+    ``smooth_3d``), so the temporaries stay tile-sized and every tile equals
+    the whole-image descriptor bitwise.
     """
     if params is None:
         params = CfogParams()
@@ -180,9 +212,10 @@ def build_cfog(image, params: CfogParams | None = None,
         r1 = min(r0 + _TILE_ROWS, r_hi)
         top = max(r0 - reach, 0)
         gx, gy = gradient_xy(data[top:min(r1 + reach, h), left:right])
-        tile = smooth_3d(orientation_channels(gx, gy, params.m), params)
         planes = out[:, r0 - r_lo:r1 - r_lo]
-        planes[...] = tile[:, r0 - top:r1 - top, c_lo - left:c_hi - left]
+        smooth_3d(orientation_channels(gx, gy, params.m), params,
+                  keep=(slice(r0 - top, r1 - top),
+                        slice(c_lo - left, c_hi - left)), out=planes)
         if normalize:
             _normalize(planes)
     return DescriptorVolume(values=out)

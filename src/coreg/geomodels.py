@@ -523,7 +523,12 @@ class FittedModel:
             text, {"model": str, **MODEL_FIELDS, "warning": str}, sep=" ")
         if "norm" not in fields:
             raise ValueError("model text lacks 'norm' line")
-        return cls.from_fields(fields)
+        model = cls.from_fields(fields)
+        named = fields.get("model", model.spec.name)
+        if named != model.spec.name:
+            raise ValueError(f"model line names {named!r} but the fields "
+                             f"describe {model.spec.name!r}")
+        return model
 
 
 # ---------------------------------------------------------------------------

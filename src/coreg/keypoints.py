@@ -160,6 +160,16 @@ def _resolve_threshold(data: np.ndarray, threshold: float | None) -> float:
     return 0.02 * float(hi - lo)
 
 
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The k-th largest of ``values`` (their max when k is 1), or -inf when
+    there are fewer than k."""
+    if values.size < k:
+        return -np.inf
+    if k == 1:
+        return values.max()
+    return np.partition(values, values.size - k, axis=None)[values.size - k]
+
+
 def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
     """Evenly distributed interest points: top K corner scores per grid block.
 
@@ -195,19 +205,16 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
             top, left = max(r0, off), max(c0, off)
             sub = scores[top - off:max(r1 - off, 0),
                          left - off:max(c1 - off, 0)]
-            rs, cs = np.nonzero(sub > 0)
-            if rs.size == 0:
+            # only positive scores at or above the K-th largest can rank in
+            # the top K, ties included
+            kth = _kth_largest(sub, params.k_per_block)
+            keep = np.flatnonzero((sub >= kth) & (sub > 0))
+            if keep.size == 0:
                 continue
+            rs, cs = np.divmod(keep, sub.shape[1])
             vals = sub[rs, cs]
-            k = params.k_per_block
-            if vals.size > k:
-                # only scores at or above the K-th largest can rank in the
-                # top K, ties included
-                kth = np.partition(vals, vals.size - k)[vals.size - k]
-                keep = np.flatnonzero(vals >= kth)
-                rs, cs, vals = rs[keep], cs[keep], vals[keep]
             order = np.lexsort((cs, rs, -vals))
-            for idx in order[:k]:
+            for idx in order[:params.k_per_block]:
                 points.append(InterestPoint(col=int(left + cs[idx]),
                                             row=int(top + rs[idx]),
                                             score=float(vals[idx])))

@@ -10,10 +10,12 @@ tall over the search windows' column extent: when a window runs past the
 strip, the rows still needed move to its top and ``build_cfog`` writes the
 next rows straight into its planes in tiles of ``_STRIP_TILE``, so every
 sensed row is described once and every search volume is a view into the
-strip. Each template is described on its own. Every block is described from
-a crop grown by the descriptor's reach, with non-finite samples set to 0,
-so a window's descriptor equals the whole-image descriptor restricted to
-that window whatever the tiling.
+strip. Each refill is described only over the column extent of the
+windows that read its rows, not over every window's. Each template is
+described on its own. Every block is described from a crop grown by the
+descriptor's reach, with non-finite samples set to 0, so a window's
+descriptor equals the whole-image descriptor restricted to that window
+whatever the tiling.
 
 Each pair is correlated in one pass: the template volume is zero-padded
 into the search frame, both (m, h, w) volumes are 3D-FFT'd, and the
@@ -250,7 +252,8 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
     When a window runs past the strip, the rows it still needs move to the
     top and the rest of the strip is described, straight into its planes, in
     tiles of at most ``_STRIP_TILE`` rows, so every sensed row is described
-    once."""
+    once. A refill is described over the column extent of the windows that
+    read its rows only; no window reads the strip's other columns there."""
     c0 = min(win.col0 for win in wins)
     c1 = max(win.col0 + win.w for win in wins)
     end = max(win.row0 + win.h for win in wins)
@@ -264,10 +267,15 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
             strip[:, :keep] = strip[:, bottom - top - keep:bottom - top]
             top, bottom = win.row0, win.row0 + keep
             stop = min(top + rows, end)
+            # only the windows that read rows bottom:stop need their columns
+            meet = [w for w in wins if w.row0 < stop and w.row0 + w.h > bottom]
+            left = min(w.col0 for w in meet)
+            right = max(w.col0 + w.w for w in meet)
             while bottom < stop:
                 n = min(_STRIP_TILE, stop - bottom)
-                _describe(grid, Window(c0, bottom, c1 - c0, n), params,
-                          out=strip[:, bottom - top:bottom - top + n])
+                _describe(grid, Window(left, bottom, right - left, n), params,
+                          out=strip[:, bottom - top:bottom - top + n,
+                                    left - c0:right - c0])
                 bottom += n
         yield DescriptorVolume(values=strip[
             :, win.row0 - top:win.row0 - top + win.h,

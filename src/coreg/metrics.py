@@ -39,6 +39,11 @@ class MisregReport:
     count: int
 
 
+def _check_pixel_size(pixel_size: float):
+    if not pixel_size > 0:
+        raise ValueError(f"pixel_size must be > 0, got {pixel_size}")
+
+
 def misregistration(corrs: list, pixel_size: float = 1.0) -> MisregReport:
     """Shift statistics of matched pairs.
 
@@ -47,8 +52,7 @@ def misregistration(corrs: list, pixel_size: float = 1.0) -> MisregReport:
     """
     if not corrs:
         raise ValueError("no correspondences to measure")
-    if not pixel_size > 0:
-        raise ValueError(f"pixel_size must be > 0, got {pixel_size}")
+    _check_pixel_size(pixel_size)
     dx = np.array([(c.sensed_x - c.ref_x) / pixel_size for c in corrs])
     dy = np.array([(c.sensed_y - c.ref_y) / pixel_size for c in corrs])
     ds = np.hypot(dx, dy)
@@ -102,7 +106,9 @@ class CheckpointScore:
 def checkpoint_rmse(model: FittedModel, checkpoints,
                     pixel_size: float = 1.0) -> CheckpointScore:
     """Euclidean prediction residuals at held-out points: a list of
-    ControlPoint or a ControlPointArrays record."""
+    ControlPoint or a ControlPointArrays record, in units of
+    ``pixel_size`` (> 0)."""
+    _check_pixel_size(pixel_size)
     X, Y, u, v, Z = control_point_arrays(checkpoints, model.spec)
     if X.size == 0:
         raise ValueError("no checkpoints to evaluate")
@@ -218,8 +224,9 @@ def sweep(specs: list, corrs: list, n_checkpoints: int, cp_counts,
     Checkpoints are drawn once (stratified, seeded); the remainder is
     shuffled once and each count takes its prefix, so larger counts extend
     smaller ones. Per-cell fit failures are recorded as absent values, never
-    aborts.
+    aborts; a ``pixel_size`` that is not > 0 fails before any fit.
     """
+    _check_pixel_size(pixel_size)
     cp_counts = sorted({int(c) for c in cp_counts})
     if not cp_counts:
         raise ValueError("cp_counts is empty")

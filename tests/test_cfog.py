@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -213,3 +214,65 @@ def test_row_tiles_equal_the_untiled_descriptor(monkeypatch, tile_rows,
     tiled = build_cfog(img, normalize=normalize).values
     assert tiled.dtype == whole.dtype == np.float32
     assert np.array_equal(tiled, whole)
+
+
+def _three_pass_reference(img, params, region, normalize):
+    """The descriptor as three passes over the whole reach-grown crop:
+    convolve1d over rows, then columns, then orientations (wrap), then the
+    crop to ``region`` and the normalization."""
+    rows, cols = region
+    h, w = img.shape
+    r_lo, r_hi, _ = rows.indices(h)
+    c_lo, c_hi, _ = cols.indices(w)
+    reach = params.reach
+    top, left = max(r_lo - reach, 0), max(c_lo - reach, 0)
+    gx, gy = gradient_xy(img[top:min(r_hi + reach, h),
+                             left:min(c_hi + reach, w)])
+    vol = orientation_channels(gx, gy, params.m)
+    kernel = cfog._gaussian_kernel(params.sigma_spatial)
+    convolve1d = scipy.ndimage.convolve1d
+    vol = convolve1d(vol, kernel, axis=1, mode="nearest")
+    vol = convolve1d(vol, kernel, axis=2, mode="nearest")
+    vol = convolve1d(vol, np.asarray(cfog._Z_KERNEL), axis=0, mode="wrap")
+    vol = vol[:, r_lo - top:r_hi - top, c_lo - left:c_hi - left].copy()
+    if normalize:
+        norms = vol[0] * vol[0]
+        for plane in vol[1:]:
+            norms += plane * plane
+        np.sqrt(norms, out=norms)
+        np.divide(vol, norms, out=vol, where=norms > 0)
+    return vol
+
+
+@pytest.mark.parametrize("region", [
+    (slice(9, 37), slice(6, 29)),
+    (slice(0, 24), slice(10, 40)),
+], ids=["interior", "edges"])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_descriptor_equals_the_three_pass_reference_bitwise(region, normalize,
+                                                            dtype):
+    img = texture(48, 40, seed=31).astype(dtype)
+    # a flat patch gives zero vectors; in float32 the tiny step inside it
+    # gives vectors whose squares underflow
+    img[12:30, 10:22] = 0.0
+    img[25, 12] = 1e-39
+    params = CfogParams()
+    got = build_cfog(img, params, normalize=normalize, region=region).values
+    want = _three_pass_reference(img, params, region, normalize)
+    assert got.dtype == want.dtype == dtype
+    assert not want.any(axis=0).all()
+    assert ((want > 0) & (want < 1e-30)).any() == (
+        dtype == np.float32 or not normalize)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_smoothing_only_the_kept_part_equals_cropping_the_whole(dtype):
+    raw = np.random.default_rng(32).random((5, 17, 23)).astype(dtype)
+    keep = (slice(4, 13), slice(2, 20))
+    whole = smooth_3d(raw.copy(), CfogParams(m=5))
+    out = np.empty((5, 9, 18), dtype)
+    kept = smooth_3d(raw.copy(), CfogParams(m=5), keep=keep, out=out)
+    assert kept is out
+    assert kept.tobytes() == whole[(slice(None),) + keep].tobytes()

@@ -333,6 +333,17 @@ def test_fit_holds_out_only_with_the_checkpoints_flag(scene, tmp_path):
     assert (rep["cp_count"], rep["checkpoints"]) == (str(n - 8), "8")
 
 
+def test_fit_rejects_a_negative_pixel_size(scene, tmp_path, capsys):
+    _, run = scene
+    rc = main(["fit", "--corr", str(run / "correspondences.csv"),
+               "--model", "poly1", "--checkpoints", "3",
+               "--pixel-size", "-1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error kind=ValueError msg=pixel_size must be > 0, got -1.0\n")
+    assert not (tmp_path / "fit_report.txt").exists()
+
+
 def test_bad_cp_counts_fail_cleanly(scene, tmp_path, capsys):
     _, run = scene
     rc = main(["sweep", "--corr", str(run / "correspondences.csv"),

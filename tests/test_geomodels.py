@@ -525,6 +525,15 @@ def test_bad_model_text_names_the_key(edit, named):
     assert str(info.value) == named
 
 
+def test_model_line_must_name_the_fitted_model():
+    text = fit(model_spec_from_name("poly1"), _cps_2d(10, seed=15)).to_text()
+    assert text.startswith("model poly1\n")
+    with pytest.raises(ValueError) as info:
+        FittedModel.from_text(text.replace("model poly1\n", "model proj10\n"))
+    assert str(info.value) == ("model line names 'proj10' but the fields "
+                               "describe 'poly1'")
+
+
 def test_model_text_with_warning_and_comment_round_trips():
     model = fit(model_spec_from_name("rfm1_distinct"),
                 _cps_2d(40, seed=16, z=True))

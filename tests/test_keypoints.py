@@ -187,6 +187,31 @@ def test_partitioned_top_k_equals_the_full_lexsort(monkeypatch, k):
     assert len(expected) == 8 * k + 1
 
 
+@pytest.mark.parametrize("k, expected", [
+    (1, [(5, 1, 5.0), (2, 7, 2.0), (10, 10, 7.0)]),
+    (3, [(5, 1, 5.0), (1, 2, 5.0), (4, 2, 5.0),
+         (2, 7, 2.0), (3, 9, 0.5),
+         (10, 10, 7.0), (9, 6, 3.0), (7, 8, 3.0)]),
+])
+def test_block_selection_on_a_hand_built_score_map(monkeypatch, k, expected):
+    scores = np.zeros((12, 12))
+    # block (0, 0): three maxima tied, one lower score
+    scores[2, 4] = scores[1, 5] = scores[2, 1] = 5.0
+    scores[0, 0] = 1.0
+    # block (0, 1): nothing above zero
+    scores[2, 8], scores[4, 10] = -1.0, -2.0
+    # block (1, 0): two positive scores, fewer than K = 3
+    scores[9, 3], scores[7, 2], scores[8, 4] = 0.5, 2.0, -3.0
+    # block (1, 1): one maximum, then four scores tied for second place
+    scores[10, 10] = 7.0
+    scores[8, 11] = scores[8, 7] = scores[11, 6] = scores[6, 9] = 3.0
+    monkeypatch.setattr(keypoints, "fast_score_map",
+                        lambda data, threshold: scores.copy())
+    params = BlockGridParams(n_blocks=2, k_per_block=k, border=3)
+    pts = detect_block_fast(np.zeros(scores.shape), params)
+    assert [(p.col, p.row, p.score) for p in pts] == expected
+
+
 @pytest.mark.parametrize("strip_rows", [1, 7, 41])
 def test_score_map_is_the_same_for_every_strip_height(monkeypatch,
                                                        strip_rows):

@@ -122,6 +122,17 @@ def test_hand_rmse_from_two_residuals():
     assert score.n_excluded == 0
 
 
+@pytest.mark.parametrize("pixel_size", [0.0, -1.0, float("nan")])
+def test_checkpoint_rmse_rejects_a_bad_pixel_size(pixel_size):
+    cps = [ControlPoint(0, 0, 3, 0), ControlPoint(10, 10, 10, 14)]
+    with pytest.raises(ValueError) as info:
+        checkpoint_rmse(translation_warp(0.0, 0.0), cps, pixel_size)
+    with pytest.raises(ValueError) as misreg:
+        misregistration([_corr(0, 0, 1, 1)], pixel_size=pixel_size)
+    assert str(info.value) == str(misreg.value) == (
+        f"pixel_size must be > 0, got {pixel_size}")
+
+
 def test_exact_model_scores_zero():
     def quad(x, y):
         u, v = x / 500.0, y / 500.0
@@ -266,6 +277,13 @@ def test_sweep_rejects_impossible_counts():
     corrs = _grid_corrs(60, seed=9)
     with pytest.raises(ValueError):
         sweep([ModelSpec("polynomial", 1)], corrs, 30, [40], seed=0)
+
+
+def test_sweep_rejects_a_bad_pixel_size_instead_of_failing_every_cell():
+    corrs = _grid_corrs(80, seed=10, fn=_cubic_field, jitter=0.1)
+    with pytest.raises(ValueError, match="pixel_size must be > 0, got -1"):
+        sweep([ModelSpec("polynomial", 1)], corrs, 20, [25], seed=0,
+              pixel_size=-1)
 
 
 def test_sweep_of_height_models_needs_a_dem():
