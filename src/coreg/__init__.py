@@ -8,7 +8,7 @@ projective, and rational-function transformation models, and resamples the
 sensed image into registration.
 """
 
-from .cfog import CfogParams, DescriptorVolume, build_cfog
+from .cfog import DescriptorVolume, build_cfog
 from .geomodels import (ControlPoint, DegenerateFitError, FittedModel,
                         InsufficientControlPointsError, ModelSpec,
                         all_model_specs, attach_dem_heights, fit,
@@ -30,7 +30,6 @@ from .synthgen import NonInvertibleWarpError, SynthSpec, generate
 
 __all__ = [
     'BlockGridParams',
-    'CfogParams',
     'CheckpointScore',
     'ControlPoint',
     'Correspondence',

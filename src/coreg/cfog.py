@@ -1,12 +1,13 @@
 """Dense orientated-gradient descriptor volumes.
 
-Each pixel gets an m-vector of absolute directional gradient responses
+Each pixel gets a vector of M = 9 absolute directional gradient responses
 |cos(theta)*gx + sin(theta)*gy| for theta spread evenly over [0, 180),
-smoothed spatially by a small Gaussian and along the orientation axis by a
-circular 3-tap kernel. The result is a structural descriptor that survives
-strong nonlinear radiometric differences between sensors: it depends on
-gradients only, so additive offsets vanish and (after per-pixel
-normalization) global gain does too.
+smoothed spatially by a Gaussian of SIGMA = 0.8 px and along the orientation
+axis by the circular kernel (0.25, 0.5, 0.25), then divided by its L2 norm:
+the CFOG descriptor of Ye et al. (IEEE TGRS 2019), whose settings are fixed.
+The result is a structural descriptor that survives strong nonlinear
+radiometric differences between sensors: it depends on gradients only, so
+additive offsets vanish and, after the normalization, global gain does too.
 
 A described region is smoothed from a crop grown by the descriptor's
 reach, and no pass smooths what is thrown away: the Gaussian runs down the
@@ -27,36 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-# image rows per build_cfog tile, bounding its temporaries on large images
-_TILE_ROWS = 128
+# orientation channels over [0, 180)
+M = 9
+# Gaussian std, in pixels, of the spatial pooling
+SIGMA = 0.8
+_RADIUS = math.ceil(3.0 * SIGMA)
+# how far a pixel's descriptor sees: one pixel for the central difference
+# plus the Gaussian radius. A pixel at least this far from a crop's edge has
+# the same descriptor in the crop as in the whole image.
+REACH = 1 + _RADIUS
+_GAUSSIAN = np.exp(-np.arange(-_RADIUS, _RADIUS + 1.0) ** 2
+                   / (2.0 * SIGMA * SIGMA))
+_GAUSSIAN /= _GAUSSIAN.sum()
 # weights convolved circularly along the orientation axis
 _Z_KERNEL = (0.25, 0.5, 0.25)
-
-
-@dataclass(frozen=True)
-class CfogParams:
-    """Descriptor configuration.
-
-    m: orientation channel count over [0, 180).
-    sigma_spatial: Gaussian std in pixels for spatial pooling.
-    """
-
-    m: int = 9
-    sigma_spatial: float = 0.8
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least 2 orientation channels, got {self.m}")
-        if not self.sigma_spatial > 0:
-            raise ValueError(f"sigma_spatial must be > 0, got {self.sigma_spatial}")
-
-    @property
-    def reach(self) -> int:
-        """How far a pixel's descriptor sees: one pixel for the central
-        difference plus the Gaussian radius. A pixel at least this far from
-        a crop's edge has the same descriptor in the crop as in the whole
-        image."""
-        return 1 + _gaussian_radius(self.sigma_spatial)
 
 
 @dataclass
@@ -97,36 +82,24 @@ def gradient_xy(image) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def orientation_channels(gx: np.ndarray, gy: np.ndarray, m: int) -> np.ndarray:
-    """Absolute directional gradient responses for m angles i*180/m degrees.
+def orientation_channels(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Absolute directional gradient responses for the M angles i*180/M
+    degrees.
 
     The absolute value folds opposite gradient directions together, which is
     what makes the descriptor insensitive to contrast inversions between
-    modalities. Returns (m, h, w) planes.
+    modalities. Returns (M, h, w) planes.
     """
     if gx.shape != gy.shape:
         raise ValueError(f"gradient shapes differ: {gx.shape} vs {gy.shape}")
-    if m < 2:
-        raise ValueError(f"need at least 2 orientation channels, got {m}")
-    thetas = np.arange(m) * (math.pi / m)
-    vol = np.empty((m,) + gx.shape, dtype=np.result_type(gx, gy))
-    for i, th in enumerate(thetas):
+    vol = np.empty((M,) + gx.shape, dtype=np.result_type(gx, gy))
+    for i in range(M):
+        th = i * (math.pi / M)
         np.abs(math.cos(th) * gx + math.sin(th) * gy, out=vol[i])
     return vol
 
 
-def _gaussian_radius(sigma: float) -> int:
-    return math.ceil(3.0 * sigma)
-
-
-def _gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = _gaussian_radius(sigma)
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
-def smooth_3d(raw: np.ndarray, params: CfogParams, keep=None,
+def smooth_3d(raw: np.ndarray, keep=None,
               out: np.ndarray | None = None) -> np.ndarray:
     """Separable spatial Gaussian (replicate borders) over (m, h, w) planes,
     followed by circular convolution along the orientation axis.
@@ -142,11 +115,10 @@ def smooth_3d(raw: np.ndarray, params: CfogParams, keep=None,
     when given, keeps the float dtype of ``raw``.
     """
     rows, cols = keep or (slice(None), slice(None))
-    kernel = _gaussian_kernel(params.sigma_spatial)
     convolve1d = scipy.ndimage.convolve1d
     smoothed = np.empty(raw.shape, raw.dtype)
-    convolve1d(raw, kernel, axis=1, mode="nearest", output=smoothed)
-    convolve1d(smoothed[:, rows], kernel, axis=2, mode="nearest",
+    convolve1d(raw, _GAUSSIAN, axis=1, mode="nearest", output=smoothed)
+    convolve1d(smoothed[:, rows], _GAUSSIAN, axis=2, mode="nearest",
                output=raw[:, rows])
     s = raw[:, rows, cols]
     if out is None:
@@ -179,43 +151,35 @@ def _normalize(planes: np.ndarray):
     planes /= norms
 
 
-def build_cfog(image, params: CfogParams | None = None,
-               normalize: bool = True, *, region=None,
+def build_cfog(image, *, region=None,
                out: np.ndarray | None = None) -> DescriptorVolume:
-    """Full descriptor pipeline: gradients, orientation channels, smoothing,
-    optional per-pixel L2 normalization (zero vectors stay zero).
+    """Full descriptor pipeline: gradients, orientation channels, smoothing
+    and per-pixel L2 normalization (zero vectors stay zero).
 
     ``region``, a (rows, cols) pair of slices, describes that part of the
-    image alone (default: all of it); ``out``, an (m, rows, cols) array of
-    the image's float dtype, receives the planes in place of a new array.
-    Rows are described in tiles of ``_TILE_ROWS``, each from a crop grown by
-    the descriptor's reach and smoothed over the kept pixels only (see
-    ``smooth_3d``), so the temporaries stay tile-sized and every tile equals
-    the whole-image descriptor bitwise.
+    image alone (default: all of it), smoothed over the kept pixels only
+    (see ``smooth_3d``); ``out``, an (M, rows, cols) array of the image's
+    float dtype, receives the planes in place of a new array. The image is
+    described in one pass, so the caller bounds the temporaries by the crop
+    it passes. A region's descriptor depends on the pixels within REACH of
+    it alone, so it equals the whole-image descriptor there bitwise.
     """
-    if params is None:
-        params = CfogParams()
     data = _as_float(image)
     h, w = data.shape
     rows, cols = region or (slice(None), slice(None))
     r_lo, r_hi, _ = rows.indices(h)
     c_lo, c_hi, _ = cols.indices(w)
-    shape = (params.m, r_hi - r_lo, c_hi - c_lo)
+    shape = (M, r_hi - r_lo, c_hi - c_lo)
     if out is None:
         out = np.empty(shape, dtype=data.dtype)
     elif out.shape != shape or out.dtype != data.dtype:
         raise ValueError(f"out must be a {shape} {data.dtype} array, got "
                          f"{out.shape} {out.dtype}")
-    reach = params.reach
-    left, right = max(c_lo - reach, 0), min(c_hi + reach, w)
-    for r0 in range(r_lo, r_hi, _TILE_ROWS):
-        r1 = min(r0 + _TILE_ROWS, r_hi)
-        top = max(r0 - reach, 0)
-        gx, gy = gradient_xy(data[top:min(r1 + reach, h), left:right])
-        planes = out[:, r0 - r_lo:r1 - r_lo]
-        smooth_3d(orientation_channels(gx, gy, params.m), params,
-                  keep=(slice(r0 - top, r1 - top),
-                        slice(c_lo - left, c_hi - left)), out=planes)
-        if normalize:
-            _normalize(planes)
+    top, left = max(r_lo - REACH, 0), max(c_lo - REACH, 0)
+    gx, gy = gradient_xy(data[top:min(r_hi + REACH, h),
+                              left:min(c_hi + REACH, w)])
+    smooth_3d(orientation_channels(gx, gy),
+              keep=(slice(r_lo - top, r_hi - top),
+                    slice(c_lo - left, c_hi - left)), out=out)
+    _normalize(out)
     return DescriptorVolume(values=out)

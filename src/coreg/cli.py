@@ -26,7 +26,8 @@ from .matcher import (correspondences_from_csv, correspondences_to_csv,
 from .metrics import (checkpoint_rmse, holdout, misreg_to_csv,
                       misregistration, sweep, sweep_to_csv, to_control_points)
 from .keypoints import detect_block_fast
-from .raster import RasterError, load_raster, save_raster, warp
+from .raster import (RasterError, load_raster, read_raster_header,
+                     save_raster, warp)
 from .robustfit import RansacDegeneracyError, ransac_filter, select_top_k
 from .synthgen import (NonInvertibleWarpError, generate, spec_from_manifest,
                        spec_to_manifest)
@@ -223,7 +224,8 @@ def run_sweep(args) -> int:
 
 def run_register(args) -> int:
     cfg = _base_config(args)
-    ref = load_raster(args.ref)
+    # the reference grid is the output grid: its samples are never read
+    ref = read_raster_header(args.ref)
     sensed = load_raster(args.sensed)
     corrs = _parse_file(args.corr, correspondences_from_csv)
     spec = model_spec_from_name(args.model)

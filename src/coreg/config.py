@@ -57,9 +57,11 @@ class PipelineConfig:
                 for name in self.models.split(",") if name.strip()]
 
     def validate(self) -> "PipelineConfig":
-        """Re-run the cross-field checks of the underlying stage parameters."""
-        self.block_params()
+        """Re-run the cross-field checks of the underlying stage parameters;
+        the match parameters come first, as the block border derives from
+        template_size."""
         self.match_params()
+        self.block_params()
         self.ransac_params()
         self.model_specs()
         if self.top_k < 1:

@@ -15,7 +15,8 @@ windows that read its rows, not over every window's. Each template is
 described on its own. Every block is described from a crop grown by the
 descriptor's reach, with non-finite samples set to 0, so a window's
 descriptor equals the whole-image descriptor restricted to that window
-whatever the tiling.
+whatever the tiling. ``build_cfog`` describes each block in one pass, so the
+strip is the one tiling that bounds the descriptor's memory.
 
 Each pair is correlated in one pass: the template volume is zero-padded
 into the search frame, both (m, h, w) volumes are 3D-FFT'd, and the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .cfog import CfogParams, DescriptorVolume, build_cfog
+from .cfog import M, REACH, DescriptorVolume, build_cfog
 from .keypoints import InterestPoint
 from .raster import CrsMismatchError, RasterGrid, Window, finite_float
 
@@ -45,8 +46,6 @@ SPECTRUM_GUARD = 1e-12
 # sensed rows described per tile of the rolling strip, which holds one
 # search window plus one tile
 _STRIP_TILE = 64
-# the descriptor of every cfog window, built normalized
-_CFOG = CfogParams()
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,9 @@ class MatchParams:
     descriptor: str = "cfog"
 
     def __post_init__(self):
+        if self.template_size <= 0:
+            raise ValueError(
+                f"template_size must be > 0, got {self.template_size}")
         if self.search_size <= self.template_size:
             raise ValueError(
                 f"search_size ({self.search_size}) must exceed template_size "
@@ -227,15 +229,14 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
     planes when given: built from the window grown by the descriptor's
     reach and clipped to the grid, with non-finite samples set to 0, so it
     equals the whole-image descriptor of the zero-filled grid there."""
-    reach = _CFOG.reach
-    r0, c0 = max(win.row0 - reach, 0), max(win.col0 - reach, 0)
-    data = grid.data[r0:min(win.row0 + win.h + reach, grid.height),
-                     c0:min(win.col0 + win.w + reach, grid.width)].copy()
+    r0, c0 = max(win.row0 - REACH, 0), max(win.col0 - REACH, 0)
+    data = grid.data[r0:min(win.row0 + win.h + REACH, grid.height),
+                     c0:min(win.col0 + win.w + REACH, grid.width)].copy()
     data[~np.isfinite(data)] = 0.0
     region = (slice(win.row0 - r0, win.row0 - r0 + win.h),
               slice(win.col0 - c0, win.col0 - c0 + win.w))
     if params.descriptor == "cfog":
-        return build_cfog(data, _CFOG, region=region, out=out)
+        return build_cfog(data, region=region, out=out)
     if out is None:
         return DescriptorVolume(values=data[region][None])
     out[0] = data[region]
@@ -257,7 +258,7 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
     c0 = min(win.col0 for win in wins)
     c1 = max(win.col0 + win.w for win in wins)
     end = max(win.row0 + win.h for win in wins)
-    m = 1 if params.descriptor == "raw" else _CFOG.m
+    m = 1 if params.descriptor == "raw" else M
     rows = min(params.search_size + _STRIP_TILE, end - wins[0].row0)
     strip = np.empty((m, rows, c1 - c0), dtype=np.float32)
     top = bottom = 0  # strip[:, :bottom - top] holds sensed rows top:bottom
@@ -371,7 +372,7 @@ def correspondences_from_csv(text: str) -> list:
     corrs = []
     for lineno, line in lines[1:]:
         parts = line.split(",")
-        if len(parts) < 9:
+        if len(parts) != 9:
             raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
         vals = []
         for column, part in zip(CSV_HEADER.split(","), parts):

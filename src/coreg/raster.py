@@ -9,7 +9,8 @@ Two self-contained file formats are supported:
 * Format B (``.pgm`` + ``.hdr``): binary 16-bit PGM (``P5``, maxval 65535,
   big-endian samples) with the same sidecar for georeferencing.
 
-Both round-trip bit-exactly. Grids store samples as float32; pixel indices
+Both round-trip bit-exactly, and either's header can be read and checked
+without its samples (``read_raster_header``). Grids store samples as float32; pixel indices
 follow the point convention (integer ``(col, row)`` is the sample location,
 and the geotransform origin is the map position of sample ``(0, 0)``).
 """
@@ -247,20 +248,6 @@ def _read_header(path: Path) -> dict:
         raise RasterFormatError(f"{path}: {exc}") from None
 
 
-def _grid_from_file(data: np.ndarray, entries: dict, path: Path) -> RasterGrid:
-    """The grid of ``data``, a float32 array just read from ``path``, which
-    the grid keeps. The grid gets its sentinel after construction, so the
-    frame is compared with it once, here, and masked in place."""
-    if "gt" not in entries:
-        raise RasterFormatError(f"{path}: header lacks gt=")
-    grid = RasterGrid(data, entries["gt"], crs_tag=entries.get("crs", ""))
-    nodata = grid.nodata = entries.get("nodata")
-    if nodata is not None:
-        np.copyto(grid.data, np.float32(np.nan),
-                  where=grid.data == np.float32(nodata))
-    return grid
-
-
 def _saved_rows(grid: RasterGrid):
     """Yield the grid's samples in chunks of whole rows of about
     _SAVE_CHUNK_PIXELS, with NaN written as a numeric ``nodata`` sentinel."""
@@ -319,7 +306,23 @@ def save_raster(grid: RasterGrid, path) -> None:
                                 f"{suffix!r} (expected .bin or .pgm)")
 
 
-def _load_bin(path: Path) -> RasterGrid:
+@dataclass(frozen=True)
+class RasterHeader:
+    """What a raster file says of its grid, read without its samples: the
+    size and georeferencing (as on RasterGrid), and the numpy type and byte
+    offset of the samples in the payload file."""
+
+    width: int
+    height: int
+    geotransform: GeoTransform
+    crs_tag: str
+    nodata: float | None
+    sample_type: str
+    offset: int
+
+
+def _bin_header(path: Path):
+    """A Format A file's sidecar entries, size, sample type and offset."""
     entries = _read_header(path.with_suffix(".hdr"))
     for key in ("width", "height", "dtype"):
         if key not in entries:
@@ -335,9 +338,7 @@ def _load_bin(path: Path) -> RasterGrid:
     if size != expected:
         raise RasterFormatError(
             f"{path}: payload is {size} bytes, header implies {expected}")
-    # read straight into the one array the grid keeps
-    data = np.fromfile(path, dtype="<f4", count=width * height)
-    return _grid_from_file(data.reshape(height, width), entries, path)
+    return entries, width, height, "<f4", 0
 
 
 def _tokenize_pgm(f, path: Path):
@@ -361,8 +362,9 @@ def _tokenize_pgm(f, path: Path):
         yield token, f.tell() - len(c)
 
 
-def _load_pgm(path: Path) -> RasterGrid:
-    # the header is read a byte at a time, and the payload once, below
+def _pgm_header(path: Path):
+    """A Format B file's sidecar entries, size, sample type and offset; the
+    header is read a byte at a time."""
     with open(path, "rb") as f:
         tokens = _tokenize_pgm(f, path)
         magic, _ = next(tokens)
@@ -389,24 +391,46 @@ def _load_pgm(path: Path) -> RasterGrid:
         if entries.get(key, size) != size:
             raise RasterFormatError(
                 f"{path}: sidecar {key} disagrees with pgm header")
-    # the big-endian samples are freed before nodata is masked
-    data = np.fromfile(path, dtype=">u2", count=width * height,
-                       offset=end + 1).astype(np.float32)
-    return _grid_from_file(data.reshape(height, width), entries, path)
+    return entries, width, height, ">u2", end + 1
 
 
-def load_raster(path) -> RasterGrid:
-    """Load a grid from a Format A (``.bin``) or Format B (``.pgm``) file."""
+def read_raster_header(path) -> RasterHeader:
+    """The header of a Format A (``.bin``) or Format B (``.pgm``) file,
+    checked as ``load_raster`` checks it (the keys, the sample type, and the
+    payload size against the file's size), without reading the samples."""
     path = Path(path)
     if not path.exists():
         raise RasterFormatError(f"no such raster file: {path}")
     suffix = path.suffix.lower()
-    if suffix == ".bin":
-        return _load_bin(path)
-    if suffix == ".pgm":
-        return _load_pgm(path)
-    raise RasterFormatError(f"{path}: unsupported raster extension {suffix!r} "
-                            "(expected .bin or .pgm)")
+    if suffix not in (".bin", ".pgm"):
+        raise RasterFormatError(f"{path}: unsupported raster extension "
+                                f"{suffix!r} (expected .bin or .pgm)")
+    entries, width, height, sample_type, offset = (
+        _bin_header if suffix == ".bin" else _pgm_header)(path)
+    if "gt" not in entries:
+        raise RasterFormatError(f"{path}: header lacks gt=")
+    return RasterHeader(width, height, entries["gt"], entries.get("crs", ""),
+                        entries.get("nodata"), sample_type, offset)
+
+
+def load_raster(path) -> RasterGrid:
+    """Load a grid from a Format A (``.bin``) or Format B (``.pgm``) file.
+
+    The samples are read once, into the array the grid keeps (a Format B
+    file's big-endian samples are freed once converted); the grid gets its
+    sentinel after construction, so the frame is compared with it once,
+    here, and masked in place."""
+    header = read_raster_header(path)
+    data = np.fromfile(path, dtype=header.sample_type,
+                       count=header.width * header.height,
+                       offset=header.offset).astype(np.float32, copy=False)
+    grid = RasterGrid(data.reshape(header.height, header.width),
+                      header.geotransform, crs_tag=header.crs_tag)
+    nodata = grid.nodata = header.nodata
+    if nodata is not None:
+        np.copyto(grid.data, np.float32(np.nan),
+                  where=grid.data == np.float32(nodata))
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from coreg.cfog import CfogParams, build_cfog
+from coreg.cfog import build_cfog
 from coreg.cli import main
 from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
                              all_model_specs, fit, min_cp_count, poly_basis_3d)
@@ -38,8 +38,7 @@ EXPECTED_MIN_CP = {
 
 def test_criterion_1_exact_shift_recovery_and_speed():
     ref = generate(SynthSpec(size=128, seed=17))[0].data.astype(np.float64)
-    params = CfogParams()
-    base = build_cfog(ref, params)
+    base = build_cfog(ref)
 
     rng = np.random.default_rng(99)
     errors = 0
@@ -48,7 +47,7 @@ def test_criterion_1_exact_shift_recovery_and_speed():
         dx = int(rng.integers(-40, 41))
         dy = int(rng.integers(-40, 41))
         rolled = np.roll(np.roll(ref, dy, axis=0), dx, axis=1)
-        vol = build_cfog(rolled, params)
+        vol = build_cfog(rolled)
         t0 = time.perf_counter()
         x0, y0, _ = phase_correlate_3d(base, vol)
         times.append(time.perf_counter() - t0)

@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from coreg import cfog
 from coreg.cfog import (
-    CfogParams,
+    M,
+    REACH,
+    SIGMA,
     DescriptorVolume,
     build_cfog,
     gradient_xy,
@@ -45,19 +47,12 @@ def test_volume_keeps_a_float32_array_without_copying():
 def test_every_stage_keeps_channel_major_planes():
     img = texture(21, 13, seed=30)
     gx, gy = gradient_xy(img)
-    raw = orientation_channels(gx, gy, m=5)
-    assert raw.shape == (5,) + img.shape
-    assert smooth_3d(raw, CfogParams(m=5)).shape == (5,) + img.shape
-    assert build_cfog(img).values.shape == (9,) + img.shape
+    raw = orientation_channels(gx, gy)
+    assert M == 9 and raw.shape == (M,) + img.shape
+    assert smooth_3d(raw).shape == (M,) + img.shape
+    assert build_cfog(img).values.shape == (M,) + img.shape
     region = (slice(3, 20), slice(2, 9))
-    assert build_cfog(img, region=region).values.shape == (9, 17, 7)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(m=1), dict(sigma_spatial=0.0), dict(sigma_spatial=float("nan"))])
-def test_bad_params_rejected(kwargs):
-    with pytest.raises(ValueError):
-        CfogParams(**kwargs)
+    assert build_cfog(img, region=region).values.shape == (M, 17, 7)
 
 
 def test_gradient_rejects_tiny_images():
@@ -77,28 +72,34 @@ def test_gradient_transpose_symmetry(img):
 def test_diagonal_gradient_projects_to_sqrt2():
     gx = np.ones((5, 5))
     gy = np.ones((5, 5))
-    channels = orientation_channels(gx, gy, m=4)
-    # m=4 puts a channel exactly at 45 degrees
-    assert np.allclose(channels[1], math.sqrt(2.0))
+    channels = orientation_channels(gx, gy)
+    # channel i responds |cos(t) + sin(t)| = sqrt(2) |cos(t - 45 deg)| at
+    # t = i * 20 degrees
+    for i in range(M):
+        t = i * math.pi / M
+        assert np.allclose(channels[i],
+                           math.sqrt(2.0) * abs(math.cos(t - math.pi / 4)))
 
 
 def test_impulse_smoothing_matches_separable_oracle():
-    params = CfogParams(m=4)
-    raw = np.zeros((4, 9, 9))
-    raw[2, 4, 4] = 1.0
-    out = smooth_3d(raw, params)
+    # an impulse in the last channel spreads circularly into channel 0
+    raw = np.zeros((M, 9, 9))
+    raw[M - 1, 4, 4] = 1.0
+    out = smooth_3d(raw)
 
-    radius = math.ceil(3 * params.sigma_spatial)
+    radius = math.ceil(3 * SIGMA)
+    assert REACH == radius + 1 == 4
     i = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(i ** 2) / (2 * params.sigma_spatial ** 2))
+    g = np.exp(-(i ** 2) / (2 * SIGMA ** 2))
     g /= g.sum()
     zk = np.asarray(cfog._Z_KERNEL)
     expected = np.zeros_like(raw)
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             for dz, wz in ((-1, zk[0]), (0, zk[1]), (1, zk[2])):
-                expected[(2 + dz) % 4, 4 + dy, 4 + dx] = (
+                expected[(M - 1 + dz) % M, 4 + dy, 4 + dx] = (
                     g[dy + radius] * g[dx + radius] * wz)
+    assert expected[0].any() and not expected[1:M - 2].any()
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -107,7 +108,7 @@ def test_smoothing_preserves_total_mass_on_padded_volume():
     raw = np.zeros((9, 16, 16))
     raw[:, 5:11, 5:11] = rng.random((9, 6, 6))
     mass = raw.sum()  # smooth_3d overwrites raw
-    out = smooth_3d(raw, CfogParams())
+    out = smooth_3d(raw)
     assert np.isclose(out.sum(), mass, rtol=1e-6)
 
 
@@ -122,12 +123,16 @@ def test_gamma_remap_keeps_descriptor_direction():
     assert float(np.mean(cos)) > 0.9
 
 
+def _unnormalized(img):
+    """The whole image's volume before the per-pixel normalization."""
+    return smooth_3d(orientation_channels(*gradient_xy(img)))
+
+
 @settings(max_examples=20, deadline=None)
-@given(arrays(np.float64, (12, 12), elements=st.floats(0, 1)),
-       st.booleans())
-def test_descriptor_is_nonnegative(img, normalize):
-    vol = build_cfog(img, normalize=normalize)
-    assert np.all(vol.values >= 0)
+@given(arrays(np.float64, (12, 12), elements=st.floats(0, 1)))
+def test_descriptor_is_nonnegative(img):
+    assert np.all(_unnormalized(img) >= 0)
+    assert np.all(build_cfog(img).values >= 0)
 
 
 def test_additive_offset_invariance():
@@ -139,25 +144,25 @@ def test_additive_offset_invariance():
 
 def test_global_scaling_behaviour():
     img = texture(48, seed=24).astype(np.float64)
-    raw_a = build_cfog(img, normalize=False).values
-    raw_b = build_cfog(3.0 * img, normalize=False).values
+    raw_a = _unnormalized(img)
+    raw_b = _unnormalized(3.0 * img)
     assert np.allclose(raw_b, 3.0 * raw_a, rtol=1e-9)
 
-    norm_a = build_cfog(img, normalize=True).values
-    norm_b = build_cfog(3.0 * img, normalize=True).values
+    norm_a = build_cfog(img).values
+    norm_b = build_cfog(3.0 * img).values
     assert np.allclose(norm_a, norm_b, atol=1e-9)
 
 
 def test_channel_rotation_commutes_with_smoothing():
     rng = np.random.default_rng(25)
     raw = rng.random((9, 10, 10))
-    params = CfogParams()
-    a = smooth_3d(np.roll(raw, 1, axis=0), params)
-    b = np.roll(smooth_3d(raw, params), 1, axis=0)
+    a = smooth_3d(np.roll(raw, 1, axis=0))
+    b = np.roll(smooth_3d(raw), 1, axis=0)
     assert np.allclose(a, b, atol=1e-12)
 
 
-def _oracle_cfog(img, m, sigma, z_kernel, normalize):
+def _oracle_cfog(img, normalize, m=9, sigma=0.8,
+                 z_kernel=(0.25, 0.5, 0.25)):
     img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     pad = np.pad(img, 1, mode="edge")
@@ -196,45 +201,40 @@ def _oracle_cfog(img, m, sigma, z_kernel, normalize):
 @pytest.mark.parametrize("normalize", [False, True])
 def test_matches_brute_force_oracle(normalize):
     img = texture(16, seed=26).astype(np.float64)
-    params = CfogParams()
-    got = build_cfog(img, params, normalize=normalize).values
-    want = _oracle_cfog(img, params.m, params.sigma_spatial,
-                        cfog._Z_KERNEL, normalize)
-    assert np.allclose(got, want, atol=1e-9)
+    want = _oracle_cfog(img, normalize)
+    # the float64 oracle against each volume precision
+    for dtype, atol in ((np.float64, 1e-9), (np.float32, 1e-6)):
+        data = img.astype(dtype)
+        got = build_cfog(data).values if normalize else _unnormalized(data)
+        assert got.dtype == dtype
+        assert np.allclose(got, want, atol=atol)
 
 
-@pytest.mark.parametrize("tile_rows", [1, 7])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_row_tiles_equal_the_untiled_descriptor(monkeypatch, tile_rows,
-                                                normalize):
-    img = texture(45, 30, seed=29)
-    monkeypatch.setattr(cfog, "_TILE_ROWS", 10 ** 6)
-    whole = build_cfog(img, normalize=normalize).values
-    monkeypatch.setattr(cfog, "_TILE_ROWS", tile_rows)
-    tiled = build_cfog(img, normalize=normalize).values
-    assert tiled.dtype == whole.dtype == np.float32
-    assert np.array_equal(tiled, whole)
-
-
-def _three_pass_reference(img, params, region, normalize):
-    """The descriptor as three passes over the whole reach-grown crop:
-    convolve1d over rows, then columns, then orientations (wrap), then the
-    crop to ``region`` and the normalization."""
+def _grown_crop(img, region):
+    """The part of ``img`` a region's descriptor sees, and where the
+    region sits in it."""
     rows, cols = region
     h, w = img.shape
     r_lo, r_hi, _ = rows.indices(h)
     c_lo, c_hi, _ = cols.indices(w)
-    reach = params.reach
-    top, left = max(r_lo - reach, 0), max(c_lo - reach, 0)
-    gx, gy = gradient_xy(img[top:min(r_hi + reach, h),
-                             left:min(c_hi + reach, w)])
-    vol = orientation_channels(gx, gy, params.m)
-    kernel = cfog._gaussian_kernel(params.sigma_spatial)
+    top, left = max(r_lo - REACH, 0), max(c_lo - REACH, 0)
+    crop = img[top:min(r_hi + REACH, h), left:min(c_hi + REACH, w)]
+    return crop, (slice(r_lo - top, r_hi - top),
+                  slice(c_lo - left, c_hi - left))
+
+
+def _three_pass_reference(img, region, normalize):
+    """The descriptor as three passes over the whole reach-grown crop:
+    convolve1d over rows, then columns, then orientations (wrap), then the
+    crop to ``region`` and the normalization."""
+    crop, (rows, cols) = _grown_crop(img, region)
+    vol = orientation_channels(*gradient_xy(crop))
+    kernel = cfog._GAUSSIAN
     convolve1d = scipy.ndimage.convolve1d
     vol = convolve1d(vol, kernel, axis=1, mode="nearest")
     vol = convolve1d(vol, kernel, axis=2, mode="nearest")
     vol = convolve1d(vol, np.asarray(cfog._Z_KERNEL), axis=0, mode="wrap")
-    vol = vol[:, r_lo - top:r_hi - top, c_lo - left:c_hi - left].copy()
+    vol = vol[:, rows, cols].copy()
     if normalize:
         norms = vol[0] * vol[0]
         for plane in vol[1:]:
@@ -257,9 +257,12 @@ def test_descriptor_equals_the_three_pass_reference_bitwise(region, normalize,
     # gives vectors whose squares underflow
     img[12:30, 10:22] = 0.0
     img[25, 12] = 1e-39
-    params = CfogParams()
-    got = build_cfog(img, params, normalize=normalize, region=region).values
-    want = _three_pass_reference(img, params, region, normalize)
+    if normalize:
+        got = build_cfog(img, region=region).values
+    else:
+        crop, keep = _grown_crop(img, region)
+        got = smooth_3d(orientation_channels(*gradient_xy(crop)), keep=keep)
+    want = _three_pass_reference(img, region, normalize)
     assert got.dtype == want.dtype == dtype
     assert not want.any(axis=0).all()
     assert ((want > 0) & (want < 1e-30)).any() == (
@@ -269,10 +272,10 @@ def test_descriptor_equals_the_three_pass_reference_bitwise(region, normalize,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_smoothing_only_the_kept_part_equals_cropping_the_whole(dtype):
-    raw = np.random.default_rng(32).random((5, 17, 23)).astype(dtype)
+    raw = np.random.default_rng(32).random((M, 17, 23)).astype(dtype)
     keep = (slice(4, 13), slice(2, 20))
-    whole = smooth_3d(raw.copy(), CfogParams(m=5))
-    out = np.empty((5, 9, 18), dtype)
-    kept = smooth_3d(raw.copy(), CfogParams(m=5), keep=keep, out=out)
+    whole = smooth_3d(raw.copy())
+    out = np.empty((M, 9, 18), dtype)
+    kept = smooth_3d(raw.copy(), keep=keep, out=out)
     assert kept is out
     assert kept.tobytes() == whole[(slice(None),) + keep].tobytes()

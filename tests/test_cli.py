@@ -1,8 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coreg.cli
 from coreg.cli import main
 from coreg.config import PipelineConfig
 from coreg.geomodels import model_spec_from_name
@@ -145,6 +147,49 @@ def test_register_identity_scores_zero(scene, tmp_path):
     registered = load_raster(tmp_path / "registered.bin")
     ref = load_raster(root / "ref.bin")
     assert registered.data.shape == ref.data.shape
+
+
+def test_register_reads_only_the_reference_header(scene, tmp_path, capsys,
+                                                  monkeypatch):
+    """The reference sets the output grid alone: its samples are not loaded,
+    garbage samples of the right size give the same outputs, and a short
+    payload still fails."""
+    root, run = scene
+    loaded = []
+
+    def spy(path):
+        loaded.append(Path(path))
+        return load_raster(path)
+
+    monkeypatch.setattr(coreg.cli, "load_raster", spy)
+    garbage = tmp_path / "garbage"
+    garbage.mkdir()
+    size = (root / "ref.bin").stat().st_size
+    (garbage / "ref.bin").write_bytes(b"\xff\x7f\x00\x01" * (size // 4))
+    (garbage / "ref.hdr").write_text((root / "ref.hdr").read_text())
+
+    def register(ref, out):
+        return main(["register", "--ref", str(ref),
+                     "--sensed", str(root / "sen.bin"),
+                     "--corr", str(run / "correspondences.csv"),
+                     "--model", "poly1", "--checkpoints", "10",
+                     "--out-dir", str(out)])
+
+    assert register(root / "ref.bin", tmp_path / "a") == 0
+    assert register(garbage / "ref.bin", tmp_path / "b") == 0
+    assert loaded == [root / "sen.bin"] * 2
+    for name in ("registered.bin", "registered.hdr", "poly1.model",
+                 "register_report.txt"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+    (garbage / "ref.bin").write_bytes(bytes(size - 4))
+    capsys.readouterr()
+    assert register(garbage / "ref.bin", tmp_path / "c") == 1
+    assert capsys.readouterr().err == (
+        f"error kind=RasterFormatError msg={garbage / 'ref.bin'}: payload is "
+        f"{size - 4} bytes, header implies {size}\n")
+    assert not (tmp_path / "c" / "registered.bin").exists()
 
 
 def test_fit_report_round_trips_model(scene, tmp_path):
@@ -369,6 +414,8 @@ def test_bad_config_value_names_the_key_and_the_file(tmp_path, capsys):
                             "float: 'abc'"),
     ("0,0,0,0,0,0,0,0,nan", "bad peak value: not a finite number: 'nan'"),
     ("0,0,0,0,0,inf,0,0,1", "bad ref_y value: not a finite number: 'inf'"),
+    ("0,0,0,0,0,0,0,0,1,7", "expected 9 columns, got 10"),
+    ("0,0,0,0,0,0,0,1", "expected 9 columns, got 8"),
 ])
 def test_bad_correspondence_value_names_file_line_and_column(tmp_path, capsys,
                                                              row, named):
@@ -380,6 +427,20 @@ def test_bad_correspondence_value_names_file_line_and_column(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error kind=ValueError msg={corr}: line 4: {named}\n")
     assert not (tmp_path / "misreg.csv").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-100"])
+def test_nonpositive_template_size_fails_before_any_stage(scene, tmp_path,
+                                                          capsys, size):
+    root, _ = scene
+    rc = main(["match", "--ref", str(root / "ref.bin"),
+               "--sensed", str(root / "sen.bin"), "--template-size", size,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err == ("error kind=ValueError msg=template_size must be > 0, "
+                   f"got {size}\n")
+    assert "stage=" not in out
 
 
 def test_crs_mismatch_fails_cleanly(tmp_path, capsys):

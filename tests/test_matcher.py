@@ -6,7 +6,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from coreg import matcher
-from coreg.cfog import CfogParams, DescriptorVolume, build_cfog
+from coreg.cfog import M, DescriptorVolume, build_cfog
 from coreg.keypoints import BlockGridParams, InterestPoint, detect_block_fast
 from coreg.matcher import (
     MatchParams,
@@ -458,7 +458,7 @@ def test_match_all_memory_is_bounded_by_the_sensed_strip():
     pts = [InterestPoint(col=int(c), row=int(r), score=1.0)
            for r in grid for c in grid]
     strip_bytes = ((params.search_size + matcher._STRIP_TILE) * sen.width
-                   * CfogParams().m * 4)
+                   * M * 4)
     tracemalloc.start()
     try:
         corrs, stats = match_all(pts, ref, sen, params)
