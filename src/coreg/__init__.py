@@ -9,11 +9,10 @@ sensed image into registration.
 """
 
 from .cfog import DescriptorVolume, build_cfog
-from .geomodels import (ControlPoint, DegenerateFitError, FittedModel,
-                        InsufficientControlPointsError, ModelSpec,
-                        all_model_specs, attach_dem_heights, fit,
-                        min_cp_count, model_spec_from_name, poly_basis,
-                        poly_basis_3d)
+from .geomodels import (ControlPoint, ControlPointArrays, DegenerateFitError,
+                        FittedModel, InsufficientControlPointsError,
+                        ModelSpec, all_model_specs, fit, min_cp_count,
+                        model_spec_from_name, poly_basis, poly_basis_3d)
 from .keypoints import BlockGridParams, InterestPoint, detect_block_fast
 from .matcher import (Correspondence, MatchParams, MatchStats,
                       correspondences_from_csv, correspondences_to_csv,
@@ -32,6 +31,7 @@ __all__ = [
     'BlockGridParams',
     'CheckpointScore',
     'ControlPoint',
+    'ControlPointArrays',
     'Correspondence',
     'CrsMismatchError',
     'DegenerateFitError',
@@ -52,7 +52,6 @@ __all__ = [
     'SweepResult',
     'SynthSpec',
     'all_model_specs',
-    'attach_dem_heights',
     'build_cfog',
     'checkpoint_rmse',
     'correspondences_from_csv',

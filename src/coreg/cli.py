@@ -23,8 +23,8 @@ from .geomodels import (DegenerateFitError, InsufficientControlPointsError,
                         fit as fit_model, min_cp_count, model_spec_from_name)
 from .matcher import (correspondences_from_csv, correspondences_to_csv,
                       match_all)
-from .metrics import (checkpoint_rmse, holdout, misreg_to_csv,
-                      misregistration, sweep, sweep_to_csv, to_control_points)
+from .metrics import (checkpoint_rmse, misreg_to_csv, misregistration, sweep,
+                      split_checkpoints, sweep_to_csv, to_control_points)
 from .keypoints import detect_block_fast
 from .raster import (RasterError, load_raster, read_raster_header,
                      save_raster, warp)
@@ -156,12 +156,12 @@ def _fit_with_optional_holdout(cfg, corrs, spec, dem, n_holdout, pixel_size):
         dem = None  # a model over (X, Y) ignores --dem
     elif dem is None:
         raise ValueError(f"{spec.name} requires a DEM")
+    cps = to_control_points(corrs, dem)  # an error names the index in corrs
     if not n_holdout:
-        cps = to_control_points(corrs, dem)
-        return fit_model(spec, cps), None, len(cps)
-    checks, cps = holdout(corrs, n_holdout, cfg.seed, dem)
+        return fit_model(spec, cps), None, cps.X.size
+    checks, cps = split_checkpoints(cps, n_holdout, cfg.seed)
     model = fit_model(spec, cps)
-    return model, checkpoint_rmse(model, checks, pixel_size), len(cps)
+    return model, checkpoint_rmse(model, checks, pixel_size), cps.X.size
 
 
 def _score_lines(score) -> list:
@@ -267,10 +267,16 @@ def run_register(args) -> int:
 # Argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None)
+# the shared flags, each given only to the subcommands that read it
+_COMMON_FLAGS = {"config": dict(help="key = value configuration file"),
+                 "seed": dict(type=int, default=None),
+                 "threads": dict(type=int, default=None)}
+
+
+def _add_common(sub, *flags):
+    """--out-dir plus the shared ``flags``, by name."""
+    for flag in flags:
+        sub.add_argument(f"--{flag}", **_COMMON_FLAGS[flag])
     sub.add_argument("--out-dir", required=True)
 
 
@@ -282,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("synth", help="generate a ground-truthed test pair")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--spec", required=True, help="flat key=value recipe file")
     p.set_defaults(func=run_synth)
 
     p = subs.add_parser("match", help="detect correspondences between rasters")
-    _add_common(p)
+    _add_common(p, "config", "seed", "threads")
     p.add_argument("--ref", required=True)
     p.add_argument("--sensed", required=True)
     p.add_argument("--template-size", type=int, default=None)
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_measure)
 
     p = subs.add_parser("fit", help="fit one transformation model")
-    _add_common(p)
+    _add_common(p, "config", "seed")
     p.add_argument("--corr", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dem")
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="model accuracy across control point "
                                       "counts")
-    _add_common(p)
+    _add_common(p, "config", "seed")
     p.add_argument("--corr", required=True)
     p.add_argument("--dem")
     p.add_argument("--models", default=None)
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("register", help="fit, score, and warp into "
                                          "registration")
-    _add_common(p)
+    _add_common(p, "config", "seed")
     p.add_argument("--ref", required=True)
     p.add_argument("--sensed", required=True)
     p.add_argument("--corr", required=True)

@@ -29,12 +29,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .raster import RasterGrid, parse_records, sample_bilinear
+from .raster import parse_records
 
 
 class InsufficientControlPointsError(ValueError):
@@ -656,7 +656,7 @@ def _denominator_warning(model: FittedModel, has_z: bool) -> str | None:
 class ControlPointArrays(NamedTuple):
     """Control points as float64 arrays: reference map coordinates X, Y,
     sensed map coordinates u, v, and reference heights Z (None for a model
-    over (X, Y))."""
+    over (X, Y)). Its length is 5, the field count: ``X.size`` counts."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -664,9 +664,9 @@ class ControlPointArrays(NamedTuple):
     v: np.ndarray
     Z: np.ndarray | None
 
-    def prefix(self, count: int) -> "ControlPointArrays":
-        """The record of the first ``count`` points."""
-        return ControlPointArrays(*(a if a is None else a[:count]
+    def take(self, index) -> "ControlPointArrays":
+        """The points that ``index`` selects: a slice, indices or a mask."""
+        return ControlPointArrays(*(a if a is None else a[index]
                                     for a in self))
 
 
@@ -738,22 +738,3 @@ def fit(spec: ModelSpec, cps) -> FittedModel:
     px, py = model._map_out([A @ c for c in model._coefficient_vectors()])
     model.cp_residuals = np.hypot(px - u, py - v)
     return model
-
-
-def attach_dem_heights(cps: list, dem: RasterGrid) -> list:
-    """Return control points with ref_z set from bilinear DEM samples.
-
-    Raises ValueError naming the first point that falls outside the DEM or
-    on nodata.
-    """
-    c, r = dem.geotransform.geo_to_pixel([cp.ref_x for cp in cps],
-                                         [cp.ref_y for cp in cps])
-    z = sample_bilinear(dem, c, r)
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        i = int(bad[0])
-        cp = cps[i]
-        raise ValueError(
-            f"control point {i} at ({cp.ref_x}, {cp.ref_y}) is outside "
-            f"the DEM or hits nodata")
-    return [replace(cp, ref_z=float(h)) for cp, h in zip(cps, z)]

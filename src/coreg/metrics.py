@@ -3,8 +3,9 @@ count sweep harness.
 
 Shifts are measured in pixels: geographic coordinate differences of matched
 pairs divided by the pixel size. Checkpoint residuals score a fitted model
-on held-out pairs; the sweep repeats that over a grid of models and control
-point counts from one deterministic split.
+on held-out pairs of one ControlPointArrays record of the correspondences
+(DEM heights attached before any split); the sweep repeats that over a grid
+of models and control point counts from one deterministic split.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomodels import (FittedModel, ModelSpec, ControlPoint,
-                        DegenerateFitError, InsufficientControlPointsError,
-                        attach_dem_heights, control_point_arrays, fit,
-                        min_cp_count)
-from .raster import RasterGrid
+from .geomodels import (ControlPointArrays, DegenerateFitError, FittedModel,
+                        InsufficientControlPointsError, ModelSpec,
+                        control_point_arrays, fit, min_cp_count)
+from .raster import RasterGrid, sample_bilinear
 
 
 @dataclass
@@ -132,31 +132,39 @@ def checkpoint_rmse(model: FittedModel, checkpoints,
 # Checkpoint / control point splitting
 
 
-def to_control_points(corrs: list, dem: RasterGrid | None = None) -> list:
-    """Correspondences as control points (map coordinates); heights attached
-    from the DEM when one is given."""
-    cps = [ControlPoint(ref_x=c.ref_x, ref_y=c.ref_y,
-                        sensed_x=c.sensed_x, sensed_y=c.sensed_y)
-           for c in corrs]
+def to_control_points(corrs: list, dem: RasterGrid | None = None):
+    """Correspondences as a ControlPointArrays record (map coordinates),
+    with heights sampled bilinearly from the DEM when one is given; a
+    ValueError names the first point (its index in ``corrs``) outside the
+    DEM or on nodata."""
+    X, Y, u, v = np.array([(c.ref_x, c.ref_y, c.sensed_x, c.sensed_y)
+                           for c in corrs],
+                          dtype=np.float64).reshape(-1, 4).T.copy()
+    Z = None
     if dem is not None:
-        cps = attach_dem_heights(cps, dem)
-    return cps
+        Z = sample_bilinear(dem, *dem.geotransform.geo_to_pixel(X, Y))
+        bad = np.flatnonzero(~np.isfinite(Z))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"control point {i} at ({X[i]}, {Y[i]}) is "
+                             "outside the DEM or hits nodata")
+    return ControlPointArrays(X, Y, u, v, Z)
 
 
-def split_checkpoints(corrs: list, n_checkpoints: int, seed) -> tuple[list, list]:
-    """Deterministic spatially stratified holdout split.
+def split_checkpoints(cps: ControlPointArrays, n_checkpoints: int, seed):
+    """Deterministic spatially stratified holdout split of a control point
+    record.
 
     The reference extent is covered by a cell grid of about n_checkpoints
     cells; checkpoints are drawn round-robin across occupied cells (seeded
     order within each cell) so they spread over the scene instead of
-    clustering. Returns (checkpoints, remainder), remainder in input order.
+    clustering. Returns the records (checkpoints, remainder), remainder in
+    input order.
     """
-    n = len(corrs)
+    n = cps.X.size
     if not 1 <= n_checkpoints < n:
         raise ValueError(f"need 1 <= n_checkpoints < {n}, got {n_checkpoints}")
     g = math.ceil(math.sqrt(n_checkpoints))
-    xs = np.array([c.ref_x for c in corrs])
-    ys = np.array([c.ref_y for c in corrs])
 
     def cell_index(vals):
         lo, hi = vals.min(), vals.max()
@@ -164,36 +172,19 @@ def split_checkpoints(corrs: list, n_checkpoints: int, seed) -> tuple[list, list
             return np.zeros(len(vals), dtype=int)
         return np.minimum((g * (vals - lo) / (hi - lo)).astype(int), g - 1)
 
-    cell = cell_index(ys) * g + cell_index(xs)
+    cell = cell_index(cps.Y) * g + cell_index(cps.X)
     rng = np.random.default_rng(seed)
     groups = []
     for cid in np.unique(cell):
         members = np.nonzero(cell == cid)[0]
         rng.shuffle(members)
-        groups.append(list(members))
-
-    chosen = []
-    while len(chosen) < n_checkpoints:
-        progressed = False
-        for grp in groups:
-            if grp and len(chosen) < n_checkpoints:
-                chosen.append(grp.pop())
-                progressed = True
-        if not progressed:
-            break
-    chosen_set = set(chosen)
-    checkpoints = [corrs[i] for i in chosen]
-    remainder = [c for i, c in enumerate(corrs) if i not in chosen_set]
-    return checkpoints, remainder
-
-
-def holdout(corrs: list, n_checkpoints: int, seed,
-            dem: RasterGrid | None = None) -> tuple[list, list]:
-    """split_checkpoints of the correspondences as control points (heights
-    from the DEM when one is given, attached before the split, so an error
-    names the point's index in ``corrs``): returns (checkpoints, control
-    points)."""
-    return split_checkpoints(to_control_points(corrs, dem), n_checkpoints, seed)
+        groups.append(members[::-1])  # drawn from the end of the shuffle
+    # round r draws the r-th member of every cell that has one
+    chosen = np.array([grp[r] for r in range(max(map(len, groups)))
+                       for grp in groups if r < len(grp)][:n_checkpoints])
+    rest = np.ones(n, dtype=bool)
+    rest[chosen] = False
+    return cps.take(chosen), cps.take(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +235,19 @@ def sweep(specs: list, corrs: list, n_checkpoints: int, cp_counts,
     if needs_dem and dem is None:
         raise ValueError("sweeping rfm models requires a DEM")
 
+    # heights only if a model takes them (the others drop them)
     rng = np.random.default_rng(seed)
-    checkpoints, rest = holdout(corrs, n_checkpoints, rng,
-                                dem if needs_dem else None)
-    perm = rng.permutation(len(rest))
-    shuffled = [rest[i] for i in perm]
-    # converted once, with heights if any model takes them (the others
-    # drop them); each count fits a prefix
-    widest = max(specs, key=lambda spec: spec.dims)
-    cps, checks = (control_point_arrays(points, widest)
-                   for points in (shuffled, checkpoints))
+    checks, rest = split_checkpoints(
+        to_control_points(corrs, dem if needs_dem else None),
+        n_checkpoints, rng)
+    cps = rest.take(rng.permutation(rest.X.size))
 
     results = []
     for spec in specs:
         rmses, maxes, means, warnings = [], [], [], []
         for count in cp_counts:
             try:
-                model = fit(spec, cps.prefix(count))
+                model = fit(spec, cps.take(slice(count)))
                 score = checkpoint_rmse(model, checks, pixel_size)
             except (DegenerateFitError, InsufficientControlPointsError,
                     ValueError):

@@ -36,6 +36,8 @@ class RansacParams:
     def __post_init__(self):
         if not self.inlier_tol > 0:
             raise ValueError(f"inlier_tol must be > 0, got {self.inlier_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _pixel_arrays(corrs):

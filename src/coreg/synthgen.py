@@ -119,6 +119,8 @@ class SynthSpec:
         if not 0 <= self.speckle_var < np.inf:
             raise ValueError(f"speckle_var must be finite and >= 0, got "
                              f"{self.speckle_var}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,76 @@ def test_nonpositive_template_size_fails_before_any_stage(scene, tmp_path,
     assert "stage=" not in out
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_match_seed_fails_before_any_stage(scene, tmp_path, capsys,
+                                                    where):
+    root, _ = scene
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("seed = -1\n")
+    seed = (["--seed", "-1"] if where == "flag"
+            else ["--config", str(cfg)])
+    rc = main(["match", "--ref", str(root / "ref.bin"),
+               "--sensed", str(root / "sen.bin"), *seed,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err == "error kind=ValueError msg=seed must be >= 0, got -1\n"
+    assert "stage=" not in out
+
+
+@pytest.mark.parametrize("where", ["flag", "recipe"])
+def test_negative_synth_seed_fails_before_generating(tmp_path, capsys, where):
+    spec_file = tmp_path / "recipe.txt"
+    spec_file.write_text("size=64\n" + ("seed=-1\n" if where == "recipe"
+                                        else "seed=5\n"))
+    seed = ["--seed", "-1"] if where == "flag" else []
+    rc = main(["synth", "--spec", str(spec_file), *seed,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error kind=ValueError msg=")
+    assert err.endswith("seed must be >= 0, got -1\n")
+    assert "stage=" not in out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--spec", "r.txt", "--config", "p.cfg"],
+    ["synth", "--spec", "r.txt", "--threads", "2"],
+    ["measure", "--corr", "c.csv", "--config", "p.cfg"],
+    ["measure", "--corr", "c.csv", "--seed", "5"],
+    ["measure", "--corr", "c.csv", "--threads", "2"],
+    ["fit", "--corr", "c.csv", "--model", "poly1", "--threads", "2"],
+    ["sweep", "--corr", "c.csv", "--threads", "2"],
+    ["register", "--ref", "r.bin", "--sensed", "s.bin", "--corr", "c.csv",
+     "--model", "poly1", "--threads", "2"],
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["synth", "--spec", "r.txt", "--seed", "3"], {"seed": 3}),
+    (["match", "--ref", "r.bin", "--sensed", "s.bin", "--config", "p.cfg",
+      "--seed", "3", "--threads", "2"],
+     {"config": "p.cfg", "seed": 3, "threads": 2}),
+    (["fit", "--corr", "c.csv", "--model", "poly1", "--config", "p.cfg",
+      "--seed", "3"], {"config": "p.cfg", "seed": 3}),
+    (["sweep", "--corr", "c.csv", "--config", "p.cfg", "--seed", "3"],
+     {"config": "p.cfg", "seed": 3}),
+    (["register", "--ref", "r.bin", "--sensed", "s.bin", "--corr", "c.csv",
+      "--model", "poly1", "--config", "p.cfg", "--seed", "3"],
+     {"config": "p.cfg", "seed": 3}),
+])
+def test_subcommands_take_the_shared_flags_they_read(argv, read):
+    args = coreg.cli.build_parser().parse_args([*argv, "--out-dir", "o"])
+    assert {name: getattr(args, name) for name in read} == read
+
+
 def test_crs_mismatch_fails_cleanly(tmp_path, capsys):
     a = as_grid(texture(64, seed=1), crs_tag="EPSG:32633")
     b = as_grid(texture(64, seed=1), crs_tag="EPSG:4326")

@@ -41,6 +41,11 @@ def test_bad_value_names_the_key_and_the_file(tmp_path, line, named):
     assert str(info.value) == f"{tmp_path / 'pipeline.cfg'}: {named}"
 
 
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        _load(tmp_path, "seed = -1\n")
+
+
 @pytest.mark.parametrize("line", ["inlier_tol = nan", "fast_threshold = nan"])
 def test_nan_bound_rejected(tmp_path, line):
     with pytest.raises(ValueError, match=line.split()[0] + " must be"):

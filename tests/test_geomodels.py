@@ -17,7 +17,6 @@ from coreg.geomodels import (
     ModelSpec,
     Normalization,
     all_model_specs,
-    attach_dem_heights,
     control_point_arrays,
     fit,
     min_cp_count,
@@ -25,6 +24,8 @@ from coreg.geomodels import (
     poly_basis,
     poly_basis_3d,
 )
+from coreg.matcher import Correspondence
+from coreg.metrics import to_control_points
 from coreg.raster import GeoTransform, RasterGrid, sample_bilinear, warp
 from coreg.synthgen import identity_warp, translation_warp
 
@@ -550,23 +551,28 @@ def test_model_text_with_warning_and_comment_round_trips():
 # -- DEM attachment ----------------------------------------------------------
 
 
+def _dem_heights(xy, dem):
+    """The heights that to_control_points samples from ``dem`` at the
+    reference map positions ``xy``."""
+    corrs = [Correspondence(ref_col=x, ref_row=y, sensed_col=0.0,
+                            sensed_row=0.0, ref_x=x, ref_y=y, sensed_x=0.0,
+                            sensed_y=0.0, peak=1.0) for x, y in xy]
+    return to_control_points(corrs, dem).Z
+
+
 def test_constant_dem_heights():
     dem = as_grid(np.full((40, 40), 50.0, dtype=np.float32))
-    cps = _cps_2d(10, seed=16)
-    cps = [ControlPoint(c.ref_x % 30 + 2, c.ref_y % 30 + 2,
-                        c.sensed_x, c.sensed_y) for c in cps]
-    out = attach_dem_heights(cps, dem)
-    assert all(c.ref_z == 50.0 for c in out)
+    xy = [(c.ref_x % 30 + 2, c.ref_y % 30 + 2) for c in _cps_2d(10, seed=16)]
+    assert np.all(_dem_heights(xy, dem) == 50.0)
 
 
 def test_ramp_dem_heights_exact():
     cols = np.arange(40, dtype=np.float32)
     dem = as_grid(np.tile(0.01 * cols, (40, 1)))
-    cps = [ControlPoint(12.25, 7.5, 0.0, 0.0),
-           ControlPoint(3.0, 30.0, 0.0, 0.0)]
-    out = attach_dem_heights(cps, dem)
-    assert np.isclose(out[0].ref_z, 0.1225)
-    assert np.isclose(out[1].ref_z, 0.03)
+    z = _dem_heights([(12.25, 7.5), (3.0, 30.0)], dem)
+    assert z.dtype == np.float64
+    assert np.isclose(z[0], 0.1225)
+    assert np.isclose(z[1], 0.03)
 
 
 def test_dem_fill_and_holes_give_no_height():
@@ -575,12 +581,11 @@ def test_dem_fill_and_holes_give_no_height():
     data = np.full((10, 10), 50.0, dtype=np.float32)
     data[4:6, 4:6] = 0.1
     dem = as_grid(data, nodata=0.1)
-    inside = ControlPoint(1.5, 1.5, 0.0, 0.0)
-    assert attach_dem_heights([inside], dem)[0].ref_z == 50.0
-    for bad in (ControlPoint(50.0, 50.0, 0.0, 0.0),
-                ControlPoint(4.5, 4.5, 0.0, 0.0)):
+    inside = (1.5, 1.5)
+    assert _dem_heights([inside], dem)[0] == 50.0
+    for bad in ((50.0, 50.0), (4.5, 4.5)):
         with pytest.raises(ValueError, match="control point 1 at"):
-            attach_dem_heights([inside, bad, bad], dem)
+            _dem_heights([inside, bad, bad], dem)
 
     # u = X + Z / 1000, v = Y: the DEM shares the target grid, so only the
     # hole's own pixels have no height; they are nodata, and no model failure
@@ -641,13 +646,11 @@ def test_on_grid_dem_read_equals_the_sampled_heights():
 def test_height_interpolated_to_the_sentinel_is_a_height():
     dem = as_grid(np.array([[-9998.0, -10000.0], [-9998.0, -10000.0]],
                            dtype=np.float32), nodata=-9999.0)
-    cp = attach_dem_heights([ControlPoint(0.5, 0.5, 0.0, 0.0)], dem)[0]
-    assert cp.ref_z == -9999.0
+    assert _dem_heights([(0.5, 0.5)], dem)[0] == -9999.0
 
 
 def test_cp_outside_dem_names_the_index():
     dem = as_grid(np.zeros((10, 10), dtype=np.float32))
-    cps = [ControlPoint(5.0, 5.0, 0.0, 0.0),
-           ControlPoint(500.0, 5.0, 0.0, 0.0)]
-    with pytest.raises(ValueError, match="1"):
-        attach_dem_heights(cps, dem)
+    with pytest.raises(ValueError,
+                       match=r"control point 1 at \(500\.0, 5\.0\)"):
+        _dem_heights([(5.0, 5.0), (500.0, 5.0)], dem)

@@ -12,7 +12,6 @@ from coreg.geomodels import (ControlPoint, DegenerateFitError, ModelSpec,
 from coreg.matcher import Correspondence
 from coreg.metrics import (
     checkpoint_rmse,
-    holdout,
     misreg_to_csv,
     misregistration,
     split_checkpoints,
@@ -193,22 +192,25 @@ def test_nan_predictions_are_excluded_not_averaged():
 
 
 def test_split_is_a_partition():
-    corrs = _grid_corrs(143, seed=2)
-    cks, fitset = split_checkpoints(corrs, 48, seed=0)
-    assert len(cks) == 48
-    assert len(fitset) == 95
-    ids = lambda cs: {(c.ref_x, c.ref_y) for c in cs}
-    assert ids(fitset) | ids(cks) == ids(corrs)
-    assert not ids(fitset) & ids(cks)
+    cps = to_control_points(_grid_corrs(143, seed=2,
+                                        fn=lambda x, y: (x + 2, y - 1)))
+    cks, fitset = split_checkpoints(cps, 48, seed=0)
+    assert cks.X.size == 48
+    assert fitset.X.size == 95
+    # every field of a point travels with it
+    rows = lambda r: set(zip(r.X, r.Y, r.u, r.v))
+    assert rows(fitset) | rows(cks) == rows(cps)
+    assert not rows(fitset) & rows(cks)
+    assert cks.Z is None and fitset.Z is None
 
 
 def test_split_is_deterministic():
-    corrs = _grid_corrs(100, seed=3)
-    a = split_checkpoints(corrs, 30, seed=7)
-    b = split_checkpoints(corrs, 30, seed=7)
-    assert [(c.ref_x, c.ref_y) for c in a[0]] == [(c.ref_x, c.ref_y) for c in b[0]]
-    c = split_checkpoints(corrs, 30, seed=8)
-    assert [(x.ref_x, x.ref_y) for x in a[0]] != [(x.ref_x, x.ref_y) for x in c[0]]
+    cps = to_control_points(_grid_corrs(100, seed=3))
+    a, _ = split_checkpoints(cps, 30, seed=7)
+    b, _ = split_checkpoints(cps, 30, seed=7)
+    assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+    c, _ = split_checkpoints(cps, 30, seed=8)
+    assert not np.array_equal(a.X, c.X)
 
 
 def test_split_spreads_checkpoints_spatially():
@@ -217,26 +219,34 @@ def test_split_spreads_checkpoints_spatially():
     rng = np.random.default_rng(4)
     blob = [(x, y) for x, y in rng.uniform(0, 100, (120, 2))]
     corner = [(x, y) for x, y in rng.uniform(900, 1000, (20, 2))]
-    corrs = [_corr(x, y, x, y) for x, y in blob + corner]
-    cks, _ = split_checkpoints(corrs, 28, seed=0)
-    got_corner = sum(1 for c in cks if c.ref_x > 500)
-    assert got_corner >= 3
+    cps = to_control_points([_corr(x, y, x, y) for x, y in blob + corner])
+    cks, _ = split_checkpoints(cps, 28, seed=0)
+    assert np.sum(cks.X > 500) >= 3
 
 
-def test_holdout_is_the_split_as_control_points():
-    corrs = _grid_corrs(60, seed=5)
-    checks, cps = holdout(corrs, 12, seed=2)
-    check_corrs, rest = split_checkpoints(corrs, 12, seed=2)
-    assert checks == to_control_points(check_corrs)
-    assert cps == to_control_points(rest)
+def test_split_draws_round_robin_across_cells():
+    # 6 checkpoints: a 3x3 cell grid over [0, 90]^2, of which three cells
+    # are occupied: A (points 0-4), B (5-7) and C (8)
+    pts = [(0, 0), (5, 5), (10, 10), (15, 0), (20, 5),
+           (70, 5), (80, 10), (75, 0), (90, 90)]
+    cps = to_control_points([_corr(x, y, x, y) for x, y in pts])
+    cks, rest = split_checkpoints(cps, 6, seed=0)
+    # rounds A B C, A B, A: C runs out after one round, and the sixth
+    # checkpoint ends the third round before B's last point
+    assert [pts.index(p) for p in zip(cks.X, cks.Y)] == [1, 6, 8, 0, 5, 3]
+    assert [pts.index(p) for p in zip(rest.X, rest.Y)] == [2, 4, 7]
 
 
 def test_to_control_points_copies_map_coords():
     corrs = _grid_corrs(5, seed=5, fn=lambda x, y: (x + 2, y - 1))
     cps = to_control_points(corrs)
-    assert all(isinstance(c, ControlPoint) for c in cps)
-    assert all(c.sensed_x == c.ref_x + 2 for c in cps)
-    assert all(c.ref_z is None for c in cps)
+    assert np.array_equal(cps.X, [c.ref_x for c in corrs])
+    assert np.array_equal(cps.Y, [c.ref_y for c in corrs])
+    assert np.array_equal(cps.u, cps.X + 2)
+    assert np.array_equal(cps.v, cps.Y - 1)
+    assert all(a.dtype == np.float64 and a.flags.c_contiguous
+               for a in cps[:4])
+    assert cps.Z is None
 
 
 # -- model comparison sweep --------------------------------------------------
@@ -310,12 +320,12 @@ def test_sweep_carries_each_fit_warning_to_its_csv_cell():
     results = sweep(specs, corrs, 48, counts, seed=0)
     # the control points of each cell, drawn as sweep draws them
     rng = np.random.default_rng(0)
-    _, rest = holdout(corrs, 48, rng)
-    shuffled = [rest[i] for i in rng.permutation(len(rest))]
+    _, rest = split_checkpoints(to_control_points(corrs), 48, rng)
+    cps = rest.take(rng.permutation(rest.X.size))
     rows = iter(sweep_to_csv(results).strip().splitlines()[1:])
     for res in results:
         for count, warning in zip(counts, res.warning):
-            assert warning == fit(res.spec, shuffled[:count]).warning
+            assert warning == fit(res.spec, cps.take(slice(count))).warning
             assert next(rows).split(",")[5] == (warning or "")
     assert any(w for res in results for w in res.warning)
 
@@ -337,10 +347,13 @@ def test_sweep_cells_equal_fits_of_control_point_lists():
     corrs, dem = _fit_warp_corpus()
     specs = all_model_specs()
     results = sweep(specs, corrs, 48, _FIT_WARP_COUNTS, seed=0, dem=dem)
-    # the control points of each cell, drawn as sweep draws them
+    # the control points of each cell, drawn as sweep draws them, as lists
     rng = np.random.default_rng(0)
-    checkpoints, rest = holdout(corrs, 48, rng, dem)
-    shuffled = [rest[i] for i in rng.permutation(len(rest))]
+    checks, rest = split_checkpoints(to_control_points(corrs, dem), 48, rng)
+    rest = rest.take(rng.permutation(rest.X.size))
+    checkpoints, shuffled = ([ControlPoint(*map(float, row))
+                              for row in zip(*record)]
+                             for record in (checks, rest))
     for res in results:
         for i, count in enumerate(_FIT_WARP_COUNTS):
             try:
@@ -355,6 +368,25 @@ def test_sweep_cells_equal_fits_of_control_point_lists():
             assert res.warning[i] == model.warning
     # rational fits that divide by ~0 are among the cells
     assert any(w for res in results for w in res.warning)
+
+
+def test_a_dem_miss_at_a_checkpoint_names_its_index_in_corrs():
+    corrs, dem = _fit_warp_corpus()
+    # the split ignores heights: the third checkpoint, seen without a DEM
+    checks, _ = split_checkpoints(to_control_points(corrs), 48,
+                                  np.random.default_rng(0))
+    i = next(k for k, c in enumerate(corrs) if c.ref_x == checks.X[2])
+    assert i != 2
+    # a nodata pixel under that point (no point before it in corrs reads it)
+    col, row = dem.geotransform.geo_to_pixel(corrs[i].ref_x, corrs[i].ref_y)
+    data = dem.data.copy()
+    data[int(row), int(col)] = np.nan
+    holed = as_grid(data, gt=dem.geotransform, nodata=np.nan)
+    with pytest.raises(ValueError, match=f"control point {i} at "
+                       rf"\({corrs[i].ref_x}, {corrs[i].ref_y}\) is outside "
+                       "the DEM or hits nodata"):
+        sweep([model_spec_from_name("rfm1_unit")], corrs, 48, [40], seed=0,
+              dem=holed)
 
 
 def test_sweep_calls_fit_and_scoring_once_per_cell(monkeypatch):

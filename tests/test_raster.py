@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
-                             attach_dem_heights, fit, model_spec_from_name)
+from coreg.geomodels import (ControlPoint, ControlPointArrays, FittedModel,
+                             ModelSpec, fit, model_spec_from_name)
 from coreg.raster import (
     _EDGE_TOL,
     GeoTransform,
@@ -531,12 +531,10 @@ def test_warp_allocates_its_output_plus_under_4_mib(name):
     dem = as_grid((250.0 + 200.0 * np.sin(xx / 97.0) * np.cos(yy / 131.0))
                   .astype(np.float32))
     rng = np.random.default_rng(5)
-    x, y = rng.uniform(0.0, n - 1.0, (2, 120))
-    cps = attach_dem_heights(
-        [ControlPoint(float(a), float(b), 0.0, 0.0) for a, b in zip(x, y)], dem)
-    cps = [ControlPoint(c.ref_x, c.ref_y, *field(c.ref_x, c.ref_y, c.ref_z),
-                        ref_z=c.ref_z) for c in cps]
-    model = fit(model_spec_from_name(name), cps)
+    X, Y = rng.uniform(0.0, n - 1.0, (2, 120))
+    Z = sample_bilinear(dem, X, Y)
+    model = fit(model_spec_from_name(name),
+                ControlPointArrays(X, Y, *field(X, Y, Z), Z))
     sensed = as_grid(texture(n, seed=12))
     peak = _traced_peak(warp, sensed, model, sensed.geotransform, n, n, dem)
     assert peak <= n * n * 4 + 4 * 2 ** 20

@@ -110,6 +110,8 @@ def test_bad_params_rejected():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
             RansacParams(inlier_tol=tol)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        RansacParams(seed=-1)
 
 
 # -- selection ---------------------------------------------------------------

@@ -50,6 +50,11 @@ def test_bad_spec_rejected(kwargs):
         SynthSpec(**kwargs)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SynthSpec(seed=-1)
+
+
 def test_rfm_truth_rejected():
     spec = ModelSpec("rfm", 1, "unit")
     b = spec.basis_size
