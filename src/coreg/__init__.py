@@ -12,7 +12,7 @@ from .cfog import DescriptorVolume, build_cfog
 from .geomodels import (ControlPoint, ControlPointArrays, DegenerateFitError,
                         FittedModel, InsufficientControlPointsError,
                         ModelSpec, all_model_specs, fit, min_cp_count,
-                        model_spec_from_name, poly_basis, poly_basis_3d)
+                        model_spec_from_name)
 from .keypoints import BlockGridParams, InterestPoint, detect_block_fast
 from .matcher import (Correspondence, MatchParams, MatchStats,
                       correspondences_from_csv, correspondences_to_csv,
@@ -23,8 +23,8 @@ from .metrics import (CheckpointScore, MisregReport, SweepResult,
 from .raster import (CrsMismatchError, GeoTransform, RasterFormatError,
                      RasterGrid, load_raster, sample_bilinear, save_raster,
                      warp)
-from .robustfit import (RansacDegeneracyError, RansacParams,
-                        fit_global_affine, ransac_filter, select_top_k)
+from .robustfit import (RansacDegeneracyError, RansacParams, ransac_filter,
+                        select_top_k)
 from .synthgen import NonInvertibleWarpError, SynthSpec, generate
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     'correspondences_to_csv',
     'detect_block_fast',
     'fit',
-    'fit_global_affine',
     'generate',
     'load_raster',
     'match_all',
@@ -66,8 +65,6 @@ __all__ = [
     'misregistration',
     'model_spec_from_name',
     'phase_correlate_3d',
-    'poly_basis',
-    'poly_basis_3d',
     'ransac_filter',
     'sample_bilinear',
     'save_raster',

@@ -208,20 +208,6 @@ def _basis(axes, order: int) -> np.ndarray:
                      for exps in _exponents(order, len(axes))], axis=-1)
 
 
-def poly_basis(X, Y, order: int) -> np.ndarray:
-    """Monomials X^i Y^j with i+j <= order, stacked along the last axis.
-
-    Ordered by total degree then by descending i: order 2 gives
-    [1, X, Y, X^2, XY, Y^2].
-    """
-    return _basis((X, Y), order)
-
-
-def poly_basis_3d(X, Y, Z, order: int) -> np.ndarray:
-    """Monomials X^i Y^j Z^k with i+j+k <= order, same graded ordering."""
-    return _basis((X, Y, Z), order)
-
-
 def _powers(values, order: int) -> list:
     """[values, values**2, ..., values**order], each power the previous one
     times ``values``."""

@@ -103,7 +103,8 @@ def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
     that adds a signed zero, which leaves the sum as it is; a strip holding
     a non-finite sample, where the product could be NaN, adds a selected
     0.0 instead. Computing the differences twice keeps a few strip-sized
-    arrays alive, not 16. NaN samples compare false and join no arc.
+    arrays alive, not 16. NaN samples compare false and join no arc, and
+    +-inf samples are scored as NaN (on a copy of the strip).
     ``threshold`` must be >= 0.
     """
     data = np.asarray(data)
@@ -116,6 +117,10 @@ def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
         y1 = min(y0 + _STRIP_ROWS, h - 3)
         n = y1 - y0
         block = np.asarray(data[y0 - 3:y1 + 3, :], dtype=np.float64)
+        finite = np.isfinite(block)
+        all_finite = finite.all()
+        if not all_finite:
+            block = np.where(finite, block, np.nan)
         center = block[3:3 + n, 3:w - 3]
 
         def diff(i):
@@ -134,12 +139,11 @@ def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
         members = _ARC_MEMBERS[bright] | _ARC_MEMBERS[dark]
 
         strip_score = scores[y0:y1, 3:w - 3]
-        finite = np.isfinite(block).all()
         for i in range(len(CIRCLE)):
             contrib = np.abs(diff(i))
             contrib -= threshold
             bit = (members >> i) & 1
-            if finite:
+            if all_finite:
                 strip_score += np.multiply(contrib, bit, out=contrib)
             else:
                 strip_score += np.where(bit, contrib, 0.0)
@@ -175,11 +179,11 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
 
     Only strictly positive scores qualify, so flat blocks contribute nothing
     and the result can be smaller than N*N*K. Ties break toward smaller
-    (row, col) for determinism. NaN samples (a grid's nodata) are outside
-    the automatic threshold's range and belong to no arc; the frame is
-    never copied. The threshold comes from the whole image, but only
-    the pixels at least ``border`` (and 3) px inside it are scored, from a
-    crop 3 px larger on each side.
+    (row, col) for determinism. NaN and +-inf samples (a grid's nodata)
+    are outside the automatic threshold's range and belong to no arc; the
+    frame is never copied whole. The threshold comes from the whole image,
+    but only the pixels at least ``border`` (and 3) px inside it are scored,
+    from a crop 3 px larger on each side.
     """
     data = image.data if isinstance(image, RasterGrid) else np.asarray(image)
     h, w = data.shape

@@ -162,8 +162,11 @@ def split_checkpoints(cps: ControlPointArrays, n_checkpoints: int, seed):
     input order.
     """
     n = cps.X.size
-    if not 1 <= n_checkpoints < n:
-        raise ValueError(f"need 1 <= n_checkpoints < {n}, got {n_checkpoints}")
+    if n_checkpoints < 1:
+        raise ValueError(f"n_checkpoints must be >= 1, got {n_checkpoints}")
+    if n_checkpoints >= n:
+        raise ValueError(f"{n_checkpoints} checkpoints need at least "
+                         f"{n_checkpoints + 1} correspondences, got {n}")
     g = math.ceil(math.sqrt(n_checkpoints))
 
     def cell_index(vals):

@@ -127,14 +127,6 @@ def ransac_filter(corrs: list, params: RansacParams) -> tuple[list, list]:
     return inliers, outliers
 
 
-def fit_global_affine(corrs: list) -> np.ndarray:
-    """Least-squares affine over every correspondence (pixel coordinates)."""
-    if len(corrs) < 3:
-        raise ValueError(f"affine fit needs at least 3 correspondences, "
-                         f"got {len(corrs)}")
-    return _fit_affine(*_pixel_arrays(corrs))
-
-
 def select_top_k(corrs: list, k: int) -> list:
     """The k correspondences with the smallest residuals against a global
     affine fit over all of them. Ties keep input order."""

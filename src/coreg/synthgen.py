@@ -2,12 +2,12 @@
 
 The real scenes behind the method are multi-gigabyte satellite products;
 tests need small, seeded, fully characterized stand-ins. A reference scene
-is seeded multi-octave value noise (optionally with step-edged discs so
-corner detectors have strong responses). The sensed counterpart is the
-reference pulled back through a known geometric warp, remapped radiometrically
-(gamma or log compression emulating a different sensor), and multiplied by
-unit-mean speckle noise. The exact warp is returned as a fitted-model object
-so accuracy claims can be checked against ground truth.
+is seeded multi-octave value noise, saturated by a tone curve into the step
+edges that corner detectors respond to. The sensed counterpart is the
+reference pulled back through a known geometric warp, optionally raised to a
+gamma power (emulating a different sensor), and multiplied by unit-mean
+speckle noise. The exact warp is returned as a fitted-model object so
+accuracy claims can be checked against ground truth.
 
 The pull-back inverts the warp by a chord Newton iteration: steps through
 a frozen inverse Jacobian until each point stops moving (one still moving
@@ -92,13 +92,11 @@ class SynthSpec:
 
     warp maps reference map coordinates to sensed map coordinates (None
     means identity). radiometry is applied to the warped intensities:
-    'gamma' raises [0,1] values to the given power, 'log' applies a
-    logarithmic compression. speckle_var is the variance of the
-    multiplicative unit-mean noise.
+    'gamma' raises [0,1] values to the given power. speckle_var is the
+    variance of the multiplicative unit-mean noise.
     """
 
     size: int = 512
-    texture: str = "fractal"
     warp: FittedModel | None = None
     radiometry: str = "identity"
     gamma: float = 0.4
@@ -108,11 +106,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.size < 16:
             raise ValueError(f"size must be >= 16, got {self.size}")
-        if self.texture not in ("fractal", "blobs"):
-            raise ValueError(f"texture must be 'fractal' or 'blobs', "
-                             f"got {self.texture!r}")
-        if self.radiometry not in ("identity", "gamma", "log"):
-            raise ValueError(f"radiometry must be identity, gamma or log, "
+        if self.radiometry not in ("identity", "gamma"):
+            raise ValueError(f"radiometry must be identity or gamma, "
                              f"got {self.radiometry!r}")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
@@ -181,14 +176,15 @@ def _normalize(a: np.ndarray) -> None:
         a /= hi - lo
 
 
-def _texture(spec: SynthSpec, rng) -> np.ndarray:
-    max_spacing = max(4, spec.size // 8)
+def _texture(n: int, rng) -> np.ndarray:
+    """The n x n reference scene, on [0, 1]."""
+    max_spacing = max(4, n // 8)
     spacings = [s for s in (2, 4, 8, 16, 32, 64, 128, 256) if s <= max_spacing]
     # fine octaves dominate so spectra stay broadband, and the saturating
     # tone curve turns the smooth noise into full-contrast step edges;
     # gradient-based matching and corner detection both starve without them
     weights = [1.0 / float(np.sqrt(s)) for s in spacings]
-    scene = _value_noise(spec.size, spec.size, rng, spacings, weights)
+    scene = _value_noise(n, n, rng, spacings, weights)
     # 0.5 + 0.5 * tanh(6 * (scene - 0.5)), in place
     scene -= 0.5
     scene *= 6.0
@@ -196,22 +192,6 @@ def _texture(spec: SynthSpec, rng) -> np.ndarray:
     scene *= 0.5
     scene += 0.5
     _normalize(scene)
-    if spec.texture == "blobs":
-        # opaque discs add the step edges that corner detection feeds on
-        n_discs = max(16, (spec.size // 64) ** 2)
-        for _ in range(n_discs):
-            cy, cx = rng.uniform(0, spec.size, size=2)
-            radius = rng.uniform(4.0, 16.0)
-            value = rng.uniform(0.0, 1.0)
-            r0 = max(0, int(cy - radius) - 1)
-            r1 = min(spec.size, int(cy + radius) + 2)
-            c0 = max(0, int(cx - radius) - 1)
-            c1 = min(spec.size, int(cx + radius) + 2)
-            if r1 <= r0 or c1 <= c0:
-                continue
-            yy, xx = np.mgrid[r0:r1, c0:c1]
-            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= radius * radius
-            scene[r0:r1, c0:c1][mask] = value
     return scene
 
 
@@ -383,11 +363,7 @@ def invert_frame(warp: FittedModel, n: int):
 def _apply_radiometry(vals: np.ndarray, spec: SynthSpec) -> np.ndarray:
     if spec.radiometry == "identity":
         return vals
-    clipped = np.clip(vals, 0.0, 1.0)
-    if spec.radiometry == "gamma":
-        return clipped ** spec.gamma
-    a = 60.0
-    return np.log1p(a * clipped) / np.log1p(a)
+    return np.clip(vals, 0.0, 1.0) ** spec.gamma
 
 
 def generate(spec: SynthSpec):
@@ -402,7 +378,7 @@ def generate(spec: SynthSpec):
     gt = GeoTransform(origin_x=0.0, origin_y=0.0, pixel_w=1.0, pixel_h=1.0)
     crs = "SYNTH"
 
-    reference = RasterGrid(data=_texture(spec, rng).astype(np.float32),
+    reference = RasterGrid(data=_texture(spec.size, rng).astype(np.float32),
                            geotransform=gt, crs_tag=crs)
 
     dem_spacings = ([s for s in (64, 128, 256) if s <= spec.size // 2]
@@ -444,8 +420,8 @@ def generate(spec: SynthSpec):
 
 # the recipe keys besides the warp's, in file order, each with its parser;
 # the warp's are its model fields prefixed with warp_
-_MANIFEST_KEYS = {"size": int, "texture": str, "radiometry": str,
-                  "gamma": float, "speckle_var": float, "seed": int}
+_MANIFEST_KEYS = {"size": int, "radiometry": str, "gamma": float,
+                  "speckle_var": float, "seed": int}
 _RECIPE_PARSERS = {**_MANIFEST_KEYS,
                    **{f"warp_{key}": parse for key, parse in MODEL_FIELDS.items()}}
 

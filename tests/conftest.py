@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from coreg.geomodels import _basis
 from coreg.raster import GeoTransform, RasterGrid
 
 
@@ -12,6 +13,12 @@ def texture(h, w=None, seed=0):
     img = np.tanh(8.0 * (img - img.mean()) / (img.std() + 1e-12))
     lo, hi = img.min(), img.max()
     return ((img - lo) / (hi - lo)).astype(np.float32)
+
+
+def poly_basis_3d(X, Y, Z, order):
+    """Monomials X^i Y^j Z^k with i+j+k <= order, in the models' graded
+    order (total degree, then descending powers of X, then of Y)."""
+    return _basis((X, Y, Z), order)
 
 
 def as_grid(data, gt=None, crs_tag="", nodata=None):

@@ -15,7 +15,7 @@ import pytest
 from coreg.cfog import build_cfog
 from coreg.cli import main
 from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
-                             all_model_specs, fit, min_cp_count, poly_basis_3d)
+                             all_model_specs, fit, min_cp_count)
 from coreg.keypoints import BlockGridParams, detect_block_fast
 from coreg.matcher import (MatchParams, correspondences_from_csv, match_all,
                            phase_correlate_3d)
@@ -24,7 +24,7 @@ from coreg.robustfit import RansacParams, ransac_filter
 from coreg.synthgen import SynthSpec, cubic_truth, generate, translation_warp
 from coreg.raster import save_raster
 
-from conftest import record_criterion
+from conftest import poly_basis_3d, record_criterion
 
 
 EXPECTED_MIN_CP = {

@@ -90,6 +90,21 @@ def test_bad_recipe_value_names_the_key_and_the_file(tmp_path, capsys, line,
         f"error kind=ValueError msg={spec_file}: manifest: {named}\n")
 
 
+@pytest.mark.parametrize("line, named", [
+    ("texture=blobs", "manifest: unknown key 'texture'"),
+    ("radiometry=log", "radiometry must be identity or gamma, got 'log'"),
+])
+def test_removed_recipe_options_are_rejected(tmp_path, capsys, line, named):
+    spec_file = tmp_path / "old.txt"
+    spec_file.write_text(f"size=64\n{line}\n")
+    rc = main(["synth", "--spec", str(spec_file),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error kind=ValueError msg={spec_file}: {named}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_match_on_identity_pair_reports_zero_offsets(scene):
     root, run = scene
     corrs = correspondences_from_csv((run / "correspondences.csv").read_text())
@@ -594,6 +609,20 @@ def test_header_only_corr_file_fails_cleanly(tmp_path, capsys):
     rc = main(["measure", "--corr", str(corr), "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "error kind=ValueError" in capsys.readouterr().err
+
+
+def test_register_on_a_header_only_corr_file_names_both_counts(
+        scene, tmp_path, capsys):
+    root, _ = scene
+    corr = tmp_path / "empty.csv"
+    corr.write_text(CSV_HEADER + "\n")
+    rc = main(["register", "--ref", str(root / "ref.bin"),
+               "--sensed", str(root / "sen.bin"), "--corr", str(corr),
+               "--model", "poly1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error kind=ValueError msg=48 checkpoints need at least 49 "
+        "correspondences, got 0\n")
 
 
 def test_unknown_model_name_fails_cleanly(scene, tmp_path, capsys):

@@ -21,8 +21,6 @@ from coreg.geomodels import (
     fit,
     min_cp_count,
     model_spec_from_name,
-    poly_basis,
-    poly_basis_3d,
 )
 from coreg.matcher import Correspondence
 from coreg.metrics import to_control_points
@@ -111,23 +109,24 @@ def test_invalid_model_specs_rejected(args):
 
 
 def test_poly_basis_order1_is_affine():
-    b = poly_basis(np.array([4.0]), np.array([9.0]), 1)
+    b = _basis((np.array([4.0]), np.array([9.0])), 1)
     assert b.shape == (1, 3)
     assert list(b[0]) == [1.0, 4.0, 9.0]
 
 
 def test_poly_basis_order2_hand_expansion():
-    b = poly_basis(np.array([2.0]), np.array([3.0]), 2)
+    # [1, X, Y, X^2, XY, Y^2]
+    b = _basis((np.array([2.0]), np.array([3.0])), 2)
     assert list(b[0]) == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
 
 
 def test_poly_basis_order5_term_count():
-    b = poly_basis(np.zeros(1), np.zeros(1), 5)
+    b = _basis((np.zeros(1), np.zeros(1)), 5)
     assert b.shape == (1, 21)
 
 
 def test_poly_basis_3d_order3_term_count():
-    b = poly_basis_3d(np.zeros(1), np.zeros(1), np.zeros(1), 3)
+    b = _basis((np.zeros(1), np.zeros(1), np.zeros(1)), 3)
     assert b.shape == (1, 20)
 
 
@@ -190,10 +189,10 @@ def test_apply_equals_monomial_matrix_product(spec):
     zs = rng.uniform(5.0, 55.0, (40, 30))
     Xn, Yn, Zn = model.norm.fwd_in(xs, ys, zs)
     if spec.family == "rfm":
-        A = poly_basis_3d(Xn, Yn, Zn, spec.basis_order)
+        A = _basis((Xn, Yn, Zn), spec.basis_order)
         u, v = model.apply(xs, ys, zs)
     else:
-        A = poly_basis(Xn, Yn, spec.basis_order)
+        A = _basis((Xn, Yn), spec.basis_order)
         u, v = model.apply(xs, ys)
     ref_u, ref_v = model.norm.inv_out((A @ model.num_x) / (A @ model.den_x),
                                       (A @ model.num_y) / (A @ model.den_y))
@@ -231,7 +230,7 @@ def test_denominator_zero_crossing_is_nan_exactly_below_eps():
                           1e-9, 1.0, 4.0])
     ys = np.linspace(-3.0, 3.0, xs.size)
     u, v = model.apply(xs, ys)
-    den = poly_basis(xs, ys, 1) @ model.den_x
+    den = _basis((xs, ys), 1) @ model.den_x
     assert np.array_equal(np.isnan(u), np.abs(den) < DENOM_EPS)
     assert np.isnan(u).sum() == 5
     assert np.array_equal(v, ys)
@@ -294,11 +293,10 @@ def _probe_warning(model, has_z):
     """The denominator probe on a meshgrid of the normalized box."""
     axis = np.linspace(-1.0, 1.0, 21)
     if model.spec.dims == 2:
-        A = poly_basis(*np.meshgrid(axis, axis), model.spec.basis_order)
+        A = _basis(np.meshgrid(axis, axis), model.spec.basis_order)
     else:
         heights = np.linspace(-1.0, 1.0, 5) if has_z else np.zeros(1)
-        A = poly_basis_3d(*np.meshgrid(axis, axis, heights),
-                          model.spec.basis_order)
+        A = _basis(np.meshgrid(axis, axis, heights), model.spec.basis_order)
     dens = (A @ model.den_x, A @ model.den_y)
     return ("denominator-near-zero"
             if min(float(np.min(d)) for d in dens) < 1e-6 else None)
@@ -350,8 +348,7 @@ def test_unit_denominator_fit_takes_one_svd(monkeypatch, name):
     # each coordinate solved as by its own SVD of the design matrix
     X, Y, u, v, Z = control_point_arrays(cps, spec)
     axes = [a for a in model.norm.fwd_in(X, Y, Z) if a is not None]
-    A = (poly_basis if spec.dims == 2 else poly_basis_3d)(
-        *axes, spec.basis_order)
+    A = _basis(axes, spec.basis_order)
     U, sv, Vt = svd(A, full_matrices=False)
     for coeffs, obs in zip((model.num_x, model.num_y),
                            model.norm.fwd_out(u, v)):
@@ -460,10 +457,10 @@ def test_rfm_unit_equals_3d_polynomial():
         zs = np.random.default_rng(10).uniform(0, 80, 1000)
         ux, uy = unit.apply(xs, ys, zs)
 
-        basis = poly_basis_3d(
-            (xs - unit.norm.x_off) / unit.norm.x_scale,
-            (ys - unit.norm.y_off) / unit.norm.y_scale,
-            (zs - unit.norm.z_off) / unit.norm.z_scale, order)
+        basis = _basis(
+            ((xs - unit.norm.x_off) / unit.norm.x_scale,
+             (ys - unit.norm.y_off) / unit.norm.y_scale,
+             (zs - unit.norm.z_off) / unit.norm.z_scale), order)
         nx = basis @ unit.num_x * unit.norm.u_scale + unit.norm.u_off
         ny = basis @ unit.num_y * unit.norm.v_scale + unit.norm.v_off
         assert np.allclose(ux, nx, atol=1e-9)

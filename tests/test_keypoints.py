@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,35 @@ def test_sentinel_nodata_is_ignored_like_nan(reference_600):
     assert found[2] == found[1] == found[0]
     # neither grid is copied whole (1.4 MiB) for detection
     assert max(peaks[:2]) <= peaks[2] + 2 ** 20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_infinite_samples_score_as_nan_does(dtype):
+    img = texture(512, seed=24).astype(dtype)
+    rng = np.random.default_rng(24)
+    # 0.1 % of the samples in runs of four, alternately +inf and -inf: the
+    # ends of a run are 3 px apart, a circle offset, where inf - inf once
+    # warned
+    rows = rng.integers(0, 512, 66)
+    cols = rng.integers(0, 509, 66)
+    signs = np.where(np.arange(rows.size) % 2, np.inf, -np.inf)
+    holed, infinite = img.copy(), img.copy()
+    for dc in range(4):
+        holed[rows, cols + dc] = np.nan
+        infinite[rows, cols + dc] = signs
+    before = infinite.copy()
+    params = BlockGridParams(n_blocks=8)
+    threshold = _resolve_threshold(holed, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = detect_block_fast(holed, params)
+        got = detect_block_fast(infinite, params)
+        scores = fast_score_map(infinite, threshold)
+    assert got == want and len(want) == 64
+    assert np.array_equal(scores, fast_score_map(holed, threshold))
+    assert np.isfinite(scores).all()
+    # the caller's array is not written
+    assert np.array_equal(infinite, before)
 
 
 def _copy_threshold(data):

@@ -237,6 +237,16 @@ def test_split_draws_round_robin_across_cells():
     assert [pts.index(p) for p in zip(rest.X, rest.Y)] == [2, 4, 7]
 
 
+def test_split_names_both_counts_when_too_few():
+    cps = to_control_points([_corr(x, x, x, x) for x in range(5)])
+    with pytest.raises(ValueError, match=r"^5 checkpoints need at least 6 "
+                                         r"correspondences, got 5$"):
+        split_checkpoints(cps, 5, seed=0)
+    with pytest.raises(ValueError,
+                       match=r"^n_checkpoints must be >= 1, got 0$"):
+        split_checkpoints(cps, 0, seed=0)
+
+
 def test_to_control_points_copies_map_coords():
     corrs = _grid_corrs(5, seed=5, fn=lambda x, y: (x + 2, y - 1))
     cps = to_control_points(corrs)

@@ -6,7 +6,8 @@ from coreg.matcher import Correspondence
 from coreg.robustfit import (
     RansacDegeneracyError,
     RansacParams,
-    fit_global_affine,
+    _fit_affine,
+    _pixel_arrays,
     ransac_filter,
     select_top_k,
 )
@@ -73,7 +74,7 @@ def test_inlier_residuals_within_tolerance():
     corrs = inliers + outliers
     tol = 3.0
     inl, _ = ransac_filter(corrs, RansacParams(inlier_tol=tol, seed=7))
-    M = fit_global_affine(inl)
+    M = _fit_affine(*_pixel_arrays(inl))
     for c in inl:
         pc = M[0, 0] * c.ref_col + M[0, 1] * c.ref_row + M[0, 2]
         pr = M[1, 0] * c.ref_col + M[1, 1] * c.ref_row + M[1, 2]
@@ -121,7 +122,7 @@ def test_select_all_orders_by_residual():
     corrs = _affine_corrs(30, seed=19, noise=1.0)
     sel = select_top_k(corrs, len(corrs))
     assert sorted(map(id, sel)) == sorted(map(id, corrs))
-    M = fit_global_affine(corrs)
+    M = _fit_affine(*_pixel_arrays(corrs))
     res = []
     for c in sel:
         pc = M[0, 0] * c.ref_col + M[0, 1] * c.ref_row + M[0, 2]
