@@ -10,11 +10,12 @@ speckle noise. The exact warp is returned as a fitted-model object so
 accuracy claims can be checked against ground truth.
 
 The pull-back inverts the warp by a chord Newton iteration: steps through
-a frozen inverse Jacobian until each point stops moving (one still moving
-at the step cap is not ok). The warp is first inverted at the nodes of a
-regular lattice; the frame is then inverted in whole-row chunks, each pixel
-started and stepped from the nodes' solutions and inverse Jacobians,
-bilinearly upsampled as value noise is, about four warp evaluations per
+a frozen inverse Jacobian until each point's step, or the error bound that
+the ratio of its last two steps gives, falls below a tolerance (one still
+moving at the step cap is not ok). The warp is first inverted at the nodes
+of a regular lattice; the frame is then inverted in whole-row chunks, each
+pixel started and stepped from the nodes' solutions and inverse Jacobians,
+bilinearly upsampled as value noise is, about two warp evaluations per
 pixel. A seeded pixel that fails is solved again unseeded.
 
 The sensed frame is streamed: it is allocated once in float32, and each
@@ -35,9 +36,10 @@ from .raster import GeoTransform, RasterGrid, parse_records, sample_bilinear
 
 # check_invertible probes a grid of this many samples per axis
 _INVERTIBLE_SAMPLES = 25
-# invert_warp_grid: step cap, the largest per-point step that ends the
-# iteration, and the forward-difference step of its Jacobian (a power of two,
-# so r + h is exact for map coordinates below 2**42)
+# invert_warp_grid: step cap, the largest per-point step, or bound on the
+# error left after it, that ends the iteration, and the forward-difference
+# step of its Jacobian (a power of two, so r + h is exact for map
+# coordinates below 2**42)
 _INVERT_MAX_ITERS = 200
 _INVERT_TOL = 1e-12
 _JACOBIAN_STEP = 2.0 ** -10
@@ -239,13 +241,16 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
     both instead: six arrays shaped like tx, the inverse displacement
     (ux, uy) that starts the iteration at t + u, and the entries (a, b, c, d)
     of the frozen inverse [[a, b], [c, d]], which also takes the first step.
-    Each step adds J^-1 (t - warp(r)). A point retires, and is evaluated no
-    more, after its first step below _INVERT_TOL, or one that is not
-    finite; the rest stop after _INVERT_MAX_ITERS steps, so an
-    all-non-finite input stops after the first step. Returns (rx, ry, ok)
-    where ok flags points that retired on a step below _INVERT_TOL with a
-    finite forward image within 1e-6 of the target: a point still moving at
-    the cap is not ok, whatever its residual. A seeded point with a finite
+    Each step adds J^-1 (t - warp(r)). A chord step contracts the error
+    linearly, so once two successive chord steps shrink by rho < 1/2, the
+    error left after the second is at most rho / (1 - rho) times it. A point
+    retires, and is evaluated no more, after its first step below
+    _INVERT_TOL, or one whose error bound is, or one that is not finite;
+    the rest stop after _INVERT_MAX_ITERS steps, and an all-non-finite input
+    stops after its first evaluation. Returns (rx, ry, ok) where ok flags
+    retired points at a finite position whose last step was taken from a
+    forward image within 1e-6 of the target: a point still moving at the
+    cap is not ok, whatever its residual. A seeded point with a finite
     target that is not ok is solved again unseeded.
     """
     shape = np.shape(tx)
@@ -257,43 +262,47 @@ def invert_warp_grid(warp: FittedModel, tx: np.ndarray, ty: np.ndarray,
     else:
         ux, uy, *inverse = (np.ravel(s) for s in seed)
         x, y = gx + ux, gy + uy
-    # per point: the estimate and its forward image, written when it retires
-    rx, ry, fx_end, fy_end = (np.empty(gx.size) for _ in range(4))
+    rx, ry = np.empty(gx.size), np.empty(gx.size)
+    ok = np.zeros(gx.size, dtype=bool)
     live = np.arange(gx.size)
+    # per live point, its last chord step (None before the first)
+    last = None
     # non-finite points are reported through ok, not warnings
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        fx, fy = warp.apply(x, y)
-        for _ in range(_INVERT_MAX_ITERS):
+        for k in range(_INVERT_MAX_ITERS):
+            fx, fy = warp.apply(x, y)
+            if inverse is None and k:
+                inverse = _inverse_jacobian(warp, x, y, fx, fy)
             # the residual t - warp(r), written over warp(r)
-            dx = np.subtract(gx, fx, out=fx)
-            dy = np.subtract(gy, fy, out=fy)
+            ex = np.subtract(gx, fx, out=fx)
+            ey = np.subtract(gy, fy, out=fy)
+            dx, dy = ex, ey
             if inverse is not None:
                 a, b, c, d = inverse
-                dx, dy = a * dx + b * dy, c * dx + d * dy
+                dx, dy = a * ex + b * ey, c * ex + d * ey
             x += dx
             y += dy
             moved = np.maximum(np.abs(dx), np.abs(dy))
-            fx, fy = warp.apply(x, y)
             keep = (moved >= _INVERT_TOL) & (moved < np.inf)
+            if inverse is not None:
+                if last is not None:
+                    rho = moved / last
+                    keep &= ~((rho < 0.5)
+                              & (rho / (1.0 - rho) * moved < _INVERT_TOL))
+                last = moved
             if not keep.all():
                 done = np.flatnonzero(~keep)
                 at = live[done]
-                rx[at], ry[at] = x[done], y[done]
-                fx_end[at], fy_end[at] = fx[done], fy[done]
+                rx[at], ry[at] = px, py = x[done], y[done]
+                ok[at] = ((np.hypot(ex[done], ey[done]) < 1e-6)
+                          & np.isfinite(px) & np.isfinite(py))
                 keep = np.flatnonzero(keep)
-                live, gx, gy, x, y, fx, fy = (
-                    v[keep] for v in (live, gx, gy, x, y, fx, fy))
+                live, gx, gy, x, y = (v[keep] for v in (live, gx, gy, x, y))
                 if inverse is not None:
-                    inverse = [v[keep] for v in inverse]
+                    last, *inverse = (v[keep] for v in (last, *inverse))
             if not live.size:
                 break
-            if inverse is None:
-                inverse = _inverse_jacobian(warp, x, y, fx, fy)
         rx[live], ry[live] = x, y
-        fx_end[live], fy_end[live] = fx, fy
-        err = np.hypot(fx_end - tx, fy_end - ty)
-    ok = np.isfinite(err) & (err < 1e-6)
-    ok[live] = False
     if seed is not None:
         redo = np.flatnonzero(~ok & np.isfinite(tx) & np.isfinite(ty))
         if redo.size:
