@@ -13,8 +13,9 @@ from .geomodels import (ControlPoint, ControlPointArrays, DegenerateFitError,
                         FittedModel, InsufficientControlPointsError,
                         ModelSpec, all_model_specs, fit, min_cp_count,
                         model_spec_from_name)
-from .keypoints import BlockGridParams, InterestPoint, detect_block_fast
-from .matcher import (Correspondence, MatchParams, MatchStats,
+from .config import PipelineConfig
+from .keypoints import InterestPoint, detect_block_fast
+from .matcher import (Correspondence, MatchStats,
                       correspondences_from_csv, correspondences_to_csv,
                       match_all, phase_correlate_3d)
 from .metrics import (CheckpointScore, MisregReport, SweepResult,
@@ -28,7 +29,6 @@ from .robustfit import (RansacDegeneracyError, RansacParams, ransac_filter,
 from .synthgen import NonInvertibleWarpError, SynthSpec, generate
 
 __all__ = [
-    'BlockGridParams',
     'CheckpointScore',
     'ControlPoint',
     'ControlPointArrays',
@@ -40,11 +40,11 @@ __all__ = [
     'GeoTransform',
     'InsufficientControlPointsError',
     'InterestPoint',
-    'MatchParams',
     'MatchStats',
     'MisregReport',
     'ModelSpec',
     'NonInvertibleWarpError',
+    'PipelineConfig',
     'RansacDegeneracyError',
     'RansacParams',
     'RasterFormatError',

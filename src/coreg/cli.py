@@ -65,7 +65,7 @@ def _base_config(args) -> PipelineConfig:
                  if getattr(args, f.name, None) is not None}
     if "cp_counts" in overrides:
         overrides["cp_counts"] = parse_cp_counts(overrides["cp_counts"])
-    return replace(cfg, **overrides).validate()
+    return replace(cfg, **overrides)
 
 
 def _parse_file(path, parse):
@@ -104,9 +104,9 @@ def run_match(args) -> int:
     out = _out_dir(args)
 
     with _timer("detect"):
-        points = detect_block_fast(ref, cfg.block_params())
+        points = detect_block_fast(ref, cfg, border=cfg.template_size // 2)
     with _timer("match"), scipy.fft.set_workers(cfg.threads):
-        corrs, stats = match_all(points, ref, sensed, cfg.match_params())
+        corrs, stats = match_all(points, ref, sensed, cfg)
 
     if len(corrs) < 3:
         skipped = " ".join(f"{reason}={n}"

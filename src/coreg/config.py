@@ -7,18 +7,22 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .geomodels import all_model_specs, model_spec_from_name
-from .keypoints import BlockGridParams
-from .matcher import MatchParams
 from .raster import parse_records
 from .robustfit import RansacParams
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Defaults mirror the reference experiment protocol: a 20x20 detection
+    """The one set of pipeline settings, which detection, matching and
+    filtering read; it checks its bounds when it is built, and NaN fails
+    every bound.
+
+    Defaults mirror the reference experiment protocol: a 20x20 detection
     grid with one point per block, 100 px templates inside 200 px search
     windows, 143 selected correspondences, 48 checkpoints, and control point
-    counts from 25 to 95."""
+    counts from 25 to 95. Template and search sizes must both be even
+    (window centers sit at size/2). fast_threshold=None resolves to 2% of
+    the image dynamic range at detection time."""
 
     n_blocks: int = 20
     k_per_block: int = 1
@@ -35,33 +39,26 @@ class PipelineConfig:
     seed: int = 0
     threads: int = 1
 
-    def block_params(self) -> BlockGridParams:
-        return BlockGridParams(n_blocks=self.n_blocks,
-                               k_per_block=self.k_per_block,
-                               fast_threshold=self.fast_threshold,
-                               border=self.template_size // 2)
-
-    def match_params(self) -> MatchParams:
-        return MatchParams(template_size=self.template_size,
-                           search_size=self.search_size,
-                           subpixel=self.subpixel,
-                           descriptor=self.descriptor)
-
-    def ransac_params(self) -> RansacParams:
-        return RansacParams(inlier_tol=self.inlier_tol, seed=self.seed)
-
-    def model_specs(self) -> list:
-        if self.models.strip() == "all":
-            return all_model_specs()
-        return [model_spec_from_name(name.strip())
-                for name in self.models.split(",") if name.strip()]
-
-    def validate(self) -> "PipelineConfig":
-        """Re-run the cross-field checks of the underlying stage parameters;
-        the match parameters come first, as the block border derives from
-        template_size."""
-        self.match_params()
-        self.block_params()
+    def __post_init__(self):
+        if self.template_size <= 0:
+            raise ValueError(
+                f"template_size must be > 0, got {self.template_size}")
+        if self.search_size <= self.template_size:
+            raise ValueError(
+                f"search_size ({self.search_size}) must exceed template_size "
+                f"({self.template_size})")
+        if self.template_size % 2 or self.search_size % 2:
+            raise ValueError("template_size and search_size must be even")
+        if self.descriptor not in ("cfog", "raw"):
+            raise ValueError(f"unknown descriptor mode {self.descriptor!r}")
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        if self.k_per_block < 1:
+            raise ValueError(f"k_per_block must be >= 1, got {self.k_per_block}")
+        # a negative threshold would let a pixel be brighter and darker at once
+        if self.fast_threshold is not None and not self.fast_threshold >= 0:
+            raise ValueError(f"fast_threshold must be >= 0, got "
+                             f"{self.fast_threshold}")
         self.ransac_params()
         self.model_specs()
         if self.top_k < 1:
@@ -72,7 +69,19 @@ class PipelineConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not self.cp_counts:
             raise ValueError("cp_counts must not be empty")
-        return self
+
+    def ransac_params(self) -> RansacParams:
+        return RansacParams(inlier_tol=self.inlier_tol, seed=self.seed)
+
+    def model_specs(self) -> list:
+        if self.models.strip() == "all":
+            return all_model_specs()
+        specs = [model_spec_from_name(name.strip())
+                 for name in self.models.split(",") if name.strip()]
+        if not specs:
+            raise ValueError(f"models must name at least one model, got "
+                             f"{self.models!r}")
+        return specs
 
 
 def _parse_bool(value: str) -> bool:
@@ -112,4 +121,4 @@ def load_config(path) -> PipelineConfig:
                                   _FIELD_PARSERS)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return replace(PipelineConfig(), **overrides).validate()
+    return replace(PipelineConfig(), **overrides)

@@ -64,34 +64,6 @@ class InterestPoint:
     score: float
 
 
-@dataclass(frozen=True)
-class BlockGridParams:
-    """Detection configuration.
-
-    fast_threshold=None resolves to 2% of the image dynamic range at
-    detection time. border keeps points far enough from the edges for a
-    later template window; callers matching with template size T should pass
-    border >= T/2.
-    """
-
-    n_blocks: int = 20
-    k_per_block: int = 1
-    fast_threshold: float | None = None
-    border: int = 3
-
-    def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.k_per_block < 1:
-            raise ValueError(f"k_per_block must be >= 1, got {self.k_per_block}")
-        if self.border < 0:
-            raise ValueError(f"border must be >= 0, got {self.border}")
-        # a negative threshold would let a pixel be brighter and darker at once
-        if self.fast_threshold is not None and not self.fast_threshold >= 0:
-            raise ValueError(f"fast_threshold must be >= 0, got "
-                             f"{self.fast_threshold}")
-
-
 def fast_score_map(data: np.ndarray, threshold: float) -> np.ndarray:
     """Corner score for every pixel; zero within 3 px of the edges.
 
@@ -174,7 +146,8 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
     return np.partition(values, values.size - k, axis=None)[values.size - k]
 
 
-def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
+def detect_block_fast(image: RasterGrid, cfg: "PipelineConfig",
+                      border: int = 3) -> list:
     """Evenly distributed interest points: top K corner scores per grid block.
 
     Only strictly positive scores qualify, so flat blocks contribute nothing
@@ -183,19 +156,27 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
     are outside the automatic threshold's range and belong to no arc; the
     frame is never copied whole. The threshold comes from the whole image,
     but only the pixels at least ``border`` (and 3) px inside it are scored,
-    from a crop 3 px larger on each side.
+    from a crop 3 px larger on each side. Points that seed template windows
+    of size T need ``border >= T/2``.
+
+    Reads ``n_blocks``, ``k_per_block`` and ``fast_threshold`` from
+    ``cfg``; a grid of more blocks than the image's shorter side has pixels
+    raises ValueError.
     """
     data = image.data if isinstance(image, RasterGrid) else np.asarray(image)
     h, w = data.shape
-    border = max(params.border, 3)
+    n = cfg.n_blocks
+    if n > min(h, w):
+        raise ValueError(f"n_blocks ({n}) exceeds the image's shorter side "
+                         f"({min(h, w)} px)")
+    border = max(border, 3)
     if 2 * border >= min(h, w):
         return []
-    threshold = _resolve_threshold(data, params.fast_threshold)
+    threshold = _resolve_threshold(data, cfg.fast_threshold)
     # scores[r, c] is the score of pixel (off + r, off + c)
     off = border - 3
     scores = fast_score_map(data[off:h - off, off:w - off], threshold)
 
-    n = params.n_blocks
     bh = h // n
     bw = w // n
     points = []
@@ -211,14 +192,14 @@ def detect_block_fast(image: RasterGrid, params: BlockGridParams) -> list:
                          left - off:max(c1 - off, 0)]
             # only positive scores at or above the K-th largest can rank in
             # the top K, ties included
-            kth = _kth_largest(sub, params.k_per_block)
+            kth = _kth_largest(sub, cfg.k_per_block)
             keep = np.flatnonzero((sub >= kth) & (sub > 0))
             if keep.size == 0:
                 continue
             rs, cs = np.divmod(keep, sub.shape[1])
             vals = sub[rs, cs]
             order = np.lexsort((cs, rs, -vals))
-            for idx in order[:params.k_per_block]:
+            for idx in order[:cfg.k_per_block]:
                 points.append(InterestPoint(col=int(left + cs[idx]),
                                             row=int(top + rs[idx]),
                                             score=float(vals[idx])))

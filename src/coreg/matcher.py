@@ -49,30 +49,6 @@ _STRIP_TILE = 64
 
 
 @dataclass(frozen=True)
-class MatchParams:
-    """Template matching configuration. Sizes are in pixels and must both be
-    even (window centers sit at size/2)."""
-
-    template_size: int = 100
-    search_size: int = 200
-    subpixel: bool = False
-    descriptor: str = "cfog"
-
-    def __post_init__(self):
-        if self.template_size <= 0:
-            raise ValueError(
-                f"template_size must be > 0, got {self.template_size}")
-        if self.search_size <= self.template_size:
-            raise ValueError(
-                f"search_size ({self.search_size}) must exceed template_size "
-                f"({self.template_size})")
-        if self.template_size % 2 or self.search_size % 2:
-            raise ValueError("template_size and search_size must be even")
-        if self.descriptor not in ("cfog", "raw"):
-            raise ValueError(f"unknown descriptor mode {self.descriptor!r}")
-
-
-@dataclass(frozen=True)
 class Correspondence:
     """A matched point pair in pixel and map coordinates."""
 
@@ -198,11 +174,11 @@ def phase_correlate_3d(t_vol: DescriptorVolume, s_vol: DescriptorVolume,
 
 
 def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
-            sensed_grid: RasterGrid, params: MatchParams):
+            sensed_grid: RasterGrid, cfg: "PipelineConfig"):
     """The point's (template window, search window), or the reason it is
     skipped before any descriptor is built."""
-    T = params.template_size
-    S = params.search_size
+    T = cfg.template_size
+    S = cfg.search_size
 
     t_win = Window(ref_point.col - T // 2, ref_point.row - T // 2, T, T)
     if not t_win.fits_in(ref_grid):
@@ -223,7 +199,7 @@ def _screen(ref_point: InterestPoint, ref_grid: RasterGrid,
     return t_win, s_win
 
 
-def _describe(grid: RasterGrid, win: Window, params: MatchParams,
+def _describe(grid: RasterGrid, win: Window, cfg: "PipelineConfig",
               out: np.ndarray | None = None) -> DescriptorVolume:
     """Descriptor volume of one window, written into ``out``'s (m, h, w)
     planes when given: built from the window grown by the descriptor's
@@ -235,7 +211,7 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
     data[~np.isfinite(data)] = 0.0
     region = (slice(win.row0 - r0, win.row0 - r0 + win.h),
               slice(win.col0 - c0, win.col0 - c0 + win.w))
-    if params.descriptor == "cfog":
+    if cfg.descriptor == "cfog":
         return build_cfog(data, region=region, out=out)
     if out is None:
         return DescriptorVolume(values=data[region][None])
@@ -243,7 +219,7 @@ def _describe(grid: RasterGrid, win: Window, params: MatchParams,
     return DescriptorVolume(values=out)
 
 
-def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
+def _strip_volumes(grid: RasterGrid, wins: list, cfg: "PipelineConfig"):
     """Yield the descriptor volume of each search window in ``wins`` (sorted
     by top row), as an (m, h, w) view into one rolling strip of
     ``search_size + _STRIP_TILE`` sensed rows (fewer if the windows span
@@ -258,8 +234,8 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
     c0 = min(win.col0 for win in wins)
     c1 = max(win.col0 + win.w for win in wins)
     end = max(win.row0 + win.h for win in wins)
-    m = 1 if params.descriptor == "raw" else M
-    rows = min(params.search_size + _STRIP_TILE, end - wins[0].row0)
+    m = 1 if cfg.descriptor == "raw" else M
+    rows = min(cfg.search_size + _STRIP_TILE, end - wins[0].row0)
     strip = np.empty((m, rows, c1 - c0), dtype=np.float32)
     top = bottom = 0  # strip[:, :bottom - top] holds sensed rows top:bottom
     for win in wins:
@@ -274,7 +250,7 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
             right = max(w.col0 + w.w for w in meet)
             while bottom < stop:
                 n = min(_STRIP_TILE, stop - bottom)
-                _describe(grid, Window(left, bottom, right - left, n), params,
+                _describe(grid, Window(left, bottom, right - left, n), cfg,
                           out=strip[:, bottom - top:bottom - top + n,
                                     left - c0:right - c0])
                 bottom += n
@@ -285,13 +261,13 @@ def _strip_volumes(grid: RasterGrid, wins: list, params: MatchParams):
 
 def _locate(ref_point: InterestPoint, s_win: Window, result,
             ref_grid: RasterGrid, sensed_grid: RasterGrid,
-            params: MatchParams):
+            cfg: "PipelineConfig"):
     """The correspondence a correlation result gives, or a skip reason."""
     if result is None:
         return "unreliable-peak"
     x0, y0, peak = result
 
-    span = params.search_size - params.template_size
+    span = cfg.search_size - cfg.template_size
     if not (0 <= round(x0) <= span and 0 <= round(y0) <= span):
         return "offset-bound"
 
@@ -300,8 +276,8 @@ def _locate(ref_point: InterestPoint, s_win: Window, result,
     off_x = float(np.clip(x0 - span / 2.0, -span / 2.0, span / 2.0))
     off_y = float(np.clip(y0 - span / 2.0, -span / 2.0, span / 2.0))
     # the search window is centred on the predicted pixel
-    sensed_col = s_win.col0 + params.search_size // 2 + off_x
-    sensed_row = s_win.row0 + params.search_size // 2 + off_y
+    sensed_col = s_win.col0 + cfg.search_size // 2 + off_x
+    sensed_row = s_win.row0 + cfg.search_size // 2 + off_y
     rx, ry = ref_grid.geotransform.pixel_to_geo(float(ref_point.col),
                                                 float(ref_point.row))
     sx, sy = sensed_grid.geotransform.pixel_to_geo(sensed_col, sensed_row)
@@ -314,27 +290,28 @@ def _locate(ref_point: InterestPoint, s_win: Window, result,
 
 
 def match_all(points: list, ref_grid: RasterGrid, sensed_grid: RasterGrid,
-              params: MatchParams) -> tuple[list, MatchStats]:
+              cfg: "PipelineConfig") -> tuple[list, MatchStats]:
     """Match every interest point, preserving input order; skipped points are
-    omitted from the list and tallied by reason in the stats. Sensed pixel
-    coordinates index ``sensed_grid``; grids whose CRS tags differ raise
-    CrsMismatchError before any point is screened."""
+    omitted from the list and tallied by reason in the stats. Reads
+    ``template_size``, ``search_size``, ``subpixel`` and ``descriptor`` from
+    ``cfg``. Sensed pixel coordinates index ``sensed_grid``; grids whose CRS
+    tags differ raise CrsMismatchError before any point is screened."""
     if ref_grid.crs_tag != sensed_grid.crs_tag:
         raise CrsMismatchError(f"crs mismatch: ref={ref_grid.crs_tag!r} "
                                f"sensed={sensed_grid.crs_tag!r}")
-    outcomes = [_screen(pt, ref_grid, sensed_grid, params) for pt in points]
+    outcomes = [_screen(pt, ref_grid, sensed_grid, cfg) for pt in points]
     order = sorted((k for k, wins in enumerate(outcomes)
                     if not isinstance(wins, str)),
                    key=lambda k: outcomes[k][1].row0)
     if order:
         s_vols = _strip_volumes(sensed_grid, [outcomes[k][1] for k in order],
-                                params)
+                                cfg)
         for k, s_vol in zip(order, s_vols):
             t_win, s_win = outcomes[k]
-            result = phase_correlate_3d(_describe(ref_grid, t_win, params),
-                                        s_vol, subpixel=params.subpixel)
+            result = phase_correlate_3d(_describe(ref_grid, t_win, cfg),
+                                        s_vol, subpixel=cfg.subpixel)
             outcomes[k] = _locate(points[k], s_win, result, ref_grid,
-                                  sensed_grid, params)
+                                  sensed_grid, cfg)
 
     stats = MatchStats(attempted=len(points))
     corrs = []

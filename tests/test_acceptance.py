@@ -14,10 +14,11 @@ import pytest
 
 from coreg.cfog import build_cfog
 from coreg.cli import main
+from coreg.config import PipelineConfig
 from coreg.geomodels import (ControlPoint, FittedModel, ModelSpec,
                              all_model_specs, fit, min_cp_count)
-from coreg.keypoints import BlockGridParams, detect_block_fast
-from coreg.matcher import (MatchParams, correspondences_from_csv, match_all,
+from coreg.keypoints import detect_block_fast
+from coreg.matcher import (correspondences_from_csv, match_all,
                            phase_correlate_3d)
 from coreg.metrics import checkpoint_rmse, misregistration
 from coreg.robustfit import RansacParams, ransac_filter
@@ -72,12 +73,12 @@ def test_criterion_2_descriptor_vs_raw_robustness():
             size=448, seed=2000 + seed,
             warp=translation_warp(float(dx), float(dy)),
             radiometry="gamma", gamma=0.4, speckle_var=0.05))
-        pts = detect_block_fast(ref, BlockGridParams(n_blocks=2,
-                                                     k_per_block=1,
-                                                     border=110))
+        pts = detect_block_fast(ref, PipelineConfig(n_blocks=2,
+                                                    k_per_block=1),
+                                border=110)
         for mode in ("cfog", "raw"):
             corrs, stats = match_all(pts, ref, sen,
-                                     MatchParams(descriptor=mode))
+                                     PipelineConfig(descriptor=mode))
             totals[mode] += stats.attempted
             for c in corrs:
                 err = np.hypot(c.sensed_col - c.ref_col - dx,

@@ -587,14 +587,14 @@ def test_sensed_pixels_index_the_sensed_file(framed, tmp_path):
 def test_matching_the_whole_frame_equals_matching_its_footprint(framed):
     _, ref, sen = framed
     cfg = PipelineConfig(n_blocks=4)
-    points = detect_block_fast(ref, cfg.block_params())
+    points = detect_block_fast(ref, cfg, border=cfg.template_size // 2)
     # the reference footprint in the sensed frame plus 100 px on each side
     ox, oy = sen.geotransform.pixel_to_geo(20.0, 20.0)
     part = as_grid(sen.data[20:620, 20:620],
                    replace(sen.geotransform, origin_x=ox, origin_y=oy),
                    crs_tag=sen.crs_tag)
-    whole, whole_stats = match_all(points, ref, sen, cfg.match_params())
-    cut, cut_stats = match_all(points, ref, part, cfg.match_params())
+    whole, whole_stats = match_all(points, ref, sen, cfg)
+    cut, cut_stats = match_all(points, ref, part, cfg)
     assert whole_stats == cut_stats and whole_stats.matched == len(points)
     assert ([(c.ref_x, c.ref_y, c.sensed_x, c.sensed_y, c.peak) for c in whole]
             == [(c.ref_x, c.ref_y, c.sensed_x, c.sensed_y, c.peak)
@@ -631,6 +631,36 @@ def test_unknown_model_name_fails_cleanly(scene, tmp_path, capsys):
                "--model", "poly9", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "error kind=ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_empty_model_list_fails_cleanly(scene, tmp_path, capsys, where):
+    _, run = scene
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("models = ,\n")
+    models = (["--models", ""] if where == "flag"
+              else ["--config", str(cfg)])
+    rc = main(["sweep", "--corr", str(run / "correspondences.csv"), *models,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    given = "''" if where == "flag" else "','"
+    assert capsys.readouterr().err == (
+        "error kind=ValueError msg=models must name at least one model, "
+        f"got {given}\n")
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_grid_finer_than_the_reference_fails_cleanly(scene, tmp_path,
+                                                     capsys):
+    root, _ = scene
+    rc = main(["match", "--ref", str(root / "ref.bin"),
+               "--sensed", str(root / "sen.bin"), "--blocks", "1000",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error kind=ValueError msg=n_blocks (1000) exceeds the image's "
+        "shorter side (256 px)\n")
+    assert not (tmp_path / "out" / "correspondences.csv").exists()
 
 
 def test_artifacts_are_deterministic(tmp_path):

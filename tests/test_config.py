@@ -41,15 +41,32 @@ def test_bad_value_names_the_key_and_the_file(tmp_path, line, named):
     assert str(info.value) == f"{tmp_path / 'pipeline.cfg'}: {named}"
 
 
-def test_negative_seed_rejected(tmp_path):
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        _load(tmp_path, "seed = -1\n")
+_BOUNDS = [
+    ("template_size = 0", "template_size must be > 0, got 0"),
+    ("search_size = 100", "search_size (100) must exceed template_size (100)"),
+    ("template_size = 51", "template_size and search_size must be even"),
+    ("descriptor = sift", "unknown descriptor mode 'sift'"),
+    ("n_blocks = 0", "n_blocks must be >= 1, got 0"),
+    ("k_per_block = 0", "k_per_block must be >= 1, got 0"),
+    ("fast_threshold = -1", "fast_threshold must be >= 0, got -1.0"),
+    ("fast_threshold = nan", "fast_threshold must be >= 0, got nan"),
+    ("inlier_tol = 0", "inlier_tol must be > 0, got 0.0"),
+    ("inlier_tol = nan", "inlier_tol must be > 0, got nan"),
+    ("seed = -1", "seed must be >= 0, got -1"),
+    ("top_k = 0", "top_k must be >= 1, got 0"),
+    ("n_checkpoints = 0", "n_checkpoints must be >= 1, got 0"),
+    ("threads = 0", "threads must be >= 1, got 0"),
+    ("models = poly1, bogus", "unknown model name 'bogus'"),
+]
 
 
-@pytest.mark.parametrize("line", ["inlier_tol = nan", "fast_threshold = nan"])
-def test_nan_bound_rejected(tmp_path, line):
-    with pytest.raises(ValueError, match=line.split()[0] + " must be"):
+@pytest.mark.parametrize("line, message", _BOUNDS,
+                         ids=[line for line, _ in _BOUNDS])
+def test_out_of_bound_value_rejected_with_its_message(tmp_path, line,
+                                                      message):
+    with pytest.raises(ValueError) as info:
         _load(tmp_path, line + "\n")
+    assert str(info.value) == message
 
 
 def test_fast_threshold_auto_and_number(tmp_path):

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coreg import keypoints
+from coreg.config import PipelineConfig
 from coreg.keypoints import (
     _ARC_MEMBERS,
     CIRCLE,
-    BlockGridParams,
     _resolve_threshold,
     detect_block_fast,
     fast_score_map,
@@ -65,18 +65,18 @@ def _selecting_score_map(data, threshold):
     return scores
 
 
-def _full_frame_detection(data, params, nodata=None):
+def _full_frame_detection(data, cfg, border, nodata=None):
     """detect_block_fast as it was before it scored the interior alone: the
     whole frame is scored, the border zeroed, and each block sorted."""
     data = np.asarray(data)
     if nodata is not None:
         data = np.where(data == np.float32(nodata), np.float32(np.nan), data)
-    border = max(params.border, 3)
-    threshold = _resolve_threshold(data, params.fast_threshold)
+    border = max(border, 3)
+    threshold = _resolve_threshold(data, cfg.fast_threshold)
     scores = _selecting_score_map(data, threshold)
     scores[:border], scores[-border:] = 0.0, 0.0
     scores[:, :border], scores[:, -border:] = 0.0, 0.0
-    return _lexsort_selection(scores, params.n_blocks, params.k_per_block)
+    return _lexsort_selection(scores, cfg.n_blocks, cfg.k_per_block)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def flat_scene_reference():
 
 def test_constant_image_yields_nothing():
     img = np.full((64, 64), 0.7, dtype=np.float32)
-    assert detect_block_fast(img, BlockGridParams(n_blocks=4)) == []
+    assert detect_block_fast(img, PipelineConfig(n_blocks=4)) == []
 
 
 def test_single_bright_dot_hand_score():
@@ -98,8 +98,8 @@ def test_single_bright_dot_hand_score():
     # every circle pixel is darker than the dot by 1.0: a 16-long arc
     score = fast_score(img, 8, 8, threshold=0.2)
     assert np.isclose(score, 16 * (1.0 - 0.2))
-    pts = detect_block_fast(img, BlockGridParams(n_blocks=1,
-                                                 fast_threshold=0.2))
+    pts = detect_block_fast(img, PipelineConfig(n_blocks=1,
+                                                fast_threshold=0.2))
     assert [(p.col, p.row) for p in pts] == [(8, 8)]
 
 
@@ -110,19 +110,18 @@ def test_step_edge_is_not_a_corner():
     for col in (15, 16, 17):
         for row in (8, 16, 24):
             assert fast_score(img, col, row, threshold=0.1) == 0.0
-    assert detect_block_fast(img, BlockGridParams(n_blocks=2,
-                                                  fast_threshold=0.1)) == []
+    assert detect_block_fast(img, PipelineConfig(n_blocks=2,
+                                                 fast_threshold=0.1)) == []
 
 
 def test_large_grid_is_capped_and_covers_responsive_blocks():
     img = texture(2000, seed=11)
-    params = BlockGridParams(n_blocks=20, k_per_block=1)
-    pts = detect_block_fast(img, params)
+    pts = detect_block_fast(img, PipelineConfig(n_blocks=20, k_per_block=1))
     assert len(pts) <= 400
 
     thr = 0.02 * float(img.max() - img.min())
     scores = fast_score_map(img, thr)
-    border = max(params.border, 3)
+    border = 3
     scores[:border], scores[-border:] = 0.0, 0.0
     scores[:, :border], scores[:, -border:] = 0.0, 0.0
     got = {(p.row // 100, p.col // 100) for p in pts}
@@ -136,8 +135,8 @@ def test_large_grid_is_capped_and_covers_responsive_blocks():
 
 def test_single_block_top_k_matches_exhaustive_sort():
     img = texture(64, seed=12)
-    params = BlockGridParams(n_blocks=1, k_per_block=5, fast_threshold=0.05)
-    pts = detect_block_fast(img, params)
+    cfg = PipelineConfig(n_blocks=1, k_per_block=5, fast_threshold=0.05)
+    pts = detect_block_fast(img, cfg)
     scores = fast_score_map(img, 0.05)
     scores[:3], scores[-3:] = 0.0, 0.0
     scores[:, :3], scores[:, -3:] = 0.0, 0.0
@@ -181,8 +180,8 @@ def test_partitioned_top_k_equals_the_full_lexsort(monkeypatch, k):
     bordered[:, :3], bordered[:, -3:] = 0.0, 0.0
     monkeypatch.setattr(keypoints, "fast_score_map",
                         lambda data, threshold: bordered.copy())
-    params = BlockGridParams(n_blocks=3, k_per_block=k, border=3)
-    pts = detect_block_fast(np.zeros(scores.shape), params)
+    cfg = PipelineConfig(n_blocks=3, k_per_block=k)
+    pts = detect_block_fast(np.zeros(scores.shape), cfg, border=3)
     expected = _lexsort_selection(bordered, 3, k)
     assert [(p.col, p.row, p.score) for p in pts] == expected
     assert len(expected) == 8 * k + 1
@@ -208,8 +207,8 @@ def test_block_selection_on_a_hand_built_score_map(monkeypatch, k, expected):
     scores[8, 11] = scores[8, 7] = scores[11, 6] = scores[6, 9] = 3.0
     monkeypatch.setattr(keypoints, "fast_score_map",
                         lambda data, threshold: scores.copy())
-    params = BlockGridParams(n_blocks=2, k_per_block=k, border=3)
-    pts = detect_block_fast(np.zeros(scores.shape), params)
+    cfg = PipelineConfig(n_blocks=2, k_per_block=k)
+    pts = detect_block_fast(np.zeros(scores.shape), cfg, border=3)
     assert [(p.col, p.row, p.score) for p in pts] == expected
 
 
@@ -230,8 +229,8 @@ def test_score_map_is_the_same_for_every_strip_height(monkeypatch,
               elements=st.floats(0, 1, width=32)),
        st.integers(1, 3), st.integers(1, 2))
 def test_block_budget_and_score_consistency(img, n, k):
-    params = BlockGridParams(n_blocks=n, k_per_block=k, fast_threshold=0.05)
-    pts = detect_block_fast(img, params)
+    cfg = PipelineConfig(n_blocks=n, k_per_block=k, fast_threshold=0.05)
+    pts = detect_block_fast(img, cfg)
     assert len(pts) <= n * n * k
 
     bh = bw = 24 // n
@@ -247,15 +246,26 @@ def test_block_budget_and_score_consistency(img, n, k):
 def test_iid_noise_occupies_nearly_every_block():
     rng = np.random.default_rng(13)
     img = rng.standard_normal((400, 400)).astype(np.float32)
-    pts = detect_block_fast(img, BlockGridParams(n_blocks=10))
+    pts = detect_block_fast(img, PipelineConfig(n_blocks=10))
     occupied = {(p.row // 40, p.col // 40) for p in pts}
     assert len(occupied) >= 95
 
 
 def test_detection_is_deterministic():
     img = texture(128, seed=14)
-    params = BlockGridParams(n_blocks=4, k_per_block=2)
-    assert detect_block_fast(img, params) == detect_block_fast(img, params)
+    cfg = PipelineConfig(n_blocks=4, k_per_block=2)
+    assert detect_block_fast(img, cfg) == detect_block_fast(img, cfg)
+
+
+def test_grid_finer_than_the_image_is_rejected():
+    img = texture(64, 80, seed=15)
+    # one-pixel blocks along the shorter side still partition the image
+    pts = detect_block_fast(img, PipelineConfig(n_blocks=64))
+    assert len(pts) > 1000
+    with pytest.raises(ValueError) as info:
+        detect_block_fast(img, PipelineConfig(n_blocks=65))
+    assert str(info.value) == ("n_blocks (65) exceeds the image's shorter "
+                               "side (64 px)")
 
 
 def _maximal_arc(flags):
@@ -353,10 +363,10 @@ def test_score_map_is_bitwise_the_selecting_score_map(flat_scene_reference):
 def test_interior_detection_equals_full_frame_scoring(shape, n, k, border):
     img = texture(*shape, seed=sum(shape) + border)
     img[np.random.default_rng(border).random(shape) < 0.02] = np.nan
-    params = BlockGridParams(n_blocks=n, k_per_block=k, border=border)
-    pts = detect_block_fast(img, params)
+    cfg = PipelineConfig(n_blocks=n, k_per_block=k)
+    pts = detect_block_fast(img, cfg, border=border)
     assert [(p.col, p.row, p.score) for p in pts] == \
-        _full_frame_detection(img, params)
+        _full_frame_detection(img, cfg, border)
     assert pts
 
 
@@ -365,17 +375,17 @@ def test_interior_detection_of_a_sentinel_image(flat_scene_reference):
     data[:, :120] = -9999.0
     data[400:470, 500:560] = -9999.0
     grid = as_grid(data, nodata=-9999.0)
-    params = BlockGridParams(n_blocks=8, border=50)
-    pts = detect_block_fast(grid, params)
+    cfg = PipelineConfig(n_blocks=8)
+    pts = detect_block_fast(grid, cfg, border=50)
     assert [(p.col, p.row, p.score) for p in pts] == \
-        _full_frame_detection(data, params, nodata=-9999.0)
+        _full_frame_detection(data, cfg, 50, nodata=-9999.0)
     assert len(pts) >= 50
 
 
 def test_negative_threshold_is_rejected():
     for threshold in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="fast_threshold"):
-            BlockGridParams(fast_threshold=threshold)
+            PipelineConfig(fast_threshold=threshold)
 
 
 def test_score_map_temporaries_stay_within_a_fixed_bound_per_pixel():
@@ -406,8 +416,8 @@ def test_sentinel_nodata_is_ignored_like_nan(reference_600):
     for image in images:
         tracemalloc.start()
         try:
-            found.append(detect_block_fast(image, BlockGridParams(n_blocks=4,
-                                                                  border=50)))
+            found.append(detect_block_fast(image, PipelineConfig(n_blocks=4),
+                                           border=50))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -432,12 +442,12 @@ def test_infinite_samples_score_as_nan_does(dtype):
         holed[rows, cols + dc] = np.nan
         infinite[rows, cols + dc] = signs
     before = infinite.copy()
-    params = BlockGridParams(n_blocks=8)
+    cfg = PipelineConfig(n_blocks=8)
     threshold = _resolve_threshold(holed, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = detect_block_fast(holed, params)
-        got = detect_block_fast(infinite, params)
+        want = detect_block_fast(holed, cfg)
+        got = detect_block_fast(infinite, cfg)
         scores = fast_score_map(infinite, threshold)
     assert got == want and len(want) == 64
     assert np.array_equal(scores, fast_score_map(holed, threshold))

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from coreg import matcher
 from coreg.cfog import M, DescriptorVolume, build_cfog
-from coreg.keypoints import BlockGridParams, InterestPoint, detect_block_fast
+from coreg.config import PipelineConfig
+from coreg.keypoints import InterestPoint, detect_block_fast
 from coreg.matcher import (
-    MatchParams,
     correspondences_from_csv,
     correspondences_to_csv,
     match_all,
@@ -286,44 +286,47 @@ def _pair_with_shift(dx, dy, size=256, seed=35):
 
 def test_identical_images_match_at_zero_offset():
     ref, _ = _pair_with_shift(0, 0)
-    params = MatchParams(template_size=64, search_size=128)
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=2, border=70))
+    cfg = PipelineConfig(n_blocks=2, template_size=64,
+                         search_size=128)
+    pts = detect_block_fast(ref.data, cfg, border=70)
     assert pts
     for pt in pts:
-        (c,), _ = match_all([pt], ref, ref, params)
+        (c,), _ = match_all([pt], ref, ref, cfg)
         assert (c.sensed_col, c.sensed_row) == (c.ref_col, c.ref_row)
 
 
 def test_translated_copy_matches_exactly():
     ref, sen = _pair_with_shift(5, 3)
-    params = MatchParams(template_size=64, search_size=128)
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=2, border=70))
+    cfg = PipelineConfig(n_blocks=2, template_size=64,
+                         search_size=128)
+    pts = detect_block_fast(ref.data, cfg, border=70)
     assert pts
     for pt in pts:
-        (c,), _ = match_all([pt], ref, sen, params)
+        (c,), _ = match_all([pt], ref, sen, cfg)
         assert (c.sensed_col - c.ref_col, c.sensed_row - c.ref_row) == (5, 3)
 
 
 def test_window_off_the_edge_is_skipped():
     ref, sen = _pair_with_shift(0, 0, size=128)
-    params = MatchParams(template_size=64, search_size=128)
+    cfg = PipelineConfig(template_size=64, search_size=128)
     corrs, stats = match_all([InterestPoint(col=10, row=64, score=1.0)], ref,
-                             sen, params)
+                             sen, cfg)
     assert corrs == [] and stats.skipped == {"template-window": 1}
 
 
 def test_match_all_empty_input():
     ref, sen = _pair_with_shift(0, 0, size=128)
-    corrs, stats = match_all([], ref, sen, MatchParams())
+    corrs, stats = match_all([], ref, sen, PipelineConfig())
     assert corrs == [] and stats.attempted == 0
 
 
 def test_match_all_is_permutation_independent():
     ref, sen = _pair_with_shift(4, -2)
-    params = MatchParams(template_size=64, search_size=128)
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=3, border=70))
-    fwd, _ = match_all(pts, ref, sen, params)
-    rev, _ = match_all(pts[::-1], ref, sen, params)
+    cfg = PipelineConfig(n_blocks=3, template_size=64,
+                         search_size=128)
+    pts = detect_block_fast(ref.data, cfg, border=70)
+    fwd, _ = match_all(pts, ref, sen, cfg)
+    rev, _ = match_all(pts[::-1], ref, sen, cfg)
     key = lambda c: (c.ref_col, c.ref_row)
     assert sorted(fwd, key=key) == sorted(rev, key=key)
 
@@ -339,9 +342,10 @@ def distorted_corpus_pair():
 
 def test_radiometric_distortion_survival_rate(distorted_corpus_pair):
     ref, sen = distorted_corpus_pair
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=17, border=110))
+    cfg = PipelineConfig(n_blocks=17)
+    pts = detect_block_fast(ref.data, cfg, border=110)
     assert len(pts) >= 120
-    corrs, stats = match_all(pts, ref, sen, MatchParams())
+    corrs, stats = match_all(pts, ref, sen, cfg)
     assert stats.matched >= 0.95 * len(pts)
     good = sum(1 for c in corrs
                if abs(c.sensed_col - c.ref_col - 5) <= 1
@@ -352,7 +356,8 @@ def test_radiometric_distortion_survival_rate(distorted_corpus_pair):
 @pytest.fixture(scope="module")
 def identity_pair_600():
     ref, sen, _, _ = generate(SynthSpec(size=600, seed=3))
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=4, border=100))
+    pts = detect_block_fast(ref.data, PipelineConfig(n_blocks=4),
+                            border=100)
     return ref, sen, pts
 
 
@@ -362,10 +367,10 @@ def test_windows_touching_nodata_are_skipped(identity_pair_600, sentinel):
     data = sen.data.copy()
     data[:, :150] = sentinel
     gapped = as_grid(data, sen.geotransform, sen.crs_tag, nodata=sentinel)
-    params = MatchParams()
-    corrs, stats = match_all(pts, ref, gapped, params)
+    cfg = PipelineConfig()
+    corrs, stats = match_all(pts, ref, gapped, cfg)
     # identical geotransforms: the search window starts at col - S/2
-    half = params.search_size // 2
+    half = cfg.search_size // 2
     touching = [pt for pt in pts if pt.col - half < 150]
     assert touching
     assert stats.skipped == {"nodata": len(touching)}
@@ -397,7 +402,7 @@ def test_hole_next_to_a_search_window_does_not_move_its_match(
     ref, sen = shifted_pair_600
     gapped = _with_hole(sen, sentinel)
     corrs, stats = match_all([InterestPoint(col=200, row=200, score=1.0)],
-                             ref, gapped, MatchParams())
+                             ref, gapped, PipelineConfig())
     assert stats.matched == 1
     c = corrs[0]
     assert (c.sensed_col - c.ref_col, c.sensed_row - c.ref_row) == (3, -2)
@@ -411,7 +416,8 @@ def test_window_volumes_equal_the_whole_image_descriptor(
     ref, sen = shifted_pair_600
     gapped = _with_hole(sen, np.nan)
     # plus a search window 2 px from the hole, inside the descriptor's reach
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=4, border=100))
+    pts = detect_block_fast(ref.data, PipelineConfig(n_blocks=4),
+                            border=100)
     pts.append(InterestPoint(col=200, row=200, score=1.0))
     calls = []
     phase_correlate = matcher.phase_correlate_3d
@@ -423,12 +429,12 @@ def test_window_volumes_equal_the_whole_image_descriptor(
 
     monkeypatch.setattr(matcher, "_STRIP_TILE", tile_rows)
     monkeypatch.setattr(matcher, "phase_correlate_3d", recording)
-    params = MatchParams()
-    _, stats = match_all(pts, ref, gapped, params)
+    cfg = PipelineConfig()
+    _, stats = match_all(pts, ref, gapped, cfg)
 
     ref_whole = build_cfog(ref.data).values
     sen_whole = build_cfog(np.nan_to_num(gapped.data, nan=0.0)).values
-    T, S = params.template_size, params.search_size
+    T, S = cfg.template_size, cfg.search_size
     expected = []
     for pt in pts:
         pc, pr = predict_search_center(pt, ref, gapped)
@@ -453,15 +459,15 @@ def test_window_volumes_equal_the_whole_image_descriptor(
 
 def test_match_all_memory_is_bounded_by_the_sensed_strip():
     ref, sen = _pair_with_shift(3, -2, size=1024, seed=37)
-    params = MatchParams()
+    cfg = PipelineConfig()
     grid = np.linspace(100, 924, 8).astype(int)
     pts = [InterestPoint(col=int(c), row=int(r), score=1.0)
            for r in grid for c in grid]
-    strip_bytes = ((params.search_size + matcher._STRIP_TILE) * sen.width
+    strip_bytes = ((cfg.search_size + matcher._STRIP_TILE) * sen.width
                    * M * 4)
     tracemalloc.start()
     try:
-        corrs, stats = match_all(pts, ref, sen, params)
+        corrs, stats = match_all(pts, ref, sen, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,9 +479,10 @@ def test_match_all_memory_is_bounded_by_the_sensed_strip():
 
 def test_correspondence_csv_round_trip():
     ref, sen = _pair_with_shift(4, -2)
-    params = MatchParams(template_size=64, search_size=128)
-    pts = detect_block_fast(ref.data, BlockGridParams(n_blocks=2, border=70))
-    corrs, _ = match_all(pts, ref, sen, params)
+    cfg = PipelineConfig(n_blocks=2, template_size=64,
+                         search_size=128)
+    pts = detect_block_fast(ref.data, cfg, border=70)
+    corrs, _ = match_all(pts, ref, sen, cfg)
     text = correspondences_to_csv(corrs)
     assert correspondences_from_csv(text) == corrs
     assert correspondences_to_csv(correspondences_from_csv(text)) == text
